@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import Lattice, make_lattice
+from .core import Lattice, lattice_from_dict, make_lattice
 from .errors import CatalogError, ValidationError
 
 ENV_CATALOG_PATH = "MBM_CATALOG_PATH"
@@ -28,17 +28,6 @@ class CatalogEntry:
     fujiki_constant: int | str      # positive integer or "unknown"
     wall_square_bound: int | str    # integer or "conjectural:<value>"
     notes: str
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "gram": [list(row) for row in self.lattice.gram],
-            "signature": list(self.lattice.signature),
-            "discriminant": self.lattice.discriminant,
-            "fujiki_constant": self.fujiki_constant,
-            "mbm_square_bound": self.wall_square_bound,
-            "notes": self.notes,
-        }
 
 
 def _validate_entry(raw: dict) -> CatalogEntry:
@@ -121,12 +110,18 @@ def get_entry(name: str, path: str | None = None) -> CatalogEntry:
     raise CatalogError(f"no catalog entry named {name!r}")
 
 
+def read_json_file(path: str, what: str):
+    """Parse a user-supplied JSON file; unreadable or malformed files raise
+    ValidationError naming ``what`` the file was meant to hold."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} file {path!r}: {exc}") from exc
+
+
 def resolve_lattice(source: str, path: str | None = None) -> Lattice:
     """Map a CLI lattice source to a Lattice: catalog name or JSON file."""
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        from .core import lattice_from_dict
-
-        return lattice_from_dict(data)
+        return lattice_from_dict(read_json_file(source, "lattice"))
     return get_entry(name=source, path=path).lattice

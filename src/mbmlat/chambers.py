@@ -31,6 +31,7 @@ from .core import (
     pairing,
     primitive_integral,
     primitive_part,
+    project_off,
     reflect_vector,
     sign_normalize,
     square,
@@ -94,7 +95,7 @@ def chamber_at(L: Lattice, witness, base=None, spec: WallSpec = None, validate: 
     if validate:
         ensure_wall_free(L, wi, spec)
         ensure_wall_free(L, bi, spec)
-    crossing = tuple(sorted(separating_walls(L, bi, wi, spec), key=lambda w: w.sort_key))
+    crossing = tuple(separating_walls(L, bi, wi, spec))
     return Chamber(lattice=L, spec=spec, witness=wi, base_witness=bi, crossing_set=crossing)
 
 
@@ -188,17 +189,6 @@ class FacetResult:
         return len(self.faces)
 
 
-def _project_off(L: Lattice, v, s) -> Vector:
-    """v minus its s-component (exact); lands in s^perp."""
-    c = Fraction(pairing(L, v, s), pairing(L, s, s))
-    return tuple(Fraction(v[i]) - c * s[i] for i in range(L.rank))
-
-
-def _facet_witness(L: Lattice, witness, s) -> Vector:
-    m = _project_off(L, witness, s)
-    return primitive_integral(m)
-
-
 def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH_BOUND) -> FacetResult:
     """Facets of a chamber among walls with q(s, witness) <= search_bound.
 
@@ -215,7 +205,7 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
         if is_reflective(L, s.vector):
             # cheap kill: a facet's midpoint witness must be strictly
             # feasible for every other wall, candidates included
-            m = _project_off(L, w, s.vector)
+            m = project_off(L, w, s.vector)
             if any(
                 pairing(L, u.vector, m) <= 0
                 for u in candidates
@@ -240,7 +230,7 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
 
 def _decide_nonreflective(L: Lattice, w, s: Wall, candidates, spec) -> tuple[str, Vector | None]:
     others = [u for u in candidates if u.unsigned() != s.unsigned()]
-    y = _project_off(L, w, s.vector)  # positive, on the wall
+    y = project_off(L, w, s.vector)  # positive, on the wall
 
     def violated(pt):
         return [u for u in others if pairing(L, u.vector, pt) <= 0]
@@ -252,7 +242,7 @@ def _decide_nonreflective(L: Lattice, w, s: Wall, candidates, spec) -> tuple[str
 
     # square keeps one sign on the whole positive component of the wall
     for u in vio:
-        ut = _project_off(L, u.vector, s.vector)
+        ut = project_off(L, u.vector, s.vector)
         if all(x == 0 for x in ut):
             continue
         su = pairing(L, ut, ut)
@@ -265,7 +255,7 @@ def _decide_nonreflective(L: Lattice, w, s: Wall, candidates, spec) -> tuple[str
         if not vio:
             return "facet", primitive_integral(y)
         u = min(vio, key=lambda x: (pairing(L, x.vector, y), x.sort_key))
-        ut = _project_off(L, u.vector, s.vector)
+        ut = project_off(L, u.vector, s.vector)
         su = pairing(L, ut, ut)
         if su >= 0:
             if all(x == 0 for x in ut):
@@ -337,10 +327,9 @@ def encode_flag(L: Lattice, face_chain: Sequence, spec: WallSpec) -> Flag:
         if idx == 0:
             unscaled = x
         else:
-            tilde = tuple(Fraction(c) for c in x)
+            tilde = x
             for u in basis:
-                cu = Fraction(pairing(L, tilde, u), pairing(L, u, u))
-                tilde = tuple(tilde[i] - cu * u[i] for i in range(L.rank))
+                tilde = project_off(L, tilde, u)
             qt = pairing(L, tilde, tilde)
             if qt >= 0:
                 raise FlagChainError(
@@ -465,9 +454,6 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
         raise NonPositiveVectorError(f"base {tuple(base)} is not positive")
     ensure_wall_free(L, base_p, spec)
 
-    def chamber_key(walls) -> tuple:
-        return tuple(sorted(w.sort_key for w in walls))
-
     visited: dict[tuple, dict] = {}
     frontier: list[tuple[tuple, Vector]] = [((), base_p)]
     visited[()] = {"witness": base_p, "depth": 0}
@@ -483,8 +469,7 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
             for face in res.faces:
                 s = face.supporting_wall
                 w2 = reflect_vector(L, w, s.vector)
-                sep = separating_walls(L, base_p, w2, spec)
-                key2 = chamber_key(sep)
+                key2 = tuple(x.sort_key for x in separating_walls(L, base_p, w2, spec))
                 edges.add(tuple(sorted((key, key2))) + (s.unsigned(),))
                 if key2 not in visited:
                     visited[key2] = {"witness": primitive_integral(w2), "depth": layer + 1}

@@ -20,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .catalog import load_catalog, resolve_lattice
+from .catalog import load_catalog, read_json_file, resolve_lattice
 from .chambers import (
     chamber_at,
     encode_flag,
@@ -223,8 +223,7 @@ def _cmd_explore(args) -> int:
 def _load_generators(L, args):
     gens: list[Isometry] = []
     if args.generators:
-        with open(args.generators, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json_file(args.generators, "generator")
         if not isinstance(data, list):
             raise ValidationError("generator file must hold a JSON list of matrices")
         gens.extend(isometry(L, m) for m in data)

@@ -78,10 +78,6 @@ def vec_add(v: Sequence, w: Sequence) -> Vector:
     return tuple(a + b for a, b in zip(v, w))
 
 
-def vec_sub(v: Sequence, w: Sequence) -> Vector:
-    return tuple(a - b for a, b in zip(v, w))
-
-
 def vec_scale(c, v: Sequence) -> Vector:
     return tuple(c * a for a in v)
 
@@ -339,12 +335,6 @@ class Lattice:
     def kernel_dimension(self) -> int:
         return self.rank - self.signature[0] - self.signature[1]
 
-    def gram_row(self, i: int) -> Vector:
-        return self.gram[i]
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "gram": [list(row) for row in self.gram]}
-
 
 def make_lattice(gram: Sequence[Sequence[int]], name: str = "") -> Lattice:
     """Validate a symmetric integer matrix and compute exact metadata.
@@ -353,6 +343,8 @@ def make_lattice(gram: Sequence[Sequence[int]], name: str = "") -> Lattice:
     algorithm needs them); operations that require non-degeneracy raise
     their own errors.
     """
+    if not isinstance(gram, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in gram):
+        raise ValidationError(f"gram matrix must be a list of rows, got {gram!r}")
     n = len(gram)
     for i, row in enumerate(gram):
         if len(row) != n:
@@ -466,18 +458,24 @@ class ProjectionResult:
     primitive: Vector
 
 
-def orthogonal_project(L: Lattice, x: Sequence, y: Sequence) -> ProjectionResult:
-    """Project y to the orthogonal complement of x (q(x,x) != 0 required)."""
+def project_off(L: Lattice, v: Sequence, x: Sequence) -> Vector:
+    """v minus its x-component, exact; lands in x^perp (q(x,x) != 0 required)."""
     qxx = pairing(L, x, x)
     if qxx == 0:
         raise IsotropicVectorError(f"cannot project along isotropic vector {tuple(x)}")
-    qxy = pairing(L, x, y)
-    coeff = Fraction(qxy, qxx)
-    tilde = tuple(Fraction(y[i]) - coeff * x[i] for i in range(L.rank))
+    c = Fraction(pairing(L, v, x), qxx)
+    return tuple(Fraction(v[i]) - c * x[i] for i in range(L.rank))
+
+
+def orthogonal_project(L: Lattice, x: Sequence, y: Sequence) -> ProjectionResult:
+    """Project y to the orthogonal complement of x (q(x,x) != 0 required)."""
+    tilde = project_off(L, y, x)
+    qxx = pairing(L, x, x)
     unscaled = tuple(qxx * t for t in tilde)
     unscaled_int = as_int_vector(unscaled) if vec_is_integral(unscaled) else unscaled
     prim = primitive_part(unscaled_int) if vec_is_integral(unscaled) else unscaled
-    return ProjectionResult(coefficient=coeff, tilde_y=tilde, unscaled=unscaled_int, primitive=prim)
+    return ProjectionResult(coefficient=Fraction(pairing(L, x, y), qxx), tilde_y=tilde,
+                            unscaled=unscaled_int, primitive=prim)
 
 
 @dataclass(frozen=True)
@@ -491,37 +489,40 @@ class HyperplaneRestriction:
     sublattice: Lattice
     basis: tuple[Vector, ...]
 
-    @property
-    def embedding_matrix(self) -> Matrix:
-        n = len(self.basis[0]) if self.basis else 0
-        return tuple(tuple(b[i] for b in self.basis) for i in range(n))
-
     def embed(self, y: Sequence) -> Vector:
         """Map sublattice coordinates to L-coordinates."""
         n = len(self.basis[0]) if self.basis else 0
         return tuple(sum(y[j] * self.basis[j][i] for j in range(len(self.basis))) for i in range(n))
 
 
-def restrict_to_hyperplane(L: Lattice, x: Sequence) -> HyperplaneRestriction:
-    """Integral basis of {v : q(v, x) = 0} and the induced Gram matrix.
+def hyperplane_basis(L: Lattice, x: Sequence) -> tuple[int, Vector, tuple[Vector, ...]]:
+    """Integral basis of the saturated hyperplane {v : q(v, x) = 0}.
 
-    Uses exact column elimination over Z on the row gram.x, so the basis
-    spans the full saturated sublattice.  If x lies in the kernel of the
-    form the restriction is all of L.
+    Returns ``(g, x0, basis)`` with ``g = gcd(gram . x) >= 0`` and
+    ``q(x0, x) = g``, by exact column elimination over Z on the row
+    gram.x.  If x lies in the kernel of the form (g = 0) the basis is
+    all of L.
     """
+    g, cols = _column_reduce(gram_apply(L, x))
+    cols = [tuple(c) for c in cols]
+    return g, cols[0], tuple(cols[1:] if g else cols)
+
+
+def induced_gram(L: Lattice, basis: Sequence[Vector]) -> Matrix:
+    """Gram matrix of the form restricted to the span of ``basis``."""
+    return tuple(tuple(int(pairing(L, a, b)) for b in basis) for a in basis)
+
+
+def restrict_to_hyperplane(L: Lattice, x: Sequence) -> HyperplaneRestriction:
+    """Integral basis of {v : q(v, x) = 0} and the induced Gram matrix,
+    via :func:`hyperplane_basis`."""
     _require_rank(L, x)
     xi = as_int_vector(x)
     if vec_is_zero(xi):
         raise ValidationError("cannot restrict to the hyperplane of the zero vector")
-    row = gram_apply(L, xi)
-    if vec_is_zero(row):
-        basis = [tuple(1 if i == j else 0 for i in range(L.rank)) for j in range(L.rank)]
-    else:
-        _, cols = _column_reduce(row)
-        basis = [tuple(c) for c in cols[1:]]
-    induced = [[int(pairing(L, a, b)) for b in basis] for a in basis]
-    sub = make_lattice(induced, name=f"{L.name}|{','.join(map(str, xi))}^perp" if L.name else "")
-    return HyperplaneRestriction(sublattice=sub, basis=tuple(basis))
+    _, _, basis = hyperplane_basis(L, xi)
+    sub = make_lattice(induced_gram(L, basis), name=f"{L.name}|{','.join(map(str, xi))}^perp" if L.name else "")
+    return HyperplaneRestriction(sublattice=sub, basis=basis)
 
 
 def is_positive(L: Lattice, v: Sequence, reference: Sequence) -> bool:

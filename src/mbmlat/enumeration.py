@@ -37,20 +37,21 @@ from .core import (
     content,
     floor_sqrt,
     gram_apply,
+    hyperplane_basis,
+    induced_gram,
     pairing,
     primitive_integral,
     primitive_part,
     rational_sqrt,
-    restrict_to_hyperplane,
     sign_normalize,
     solve_rational,
     square,
-    vec_is_integral,
 )
 from .errors import (
     NonPositiveVectorError,
     SignatureError,
     ValidationError,
+    WallIncidenceError,
 )
 
 
@@ -104,25 +105,6 @@ class Wall:
 
     def unsigned(self) -> "Wall":
         return Wall(vector=sign_normalize(self.vector), square=self.square)
-
-    def negated(self) -> "Wall":
-        return Wall(vector=tuple(-x for x in self.vector), square=self.square)
-
-
-def make_wall(L: Lattice, v, orient_against=None) -> Wall:
-    vi = primitive_part(as_int_vector(v))
-    d = square(L, vi)
-    if d >= 0:
-        raise ValidationError(f"wall vector {tuple(v)} has non-negative square {d}")
-    if orient_against is not None:
-        t = pairing(L, vi, orient_against)
-        if t < 0:
-            vi = tuple(-x for x in vi)
-        elif t == 0:
-            vi = sign_normalize(vi)
-    else:
-        vi = sign_normalize(vi)
-    return Wall(vector=vi, square=int(d))
 
 
 def is_reflective(L: Lattice, s) -> bool:
@@ -327,18 +309,13 @@ class _BaseData:
 @lru_cache(maxsize=256)
 def _base_data(L: Lattice, v0: Vector) -> _BaseData:
     n = L.rank
-    row = gram_apply(L, v0)
-    from .core import _column_reduce  # shared exact elimination kernel
-
-    g0, cols = _column_reduce(row)
-    x0 = tuple(cols[0])
-    basis = tuple(tuple(c) for c in cols[1:])
-    sub_gram = tuple(tuple(int(pairing(L, a, b)) for b in basis) for a in basis)
+    g0, x0, basis = hyperplane_basis(L, v0)
+    sub_gram = induced_gram(L, basis)
     # negative definiteness of v0^perp is equivalent to v0 being positive
-    form = _PosDefForm(tuple(tuple(-x for x in r) for r in sub_gram)) if basis else _PosDefForm(())
+    form = _PosDefForm(tuple(tuple(-x for x in r) for r in sub_gram))
     gx0 = gram_apply(L, x0)
     h1 = tuple(sum(b[i] * gx0[i] for i in range(n)) for b in basis)
-    c1 = solve_rational(sub_gram, h1) if basis else ()
+    c1 = solve_rational(sub_gram, h1)
     return _BaseData(
         norm=int(square(L, v0)), g0=int(g0), x0=x0, basis=basis, form=form, c1=tuple(c1), sub_gram=sub_gram
     )
@@ -361,7 +338,7 @@ def _check_positive_pair(L: Lattice, v0, v1):
 
 
 def _iter_walls_for_t(L: Lattice, v0p: Vector, spec: WallSpec, d: int, t_values, keep):
-    """Shared kernel: yield walls s with q(s,s) = d, q(s, v0p) = t > 0."""
+    """Shared kernel: yield walls s with q(s,s) = d, q(s, v0p) = t >= 0."""
     data = _base_data(L, v0p)
     N, g0 = data.norm, data.g0
     for t in t_values:
@@ -471,13 +448,9 @@ def walls_containing(L: Lattice, v, spec: WallSpec, search_bound: int | None = N
         raise NonPositiveVectorError(f"{tuple(v)} is negative: not in the closed positive cone")
     found = set()
     if qv > 0:
-        data = _base_data(L, vi)
         for d in sorted(spec.squares):
-            for y in data.form.enumerate_exact(tuple(Fraction(0) for _ in data.c1), Fraction(-d)):
-                s = _embed(data.basis, data.x0, 0, y)
-                if content(s) != 1 or not _passes(L, s, spec):
-                    continue
-                found.add((d, sign_normalize(s)))
+            for w in _iter_walls_for_t(L, vi, spec, d, (0,), None):
+                found.add((d, sign_normalize(w.vector)))
     else:
         if search_bound is None:
             raise ValidationError("boundary point: walls_containing needs an explicit search_bound")
@@ -490,8 +463,6 @@ def walls_containing(L: Lattice, v, spec: WallSpec, search_bound: int | None = N
 
 def ensure_wall_free(L: Lattice, v, spec: WallSpec) -> None:
     """Raise WallIncidenceError when some spec wall passes through v."""
-    from .errors import WallIncidenceError
-
     hits = walls_containing(L, v, spec)
     if hits:
         raise WallIncidenceError(

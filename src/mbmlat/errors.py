@@ -70,8 +70,3 @@ class SquareBoundViolationError(MbmlatError):
 
 class CatalogError(MbmlatError):
     """Catalog entry failed validation; message names the entry and invariant."""
-
-
-class IncompleteSearchWarning(UserWarning):
-    """A bounded search could not certify completeness; results carry explicit
-    status fields rather than being silently truncated."""

@@ -11,7 +11,7 @@ outputs are inconclusive unless the search is flagged complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .chambers import chamber_at, encode_flag, explore_tessellation, facet_walls
 from .core import (
@@ -21,13 +21,15 @@ from .core import (
     as_int_vector,
     content,
     gram_apply,
-    identity_matrix,
+    induced_gram,
     integer_kernel,
     invert_rational,
+    make_lattice,
     mat_mul,
     mat_transpose,
     mat_vec,
     pairing,
+    primitive_part,
     sign_normalize,
     square,
     vec_add,
@@ -36,7 +38,7 @@ from .core import (
     _column_reduce,
     _det_bareiss,
 )
-from .enumeration import Wall, WallSpec
+from .enumeration import Wall, WallSpec, is_reflective
 from .errors import (
     BaseRepsError,
     FlagChainError,
@@ -67,10 +69,6 @@ class Isometry:
     def inverse(self) -> "Isometry":
         inv = invert_rational(self.matrix)
         return isometry(self.lattice, tuple(tuple(as_int_vector(row)) for row in inv))
-
-    @classmethod
-    def identity(cls, L: Lattice) -> "Isometry":
-        return cls(lattice=L, matrix=identity_matrix(L.rank))
 
 
 def isometry(L: Lattice, matrix) -> Isometry:
@@ -120,9 +118,6 @@ def check_square_bound_reflective(L: Lattice, s) -> bool:
     failure would indicate a computation bug.  The reflection itself only
     depends on the ray, so s is primitivized up front.
     """
-    from .core import primitive_part
-    from .enumeration import is_reflective
-
     sv = primitive_part(as_int_vector(s.vector if isinstance(s, Wall) else s))
     refl = is_reflective(L, sv)
     if refl and not L.is_degenerate:
@@ -177,10 +172,7 @@ def degenerate_split(L: Lattice) -> DegenerateSplit:
     y = tuple(cols[0])
     _, ycols = _column_reduce(y)
     basis = tuple(tuple(c) for c in ycols[1:])
-    induced_gram = [[int(pairing(L, a, b)) for b in basis] for a in basis]
-    from .core import make_lattice
-
-    induced = make_lattice(induced_gram, name=f"{L.name}/ker" if L.name else "")
+    induced = make_lattice(induced_gram(L, basis), name=f"{L.name}/ker" if L.name else "")
     if induced.is_degenerate:
         raise KernelRankError("complement form is degenerate; kernel was not fully split")
     change = tuple(tuple(list(b[i] for b in basis) + [l[i]]) for i in range(L.rank))
@@ -280,8 +272,6 @@ def isometries_in_box(L: Lattice, bound: int) -> tuple[Isometry, ...]:
     """
     if L.rank > 3:
         raise ValidationError("isometries_in_box is a desk-scale helper for rank <= 3")
-    from itertools import product
-
     box = [v for v in product(range(-bound, bound + 1), repeat=L.rank)]
     out = []
 
@@ -305,16 +295,6 @@ def isometries_in_box(L: Lattice, bound: int) -> tuple[Isometry, ...]:
 
 # ---------------------------------------------------------------------------
 # orbit canonicalization
-
-
-def _norm_key(v: Vector):
-    """Canonical order: sup-norm first, then lexicographic.
-
-    Orbits of hyperbolic reflection groups are infinite and have no
-    lexicographic minimum, but only finitely many elements of bounded
-    sup-norm, so this order has a genuine minimum on every orbit.
-    """
-    return (max(abs(c) for c in v), v)
 
 
 @dataclass(frozen=True)
@@ -349,31 +329,75 @@ def _generator_matrices(generators) -> list[Matrix]:
     return mats
 
 
-def _orbit_bfs(L: Lattice, v: Vector, mats, word_budget: int, box: int):
-    seen = {v}
-    frontier = [v]
-    best = v
-    best_key = _norm_key(v)
-    pruned = False
-    for _ in range(word_budget):
-        nxt = []
-        for x in frontier:
-            for m in mats:
-                y = mat_vec(m, x)
-                if max(abs(c) for c in y) > box:
-                    pruned = True
-                    continue
-                if y in seen:
-                    continue
-                seen.add(y)
-                nxt.append(y)
-                k = _norm_key(y)
-                if k < best_key:
-                    best, best_key = y, k
-        frontier = nxt
-        if not frontier:
+_RESTARTS = 8
+
+
+def _sup(state) -> int:
+    flat = sum(state, ())
+    return max(max(flat), -min(flat))
+
+
+def _descend(state, mats, word_budget: int, image):
+    """Descend to the minimal element of the orbit of ``state``.
+
+    A state is a tuple of vectors; ``image(m, state)`` is its image under
+    the generator matrix m.  The order is (sup-norm, lexicographic) over
+    the flattened state: orbits of hyperbolic reflection groups are
+    infinite and have no lexicographic minimum, but only finitely many
+    elements of bounded sup-norm, so this order has a genuine minimum on
+    every orbit.  Each round is a BFS over generator words of length at
+    most ``word_budget``, confined to the coordinate box
+    4 * max(1, sup-norm of the representative) + 8; the next round
+    restarts from the smallest element found, until a round finds nothing
+    smaller or the restart cap of 8 rounds, shared by every orbit key, is
+    spent.
+
+    Returns ``(rep, complete, visited)`` for the last round: ``complete``
+    when its BFS exhausted the orbit without leaving the box, ``visited``
+    the number of states it saw.
+    """
+    rep = state
+    for _ in range(_RESTARTS):
+        best_sup = _sup(rep)
+        box = 4 * max(1, best_sup) + 8
+        best = rep
+        seen = {rep}
+        frontier = [rep]
+        pruned = False
+        for _ in range(word_budget):
+            nxt = []
+            for x in frontier:
+                for m in mats:
+                    y = image(m, x)
+                    sup = _sup(y)
+                    if sup > box:
+                        pruned = True
+                        continue
+                    if y in seen:
+                        continue
+                    seen.add(y)
+                    nxt.append(y)
+                    if sup < best_sup or (sup == best_sup and y < best):
+                        best, best_sup = y, sup
+            frontier = nxt
+            if not frontier:
+                break
+        if best == rep:
             break
-    return best, (not frontier) and (not pruned), len(seen)
+        rep = best
+    return rep, not frontier and not pruned, len(seen)
+
+
+def _plain_image(m, state):
+    return tuple(mat_vec(m, v) for v in state)
+
+
+def _sign_min(v: Vector) -> Vector:
+    return min(v, tuple(-c for c in v))
+
+
+def _sign_image(m, state):
+    return tuple(_sign_min(mat_vec(m, v)) for v in state)
 
 
 def canonical_orbit_rep(L: Lattice, v, generators, word_budget: int = 8) -> OrbitRepResult:
@@ -381,97 +405,26 @@ def canonical_orbit_rep(L: Lattice, v, generators, word_budget: int = 8) -> Orbi
     found under the (sup-norm, lexicographic) canonical order.
 
     The search is confined to a coordinate box auto-sized to the current
-    representative (4 * max|coord| + 8) and restarts from any smaller
-    element it finds, descending until stable.
+    representative and restarts from any smaller element it finds,
+    descending until stable; see :func:`_descend`.
     """
-    rep = as_int_vector(v)
-    mats = _generator_matrices(generators)
-    complete = False
-    visited = 0
-    for _ in range(8):
-        box = 4 * max(1, max(abs(c) for c in rep)) + 8
-        best, complete, visited = _orbit_bfs(L, rep, mats, word_budget, box)
-        if best == rep:
-            break
-        rep = best
+    (rep,), complete, visited = _descend((as_int_vector(v),), _generator_matrices(generators),
+                                         word_budget, _plain_image)
     return OrbitRepResult(vector=rep, complete=complete, visited=visited)
-
-
-def _sign_min(v: Vector) -> Vector:
-    return min(v, tuple(-c for c in v))
 
 
 def orbit_key_mod_sign(L: Lattice, v, mats, word_budget: int = 8) -> Vector:
     """Canonical key of the orbit of {+-v}: norm-lex min over sign-quotiented BFS."""
-    rep = _sign_min(as_int_vector(v))
-    for _ in range(8):
-        box = 4 * max(1, max(abs(c) for c in rep)) + 8
-        seen = {rep}
-        frontier = [rep]
-        best = rep
-        best_key = _norm_key(rep)
-        for _ in range(word_budget):
-            nxt = []
-            for x in frontier:
-                for m in mats:
-                    y = _sign_min(mat_vec(m, x))
-                    if max(abs(c) for c in y) > box:
-                        continue
-                    if y in seen:
-                        continue
-                    seen.add(y)
-                    nxt.append(y)
-                    k = _norm_key(y)
-                    if k < best_key:
-                        best, best_key = y, k
-            frontier = nxt
-            if not frontier:
-                break
-        if best == rep:
-            break
-        rep = best
-    return rep
-
-
-def _pair_norm_key(p) -> tuple:
-    return (max(max(abs(c) for c in p[0]), max(abs(c) for c in p[1])), p)
+    return _descend((_sign_min(as_int_vector(v)),), mats, word_budget, _sign_image)[0][0]
 
 
 def _pair_key(L: Lattice, pair, mats, word_budget: int, cache: dict) -> tuple:
     """Canonical key of an ordered wall pair under the diagonal action,
     orientation forgotten entrywise; (sup-norm, lex) canonical order."""
     norm = (_sign_min(pair[0]), _sign_min(pair[1]))
-    if norm in cache:
-        return cache[norm]
-    rep = norm
-    for _ in range(6):
-        box = 4 * max(1, max(max(abs(c) for c in rep[0]), max(abs(c) for c in rep[1]))) + 8
-        seen = {rep}
-        frontier = [rep]
-        best = rep
-        best_key = _pair_norm_key(rep)
-        for _ in range(word_budget):
-            nxt = []
-            for x in frontier:
-                for m in mats:
-                    y = (_sign_min(mat_vec(m, x[0])), _sign_min(mat_vec(m, x[1])))
-                    if max(abs(c) for c in y[0] + y[1]) > box:
-                        continue
-                    if y in seen:
-                        continue
-                    seen.add(y)
-                    nxt.append(y)
-                    k = _pair_norm_key(y)
-                    if k < best_key:
-                        best, best_key = y, k
-            frontier = nxt
-            if not frontier:
-                break
-        if best == rep:
-            break
-        rep = best
-    cache[norm] = rep
-    return rep
+    if norm not in cache:
+        cache[norm] = _descend(norm, mats, word_budget, _sign_image)[0]
+    return cache[norm]
 
 
 # ---------------------------------------------------------------------------

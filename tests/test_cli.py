@@ -85,6 +85,27 @@ def test_domain_error_exit_code_and_stderr():
     assert "NO_SUCH_ENTRY" in payload["message"]
 
 
+MALFORMED_INPUTS = {
+    "lattice_is_directory": ["info", "--lattice", "{tmp}"],
+    "lattice_bad_json": ["info", "--lattice", "{tmp}/bad.json"],
+    "gram_not_a_list": ["info", "--lattice", "{tmp}/gram5.json"],
+    "row_not_a_list": ["info", "--lattice", "{tmp}/row5.json"],
+    "generators_missing": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--generators", "{tmp}/none.json"],
+    "generators_bad_json": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--generators", "{tmp}/bad.json"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_file_is_domain_error(tmp_path, argv):
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "gram5.json").write_text(json.dumps({"gram": 5}))
+    (tmp_path / "row5.json").write_text(json.dumps({"gram": [5]}))
+    code, out, err = invoke([a.format(tmp=tmp_path) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert set(json.loads(err)) == {"error", "message"}
+
+
 def test_wall_incidence_error_is_domain_error():
     code, _, err = invoke(["explore", "--lattice", "U+A1m2", "--base", "1,1,0",
                            "--squares", "-2", "--depth", "1"])

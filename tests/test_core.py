@@ -204,6 +204,13 @@ class TestRestrictToHyperplane:
                 for j in range(k):
                     assert res.sublattice.gram[i][j] == pairing(UAA, res.basis[i], res.basis[j])
 
+    def test_kernel_vector_restricts_to_all_of_l(self):
+        # gram . x = 0: the hyperplane is the whole lattice
+        L = make_lattice(direct_sum([[0]], [[-2]]), "Z0+A1m2")
+        res = restrict_to_hyperplane(L, (1, 0))
+        assert res.basis == ((1, 0), (0, 1))
+        assert res.sublattice.gram == L.gram
+
     def test_embed_roundtrip(self, UA):
         res = restrict_to_hyperplane(UA, (0, 0, 1))
         assert isinstance(res, HyperplaneRestriction)

@@ -1,0 +1,50 @@
+"""Static layering checks on the ``mbmlat`` sources.
+
+Each module may import only from the modules below it in ``LAYERS``, at
+module level, and only names it uses.  A function-local import usually
+hides an import cycle between layers; an unused one hides a dependency
+that is not there.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mbmlat"
+LAYERS = ["errors", "core", "enumeration", "chambers", "orbits", "catalog", "cli"]
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _sibling_imports(tree: ast.Module):
+    """(imported module, bound names) for each ``from .x import ...``."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield node.module, [alias.asname or alias.name for alias in node.names]
+
+
+def test_every_module_is_layered():
+    assert sorted(LAYERS + ["__init__"]) == sorted(p.stem for p in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_no_function_local_imports(module):
+    tree = _tree(module)
+    top = {id(node) for node in tree.body}
+    local = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert local == [], f"{module}.py imports inside a function or class at lines {local}"
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_sibling_imports_follow_layers_and_are_used(module):
+    tree = _tree(module)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    below = LAYERS[:LAYERS.index(module)]
+    for target, names in _sibling_imports(tree):
+        assert target in below, f"{module}.py imports .{target}, which is not below it in {LAYERS}"
+        unused = [n for n in names if n not in used]
+        assert unused == [], f"{module}.py imports unused names {unused} from .{target}"

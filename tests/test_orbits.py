@@ -13,6 +13,8 @@ from mbmlat.errors import (
 )
 from mbmlat.orbits import (
     Isometry,
+    _generator_matrices,
+    _pair_key,
     canonical_orbit_rep,
     check_square_bound_reflective,
     degenerate_split,
@@ -23,6 +25,7 @@ from mbmlat.orbits import (
     kernel_sign_flip,
     kneser_degenerate_reps,
     lift_complement_isometry,
+    orbit_key_mod_sign,
     reflection,
     transvection_isometries,
 )
@@ -259,6 +262,20 @@ class TestCanonicalOrbitRep:
             reps = {canonical_orbit_rep(UA, v, gens, word_budget=budget).vector for v in classes[:40]}
             counts.append(len(reps))
         assert counts[0] >= counts[1] == counts[2]
+
+
+class TestOrbitKeys:
+    def test_keys_invariant_under_sign_and_generators(self, UA):
+        gens = facet_reflection_generators(UA, (5, 3, 2), SPEC2)
+        mats = _generator_matrices(gens)
+        for g in (gens[0], gens[2].compose(gens[1])):
+            for v in [(0, 1, 1), (2, 1, 3), (3, 1, 1)]:
+                key = orbit_key_mod_sign(UA, v, mats)
+                assert orbit_key_mod_sign(UA, tuple(-c for c in v), mats) == key
+                assert orbit_key_mod_sign(UA, g.apply(v), mats) == key
+            a, b = (0, 1, 1), (2, 0, 1)
+            key = _pair_key(UA, (a, b), mats, 8, {})
+            assert _pair_key(UA, (g.apply(a), g.apply(b)), mats, 8, {}) == key
 
 
 class TestCensus:
