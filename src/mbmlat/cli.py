@@ -53,13 +53,10 @@ def _parse_vector(text: str):
         raise ValidationError(f"empty vector {text!r}")
     out = []
     for p in parts:
-        if "/" in p:
-            out.append(Fraction(p))
-        else:
-            try:
-                out.append(int(p))
-            except ValueError as exc:
-                raise ValidationError(f"bad vector entry {p!r}") from exc
+        try:
+            out.append(Fraction(p) if "/" in p else int(p))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad vector entry {p!r}") from exc
     return tuple(out)
 
 

@@ -336,6 +336,18 @@ class Lattice:
         return self.rank - self.signature[0] - self.signature[1]
 
 
+def int_matrix(rows, what: str) -> Matrix:
+    """``rows`` as a tuple of int tuples; a ValidationError unless it is a
+    list or tuple of lists or tuples of ints (bools are not ints here)."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+        raise ValidationError(f"{what} must be a list of rows, got {rows!r}")
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValidationError(f"{what} entry ({i},{j}) = {x!r} is not an integer")
+    return tuple(tuple(row) for row in rows)
+
+
 def make_lattice(gram: Sequence[Sequence[int]], name: str = "") -> Lattice:
     """Validate a symmetric integer matrix and compute exact metadata.
 
@@ -343,25 +355,20 @@ def make_lattice(gram: Sequence[Sequence[int]], name: str = "") -> Lattice:
     algorithm needs them); operations that require non-degeneracy raise
     their own errors.
     """
-    if not isinstance(gram, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in gram):
-        raise ValidationError(f"gram matrix must be a list of rows, got {gram!r}")
+    gram = int_matrix(gram, "gram matrix")
     n = len(gram)
     for i, row in enumerate(gram):
         if len(row) != n:
             raise ValidationError(f"gram matrix is not square: row {i} has length {len(row)}, expected {n}")
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValidationError(f"gram entry ({i},{j}) = {x!r} is not an integer")
     for i in range(n):
         for j in range(i + 1, n):
             if gram[i][j] != gram[j][i]:
                 raise ValidationError(
                     f"gram matrix is not symmetric at entry ({i},{j}): {gram[i][j]} != {gram[j][i]}"
                 )
-    frozen = tuple(tuple(int(x) for x in row) for row in gram)
-    p, m = _signature_by_diagonalization(frozen)
-    disc = abs(_det_bareiss(frozen))
-    return Lattice(name=name, gram=frozen, rank=n, signature=(p, m), discriminant=disc)
+    p, m = _signature_by_diagonalization(gram)
+    disc = abs(_det_bareiss(gram))
+    return Lattice(name=name, gram=gram, rank=n, signature=(p, m), discriminant=disc)
 
 
 def lattice_from_dict(data: dict) -> Lattice:
@@ -546,17 +553,6 @@ def reflect_vector(L: Lattice, v: Sequence, s: Sequence) -> Vector:
     c = 2 * Fraction(pairing(L, v, s), qss)
     out = tuple(v[i] - c * s[i] for i in range(L.rank))
     return as_int_vector(out) if vec_is_integral(out) else out
-
-
-def rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 def floor_sqrt(x: Fraction) -> int:

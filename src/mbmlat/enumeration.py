@@ -28,21 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
+from math import ceil, floor, isqrt, lcm
 
 from .core import (
     Lattice,
     Vector,
     as_int_vector,
     content,
-    floor_sqrt,
     gram_apply,
     hyperplane_basis,
     induced_gram,
     pairing,
     primitive_integral,
     primitive_part,
-    rational_sqrt,
     sign_normalize,
     solve_rational,
     square,
@@ -124,110 +122,82 @@ def _passes(L: Lattice, s, spec: WallSpec) -> bool:
 
 
 class _PosDefForm:
-    """Cholesky data of a positive definite rational quadratic form.
+    """Fraction-free Cholesky data of a positive definite integer form.
 
-    Decomposes Q(x) = sum_i D_i (x_i + sum_{j>i} mu_ij x_j)^2 with exact
-    rational D_i > 0, enabling recursive coordinate bounding.
+    Bareiss elimination on the Gram matrix leaves an integer upper
+    triangle R whose diagonal holds the leading principal minors
+    R_ii = Delta_{i+1} (Delta_0 = 1), and
+
+        Q(x) = sum_i (sum_{j>=i} R_ij x_j)^2 / (Delta_i Delta_{i+1}).
+
+    With ``scale`` = lcm_i(Delta_i Delta_{i+1}) and integer weights
+    W_i = scale / (Delta_i Delta_{i+1}), scale * Q(x) is the weighted sum
+    of integer squares sum_i W_i (sum_{j>=i} R_ij x_j)^2.  The form is
+    positive definite iff every pivot is positive (Sylvester).
     """
 
     def __init__(self, gram):
         n = len(gram)
-        q = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            if q[i][i] <= 0:
+        m = [list(row) for row in gram]
+        minors = [1]
+        for k in range(n):
+            pivot = m[k][k]
+            if pivot <= 0:
                 raise SignatureError("form is not positive definite")
-            for j in range(i + 1, n):
-                q[j][i] = q[i][j]
-                q[i][j] = q[i][j] / q[i][i]
-            for k in range(i + 1, n):
-                for l in range(k, n):
-                    q[k][l] = q[k][l] - q[k][i] * q[i][l]
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // minors[-1]
+            minors.append(pivot)
+        dens = [minors[i] * minors[i + 1] for i in range(n)]
         self.n = n
-        self.diag = tuple(q[i][i] for i in range(n))
-        self.mu = tuple(tuple(q[i][j] for j in range(n)) for i in range(n))
+        self.scale = lcm(*dens)
+        self.weights = tuple(self.scale // den for den in dens)
+        self.rows = tuple(tuple(m[i][i:]) for i in range(n))
 
-    def _candidates(self, off: Fraction, budget: Fraction, d: Fraction):
-        """Integers t with d*(t + off)^2 <= budget (budget >= 0)."""
-        bound = floor_sqrt(budget / d)
-        lo = ceil(-off) - bound - 1
-        hi = floor(-off) + bound + 1
-        for t in range(lo, hi + 1):
-            if d * (t + off) * (t + off) <= budget:
-                yield t
-            # the window has at most two slack candidates at each end
+    def enumerate(self, center, lo, hi):
+        """Yield every integer x with lo <= Q(x + center) <= hi, each exactly once.
 
-    def enumerate_exact(self, center, target: Fraction):
-        """Yield every integer x with Q(x + center) == target, exactly."""
-        if target < 0:
-            return
-        n, diag, mu = self.n, self.diag, self.mu
+        ``center`` is rational, ``lo`` and ``hi`` are rational bounds.
+        Writing center = C / D with D the lcm of its denominators, every
+        level works on the integers z_j = D x_j + C_j against the bounds
+        floor(scale D^2 hi) and ceil(scale D^2 lo).
+        """
+        n, rows, weights = self.n, self.rows, self.weights
         if n == 0:
-            if target == 0:
+            if lo <= 0 <= hi:
                 yield ()
             return
-        x = [0] * n
-        z = [Fraction(0)] * n
         c = [Fraction(ci) for ci in center]
-
-        def rec(level: int, used: Fraction):
-            # w_level = (x_level + c_level) + sum_{j>level} mu[level][j] (x_j + c_j)
-            off = c[level]
-            for j in range(level + 1, n):
-                off += mu[level][j] * z[j]
-            rem = target - used
-            if rem < 0:
-                return
-            if level == 0:
-                u = rem / diag[0]
-                root = rational_sqrt(u)
-                if root is None:
-                    return
-                for r in (root, -root) if root != 0 else (root,):
-                    t = r - off
-                    if t.denominator == 1:
-                        x[0] = int(t)
-                        yield tuple(x)
-                return
-            for t in self._candidates(off, rem, diag[level]):
-                x[level] = t
-                z[level] = t + c[level]
-                w = t + off
-                yield from rec(level - 1, used + diag[level] * w * w)
-
-        yield from rec(n - 1, Fraction(0))
-
-    def enumerate_range(self, lo: int, hi: int) -> list[Vector]:
-        """All integer x with lo <= Q(x) <= hi (center 0)."""
-        n, diag, mu = self.n, self.diag, self.mu
-        out: list[Vector] = []
+        D = lcm(*(ci.denominator for ci in c))
+        C = [ci.numerator * (D // ci.denominator) for ci in c]
+        top, bottom = floor(self.scale * D * D * hi), ceil(self.scale * D * D * lo)
+        if top < 0 or bottom > top:
+            return
         x = [0] * n
-        z = [Fraction(0)] * n
-        hif = Fraction(hi)
+        z = [0] * n
 
-        def rec(level: int, used: Fraction):
-            off = Fraction(0)
-            for j in range(level + 1, n):
-                off += mu[level][j] * z[j]
-            rem = hif - used
-            if rem < 0:
+        def rec(level: int, used: int):
+            # a = sum_{j>=level} R_lj z_j = step * x_level + b, |a| <= r
+            row = rows[level]
+            step = D * row[0]
+            b = row[0] * C[level] + sum(row[j - level] * z[j] for j in range(level + 1, n))
+            r = isqrt((top - used) // weights[level])
+            if level > 0:
+                for t in range(-((r + b) // step), (r - b) // step + 1):
+                    x[level] = t
+                    z[level] = D * t + C[level]
+                    a = step * t + b
+                    yield from rec(level - 1, used + weights[level] * a * a)
                 return
-            if level == 0:
-                for t in self._candidates(off, rem, diag[0]):
-                    total = used + diag[0] * (t + off) * (t + off)
-                    if lo <= total <= hif:
-                        x[0] = t
-                        out.append(tuple(x))
-                return
-            for t in self._candidates(off, rem, diag[level]):
-                x[level] = t
-                z[level] = Fraction(t)
-                w = t + off
-                rec(level - 1, used + diag[level] * w * w)
+            need = bottom - used
+            s = isqrt((need - 1) // weights[0]) + 1 if need > 0 else 0
+            # a in [s, r], then a in [-r, -max(s, 1)]: |a| >= s, zero once
+            for t in (*range(-((b - s) // step), (r - b) // step + 1),
+                      *range(-((r + b) // step), (-max(s, 1) - b) // step + 1)):
+                x[0] = t
+                yield tuple(x)
 
-        if n == 0:
-            return [()] if lo <= 0 <= hi else []
-        rec(n - 1, Fraction(0))
-        return out
+        yield from rec(n - 1, 0)
 
 
 @lru_cache(maxsize=256)
@@ -251,7 +221,7 @@ def definite_short_vectors(L: Lattice, min_square: int) -> list[Vector]:
         raise ValidationError(f"min_square must be a negative integer, got {min_square}")
     form = _posdef_of_negdef(L.gram)
     found = set()
-    for v in form.enumerate_range(1, -min_square):
+    for v in form.enumerate((0,) * L.rank, 1, -min_square):
         found.add(sign_normalize(v))
     return sorted(found)
 
@@ -303,7 +273,6 @@ class _BaseData:
     basis: tuple                   # integral basis of v0^perp (columns)
     form: _PosDefForm              # positive definite form on v0^perp
     c1: tuple                      # Gw^{-1} (B^T G x0): center per unit t/g0
-    sub_gram: tuple
 
 
 @lru_cache(maxsize=256)
@@ -317,7 +286,7 @@ def _base_data(L: Lattice, v0: Vector) -> _BaseData:
     h1 = tuple(sum(b[i] * gx0[i] for i in range(n)) for b in basis)
     c1 = solve_rational(sub_gram, h1)
     return _BaseData(
-        norm=int(square(L, v0)), g0=int(g0), x0=x0, basis=basis, form=form, c1=tuple(c1), sub_gram=sub_gram
+        norm=int(square(L, v0)), g0=int(g0), x0=x0, basis=basis, form=form, c1=tuple(c1)
     )
 
 
@@ -347,7 +316,7 @@ def _iter_walls_for_t(L: Lattice, v0p: Vector, spec: WallSpec, d: int, t_values,
             continue
         target = Fraction(t * t, N) - d
         center = tuple(k * ci for ci in data.c1)
-        for y in data.form.enumerate_exact(center, target):
+        for y in data.form.enumerate(center, target, target):
             s = _embed(data.basis, data.x0, k, y)
             if content(s) != 1:
                 continue
@@ -396,10 +365,7 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec, exclude_unsigned=f
         return sum(s[i] * gv1[i] for i in range(rank)) < 0
 
     for d in sorted(spec.squares):
-        bound = Fraction(-d * gap, q1)
-        tmax = floor_sqrt(bound)
-        if Fraction(tmax * tmax) >= bound:
-            tmax -= 1
+        tmax = isqrt((-d * gap - 1) // q1)  # largest t with t^2 q1 < |d| gap
         for w in _iter_walls_for_t(L, v0p, spec, d, range(1, tmax + 1), keep):
             if exclude_unsigned and sign_normalize(w.vector) in exclude_unsigned:
                 continue

@@ -22,6 +22,7 @@ from .core import (
     content,
     gram_apply,
     induced_gram,
+    int_matrix,
     integer_kernel,
     invert_rational,
     make_lattice,
@@ -73,7 +74,7 @@ class Isometry:
 
 def isometry(L: Lattice, matrix) -> Isometry:
     """Validate M^T G M = G and det = +-1, then wrap."""
-    m = tuple(tuple(int(x) for x in row) for row in matrix)
+    m = int_matrix(matrix, "isometry matrix")
     if len(m) != L.rank or any(len(r) != L.rank for r in m):
         raise ValidationError(f"isometry matrix must be {L.rank}x{L.rank}")
     mt = mat_transpose(m)
@@ -249,7 +250,7 @@ def lift_complement_isometry(split: DegenerateSplit, mat0) -> Isometry:
     """Lift an isometry of the complement to the full lattice (kernel fixed)."""
     L = split.lattice
     n = L.rank
-    m0 = tuple(tuple(int(x) for x in row) for row in mat0)
+    m0 = int_matrix(mat0, "complement isometry")
     if len(m0) != n - 1 or any(len(r) != n - 1 for r in m0):
         raise ValidationError(f"complement isometry must be {n-1}x{n-1}")
     # columns: images of the complement basis, then l

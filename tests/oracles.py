@@ -8,6 +8,8 @@ separating v0 from v1.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor, lcm
 
 from mbmlat import core
 from mbmlat.core import floor_sqrt, gram_apply, invert_rational
@@ -29,6 +31,29 @@ def wall_box_bound(L, v0, v1, squares) -> int:
     # t^2 < |d| * gap / q1, so M(s) = 2 t^2 / N + |d| is bounded by R
     R = max(Fraction(2 * abs(d) * gap, q1 * N) + abs(d) for d in squares)
     return max(floor_sqrt(R * Minv[i][i]) for i in range(n)) + 1
+
+
+def posdef_box_scan(G, center, lo, hi) -> list:
+    """All integer x with lo <= Q(x + center) <= hi, Q positive definite.
+
+    |y_i|^2 <= Q(y) (G^-1)_ii bounds every coordinate of y = x + center,
+    so the box |x_i + c_i| <= floor_sqrt(hi (G^-1)_ii) holds every answer.
+    """
+    n = len(G)
+    if hi < 0:
+        return []
+    Ginv = invert_rational(G) if n else []
+    c = [Fraction(ci) for ci in center]
+    D = lcm(*(ci.denominator for ci in c))
+    C = [int(ci * D) for ci in c]
+    radius = [floor_sqrt(Fraction(hi) * Ginv[i][i]) for i in range(n)]
+    axes = [range(floor(-c[i]) - radius[i], ceil(-c[i]) + radius[i] + 1) for i in range(n)]
+    out = []
+    for x in product(*axes):
+        z = [D * x[i] + C[i] for i in range(n)]
+        if D * D * lo <= sum(z[i] * G[i][j] * z[j] for i in range(n) for j in range(n)) <= D * D * hi:
+            out.append(x)
+    return out
 
 
 def brute_force_separating(L, v0, v1, spec, box) -> set:

@@ -92,6 +92,11 @@ MALFORMED_INPUTS = {
     "row_not_a_list": ["info", "--lattice", "{tmp}/row5.json"],
     "generators_missing": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--generators", "{tmp}/none.json"],
     "generators_bad_json": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--generators", "{tmp}/bad.json"],
+    "generators_row_not_a_list": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--generators", "{tmp}/rowa.json"],
+    "generators_matrix_not_a_list": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--generators", "{tmp}/five.json"],
+    "generators_float_entry": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--generators", "{tmp}/float.json"],
+    "vector_zero_denominator": ["separate", "--lattice", "U+A1m2", "--v0", "2,3,1", "--v1", "1/0,1,1", "--squares", "-2"],
+    "vector_bad_fraction": ["separate", "--lattice", "U+A1m2", "--v0", "2,3,1", "--v1", "1/x,1,1", "--squares", "-2"],
 }
 
 
@@ -100,6 +105,9 @@ def test_malformed_input_file_is_domain_error(tmp_path, argv):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "gram5.json").write_text(json.dumps({"gram": 5}))
     (tmp_path / "row5.json").write_text(json.dumps({"gram": [5]}))
+    (tmp_path / "rowa.json").write_text(json.dumps([["a"]]))
+    (tmp_path / "five.json").write_text(json.dumps([5]))
+    (tmp_path / "float.json").write_text(json.dumps([[[1.7, 0, 0], [0, 1, 0], [0, 0, 1]]]))
     code, out, err = invoke([a.format(tmp=tmp_path) for a in argv])
     assert code == 1
     assert out == ""

@@ -1,11 +1,15 @@
 import random
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbmlat import core
 from mbmlat.core import content, make_lattice, pairing, sign_normalize, square
 from mbmlat.enumeration import (
     Wall,
+    _PosDefForm,
     definite_short_vectors,
     is_reflective,
     separating_walls,
@@ -19,7 +23,13 @@ from mbmlat.errors import (
     SignatureError,
     ValidationError,
 )
-from oracles import brute_force_separating, brute_force_walls_through, random_positive_pair, wall_box_bound
+from oracles import (
+    brute_force_separating,
+    brute_force_walls_through,
+    posdef_box_scan,
+    random_positive_pair,
+    wall_box_bound,
+)
 
 SPEC2 = wall_spec([-2])
 
@@ -252,3 +262,77 @@ class TestWallSpec:
         assert is_reflective(UA, (0, 0, 1))
         L = make_lattice([[-4, 1], [1, 0]])
         assert not is_reflective(L, (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# property tests against the box scans
+
+PROPERTY = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def posdef_grams(draw):
+    """A^T A + diag(1..2): positive definite, every eigenvalue >= 1."""
+    n = draw(st.integers(0, 4))
+    a = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)]
+    diag = [draw(st.integers(1, 2)) for _ in range(n)]
+    return tuple(
+        tuple(sum(a[k][i] * a[k][j] for k in range(n)) + (diag[i] if i == j else 0) for j in range(n))
+        for i in range(n)
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_posdef_enumeration_matches_box_scan(data):
+    G = data.draw(posdef_grams())
+    n = len(G)
+    center = tuple(data.draw(st.fractions(-2, 2, max_denominator=4)) for _ in range(n))
+    lo = data.draw(st.fractions(-2, 8, max_denominator=3))
+    hi = lo + data.draw(st.fractions(0, 6, max_denominator=3))
+    form = _PosDefForm(G)
+    got = list(form.enumerate(center, lo, hi))
+    assert len(got) == len(set(got))
+    expected = posdef_box_scan(G, center, lo, hi)
+    assert sorted(got) == sorted(expected)
+    if expected:
+        # an attained exact target, as the wall searches ask for
+        x = data.draw(st.sampled_from(expected))
+        y = [x[i] + center[i] for i in range(n)]
+        target = sum(y[i] * G[i][j] * y[j] for i in range(n) for j in range(n))
+        exact = list(form.enumerate(center, target, target))
+        assert x in exact and len(exact) == len(set(exact))
+        assert sorted(exact) == sorted(posdef_box_scan(G, center, target, target))
+
+
+@st.composite
+def skewed_hyperbolic(draw):
+    """U^T diag(p, -a[, -b]) U for a unimodular U, with two positive classes
+    of one component drawn in the diagonal basis and mapped to the skewed one."""
+    diag = [draw(st.integers(1, 4))] + [-draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 2)))]
+    n = len(diag)
+    u = [list(row) for row in core.identity_matrix(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.sampled_from([-2, -1, 1, 2]))
+        for row in u:
+            row[i] += k * row[j]
+    G = tuple(tuple(sum(u[t][i] * diag[t] * u[t][j] for t in range(n)) for j in range(n)) for i in range(n))
+    u_inv = core.invert_rational(u)
+
+    def positive():
+        tail = [draw(st.integers(-2, 2)) for _ in range(n - 1)]
+        head = isqrt(sum(-d * x * x for d, x in zip(diag[1:], tail)) // diag[0]) + 1 + draw(st.integers(0, 1))
+        return core.as_int_vector(core.mat_vec(u_inv, [head] + tail))
+
+    return make_lattice(G), positive(), positive()
+
+
+@PROPERTY
+@given(skewed_hyperbolic(), st.lists(st.sampled_from([-1, -2, -4]), min_size=1, unique=True), st.booleans())
+def test_separating_walls_match_brute_force_on_skewed_bases(case, squares, reflective):
+    L, v0, v1 = case
+    spec = wall_spec(squares, require_reflective=reflective)
+    box = wall_box_bound(L, v0, v1, spec.squares)
+    got = {(w.square, w.vector) for w in separating_walls(L, v0, v1, spec)}
+    assert got == brute_force_separating(L, v0, v1, spec, box)

@@ -3,15 +3,18 @@
 Each module may import only from the modules below it in ``LAYERS``, at
 module level, and only names it uses.  A function-local import usually
 hides an import cycle between layers; an unused one hides a dependency
-that is not there.
+that is not there.  The names the benchmark's tracer binds must also
+resolve, or its metrics read 0 without an error.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mbmlat"
+BENCH_TRACING = SRC.parent.parent / "bench" / "tracing.py"
 LAYERS = ["errors", "core", "enumeration", "chambers", "orbits", "catalog", "cli"]
 
 
@@ -48,3 +51,22 @@ def test_sibling_imports_follow_layers_and_are_used(module):
         assert target in below, f"{module}.py imports .{target}, which is not below it in {LAYERS}"
         unused = [n for n in names if n not in used]
         assert unused == [], f"{module}.py imports unused names {unused} from .{target}"
+
+
+def _bench_constant(name: str):
+    """A literal module-level constant of bench/tracing.py, read without importing it."""
+    tree = ast.parse(BENCH_TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/tracing.py defines no {name}")
+
+
+def test_benchmark_bindings_resolve():
+    for module, names in _bench_constant("TRACED").items():
+        mod = importlib.import_module(f"mbmlat.{module}")
+        missing = [n for n in names if not callable(getattr(mod, n, None))]
+        assert missing == [], f"bench/tracing.py traces {missing}, which mbmlat.{module} does not define"
+    for metric, (module, name) in _bench_constant("CACHES").items():
+        fn = getattr(importlib.import_module(f"mbmlat.{module}"), name, None)
+        assert hasattr(fn, "cache_info"), f"{metric}: mbmlat.{module}.{name} is missing or has no cache_info()"
