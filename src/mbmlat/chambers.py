@@ -13,21 +13,21 @@ projection of w onto the wall and serves as the facet witness.  For
 non-reflective walls a projection/certificate/repair procedure is used
 and walls it cannot decide are reported explicitly, never dropped.
 
-Everything is pure and exact; witnesses stay rational.
+Everything is pure and exact; witnesses are integral.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from .core import (
     Lattice,
     Vector,
     as_int_vector,
+    gram_apply,
     pairing,
     primitive_integral,
     primitive_part,
@@ -35,7 +35,7 @@ from .core import (
     reflect_vector,
     sign_normalize,
     square,
-    vec_is_integral,
+    vec_scale,
 )
 from .enumeration import (
     Wall,
@@ -202,24 +202,23 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     faces: list[Face] = []
     undecided: list[Wall] = []
     for s in candidates:
+        # every candidate pairs positively with w, so -s is never one
+        others = [u for u in candidates if u != s]
+        # q(s,s) < 0: y is a positive multiple of w's projection onto the wall
+        y = vec_scale(-1, project_off(L, w, s.vector))
         if is_reflective(L, s.vector):
             # cheap kill: a facet's midpoint witness must be strictly
             # feasible for every other wall, candidates included
-            m = project_off(L, w, s.vector)
-            if any(
-                pairing(L, u.vector, m) <= 0
-                for u in candidates
-                if u.unsigned() != s.unsigned()
-            ):
+            if _violated(L, y, others):
                 continue
             # exact mirror criterion: s is a facet iff nothing else
             # separates the witness from its reflection
             mirror = reflect_vector(L, w, s.vector)
             if not has_other_separating_wall(L, w, mirror, spec, {s.vector}):
-                faces.append(Face(supporting_wall=s, witness_on_wall=primitive_integral(m),
+                faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y),
                                   chamber_witness=w))
             continue
-        status, on_wall = _decide_nonreflective(L, w, s, candidates, spec)
+        status, on_wall = _decide_nonreflective(L, s, y, others)
         if status == "facet":
             faces.append(Face(supporting_wall=s, witness_on_wall=on_wall, chamber_witness=w))
         elif status == "unknown":
@@ -228,43 +227,35 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     return FacetResult(faces=tuple(faces), undecided=tuple(undecided), search_bound=search_bound)
 
 
-def _decide_nonreflective(L: Lattice, w, s: Wall, candidates, spec) -> tuple[str, Vector | None]:
-    others = [u for u in candidates if u.unsigned() != s.unsigned()]
-    y = project_off(L, w, s.vector)  # positive, on the wall
+def _violated(L: Lattice, y, walls) -> list[Wall]:
+    """The walls u with q(u, y) <= 0, from one gram_apply of y."""
+    gy = gram_apply(L, y)
+    return [u for u in walls if sum(map(mul, u.vector, gy)) <= 0]
 
-    def violated(pt):
-        return [u for u in others if pairing(L, u.vector, pt) <= 0]
 
-    vio = violated(y)
-    if not vio:
-        return "facet", primitive_integral(y)
+def _decide_nonreflective(L: Lattice, s: Wall, y, others) -> tuple[str, Vector | None]:
+    """Decide s from y, a positive point on the wall; ``others`` are the
+    other candidates, none of them parallel to s."""
+    vio = _violated(L, y, others)
     # certificate: a wall whose projection into s^perp has non-negative
-
     # square keeps one sign on the whole positive component of the wall
     for u in vio:
-        ut = project_off(L, u.vector, s.vector)
-        if all(x == 0 for x in ut):
-            continue
-        su = pairing(L, ut, ut)
-        if su >= 0 and pairing(L, ut, y) < 0:
+        ut = vec_scale(-1, project_off(L, u.vector, s.vector))
+        if pairing(L, ut, ut) >= 0 and pairing(L, ut, y) < 0:
             return "non-facet", None
     # bounded repair: reflect the witness inside the wall across violated
     # projections of strictly negative square
     for _ in range(_REPAIR_BUDGET):
-        vio = violated(y)
         if not vio:
-            return "facet", primitive_integral(y)
+            return "facet", primitive_part(y)
         u = min(vio, key=lambda x: (pairing(L, x.vector, y), x.sort_key))
-        ut = project_off(L, u.vector, s.vector)
-        su = pairing(L, ut, ut)
-        if su >= 0:
-            if all(x == 0 for x in ut):
-                return "non-facet", None
+        ut = vec_scale(-1, project_off(L, u.vector, s.vector))
+        if pairing(L, ut, ut) >= 0:
             if pairing(L, ut, y) < 0:
                 return "non-facet", None
             return "unknown", None
-        c = 2 * Fraction(pairing(L, y, ut), su)
-        y = tuple(y[i] - c * ut[i] for i in range(L.rank))
+        y = primitive_integral(reflect_vector(L, y, ut))
+        vio = _violated(L, y, others)
     return "unknown", None
 
 
@@ -277,10 +268,11 @@ class FlagEntry:
     """One step of a face chain after iterated orthogonal projection.
 
     ``vector`` is the sign-normalized primitive projection; ``unscaled``
-    is the integral vector before content reduction (the product of the
-    previous entries' squares times the rational projection), whose
-    square carries the C^3 / C^9 growth bounds.  ``orientation`` is the
-    sign relating ``vector`` to the actual projection direction.
+    is the integral vector before content reduction (``project_off``
+    folded over the previous entries: the product of their squares times
+    the rational projection), whose square carries the C^3 / C^9 growth
+    bounds.  ``orientation`` is the sign relating ``vector`` to the
+    actual projection direction.
     """
 
     vector: Vector
@@ -321,39 +313,28 @@ def encode_flag(L: Lattice, face_chain: Sequence, spec: WallSpec) -> Flag:
             raise ValidationError(f"chain vector {vi} has square {d}, not in spec {spec.squares}")
         chain.append(vi)
     entries: list[FlagEntry] = []
-    basis: list[Vector] = []
-    scale = 1
-    for idx, x in enumerate(chain):
-        if idx == 0:
-            unscaled = x
-        else:
-            tilde = x
-            for u in basis:
-                tilde = project_off(L, tilde, u)
-            qt = pairing(L, tilde, tilde)
-            if qt >= 0:
-                raise FlagChainError(
-                    f"projection of {x} has square {qt} >= 0: "
-                    "chain does not bound a common chamber within Pos"
-                )
-            unscaled = tuple(scale * t for t in tilde)
-            if not vec_is_integral(unscaled):
-                raise FlagChainError(f"internal: scaled projection {unscaled} not integral")
-            unscaled = as_int_vector(unscaled)
+    for x in chain:
+        unscaled = x
+        for e in entries:
+            unscaled = project_off(L, unscaled, e.vector)
+        unscaled_square = square(L, unscaled)
+        if unscaled_square >= 0:
+            raise FlagChainError(
+                f"projection of {x} has square {unscaled_square} >= 0: "
+                "chain does not bound a common chamber within Pos"
+            )
         stored = sign_normalize(unscaled)
         first = next(c for c in unscaled if c != 0)
         orientation = 1 if first > 0 else -1
         entries.append(
             FlagEntry(
                 vector=stored,
-                square=int(square(L, stored)),
+                square=square(L, stored),
                 orientation=orientation,
                 unscaled=unscaled,
-                unscaled_square=int(square(L, unscaled)),
+                unscaled_square=unscaled_square,
             )
         )
-        basis.append(stored)
-        scale *= int(square(L, stored))
     return Flag(entries=tuple(entries))
 
 

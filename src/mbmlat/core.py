@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -241,7 +242,7 @@ def invert_rational(matrix: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], .
 
 
 def mat_vec(matrix: Sequence[Sequence], v: Sequence) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in matrix)
+    return tuple(sum(map(mul, row, v)) for row in matrix)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
@@ -420,15 +421,13 @@ def _require_rank(L: Lattice, v: Sequence) -> None:
 def gram_apply(L: Lattice, v: Sequence) -> Vector:
     """The covector gram . v (functional coordinates of v)."""
     _require_rank(L, v)
-    return tuple(sum(L.gram[i][j] * v[j] for j in range(L.rank)) for i in range(L.rank))
+    return mat_vec(L.gram, v)
 
 
 def pairing(L: Lattice, v: Sequence, w: Sequence):
     """q(v, w) = v^T . gram . w, exact; an int when both inputs are integral."""
     _require_rank(L, v)
-    _require_rank(L, w)
-    gw = gram_apply(L, w)
-    return sum(v[i] * gw[i] for i in range(L.rank))
+    return sum(map(mul, v, gram_apply(L, w)))
 
 
 def square(L: Lattice, v: Sequence):
@@ -454,9 +453,10 @@ def homology_image(L: Lattice, v: Sequence) -> Vector:
 class ProjectionResult:
     """Orthogonal projection of y away from x.
 
-    ``y = coefficient * x + tilde_y`` with ``q(x, tilde_y) = 0``;
-    ``unscaled = q(x,x) * tilde_y`` is integral for integral inputs and
-    ``primitive`` is its content-reduced part (direction preserved).
+    ``unscaled = project_off(L, y, x) = q(x,x) * tilde_y``, a tuple of
+    ints for integral inputs, and ``primitive`` is its content-reduced
+    part (direction preserved).  ``y = coefficient * x + tilde_y`` with
+    ``q(x, tilde_y) = 0`` is the rational decomposition.
     """
 
     coefficient: Fraction
@@ -466,23 +466,28 @@ class ProjectionResult:
 
 
 def project_off(L: Lattice, v: Sequence, x: Sequence) -> Vector:
-    """v minus its x-component, exact; lands in x^perp (q(x,x) != 0 required)."""
+    """q(x,x)*v - q(v,x)*x: q(x,x) times the projection of v onto x^perp.
+
+    The result lies in x^perp and is a tuple of ints for integral v and
+    x, so no decision on it needs a Fraction; its direction is the
+    projection's when q(x,x) > 0 and the opposite one when q(x,x) < 0.
+    Requires q(x,x) != 0 (IsotropicVectorError otherwise).
+    """
     qxx = pairing(L, x, x)
     if qxx == 0:
         raise IsotropicVectorError(f"cannot project along isotropic vector {tuple(x)}")
-    c = Fraction(pairing(L, v, x), qxx)
-    return tuple(Fraction(v[i]) - c * x[i] for i in range(L.rank))
+    qvx = pairing(L, v, x)
+    return tuple(qxx * v[i] - qvx * x[i] for i in range(L.rank))
 
 
 def orthogonal_project(L: Lattice, x: Sequence, y: Sequence) -> ProjectionResult:
     """Project y to the orthogonal complement of x (q(x,x) != 0 required)."""
-    tilde = project_off(L, y, x)
+    unscaled = project_off(L, y, x)
     qxx = pairing(L, x, x)
-    unscaled = tuple(qxx * t for t in tilde)
-    unscaled_int = as_int_vector(unscaled) if vec_is_integral(unscaled) else unscaled
-    prim = primitive_part(unscaled_int) if vec_is_integral(unscaled) else unscaled
-    return ProjectionResult(coefficient=Fraction(pairing(L, x, y), qxx), tilde_y=tilde,
-                            unscaled=unscaled_int, primitive=prim)
+    prim = primitive_part(unscaled) if vec_is_integral(unscaled) else unscaled
+    return ProjectionResult(coefficient=Fraction(pairing(L, x, y), qxx),
+                            tilde_y=tuple(Fraction(t, qxx) for t in unscaled),
+                            unscaled=unscaled, primitive=prim)
 
 
 @dataclass(frozen=True)

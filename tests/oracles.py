@@ -179,3 +179,14 @@ def random_positive_pair(L, rng, coord_bound=5):
         if core.pairing(L, v0, v1) <= 0:
             continue
         return v0, v1
+
+
+def form(gram, a, b):
+    """a^T . gram . b by the plain double sum."""
+    return sum(a[i] * gram[i][j] * b[j] for i in range(len(a)) for j in range(len(b)))
+
+
+def rational_projection(gram, v, x):
+    """v minus its x-component, in plain Fraction arithmetic (q(x,x) != 0)."""
+    c = Fraction(form(gram, v, x), form(gram, x, x))
+    return tuple(Fraction(a) - c * b for a, b in zip(v, x))

@@ -5,6 +5,7 @@ import pytest
 
 from mbmlat import core
 from mbmlat.chambers import (
+    DEFAULT_SEARCH_BOUND,
     chamber_at,
     encode_flag,
     explore_tessellation,
@@ -13,7 +14,7 @@ from mbmlat.chambers import (
     same_chamber,
 )
 from mbmlat.core import make_lattice, pairing, square
-from mbmlat.enumeration import separating_walls, wall_spec, walls_containing
+from mbmlat.enumeration import separating_walls, wall_spec, walls_containing, walls_near
 from mbmlat.errors import (
     FlagChainError,
     ReductionInvariantError,
@@ -21,7 +22,7 @@ from mbmlat.errors import (
     WallIncidenceError,
 )
 from mbmlat.orbits import reflection
-from oracles import random_positive_pair
+from oracles import form, random_positive_pair, rational_projection
 
 SPEC2 = wall_spec([-2])
 
@@ -162,6 +163,26 @@ class TestFacetWalls:
         with pytest.raises(WallIncidenceError):
             chamber_at(UA, (1, 1, 0), spec=SPEC2)
 
+    def test_nonreflective_walls_in_mixed_spec(self, UAA):
+        # the -4 walls of U+A1m2+A1m2 are not reflective, so their facet
+        # decisions take the projection/certificate/repair path
+        ch = chamber_at(UAA, (5, 8, -2, -1), spec=wall_spec([-2, -4]))
+        res = facet_walls(UAA, ch)
+        assert [(f.supporting_wall.vector, f.witness_on_wall) for f in res.faces] == [
+            ((-1, 1, 1, 0), (19, 33, -7, -4)),
+            ((0, -1, 1, 1), (20, 31, -7, -3)),
+            ((1, -1, 0, -1), (21, 31, -8, -5)),
+            ((0, 1, -1, 0), (10, 17, -5, -2)),
+        ]
+        assert [s.vector for s in res.undecided] == [
+            (-1, 2, 0, 0), (0, 1, -1, 1), (1, -1, 0, 1), (1, -1, 1, 0), (1, 0, -1, -1), (1, 0, -1, 1),
+        ]
+        candidates = walls_near(UAA, ch.witness, ch.spec, DEFAULT_SEARCH_BOUND)
+        for f in res.faces:
+            assert pairing(UAA, f.supporting_wall.vector, f.witness_on_wall) == 0
+            assert all(pairing(UAA, u.vector, f.witness_on_wall) > 0
+                       for u in candidates if u != f.supporting_wall)
+
 
 class TestChamber:
     def test_crossing_set_matches_separating(self, UA):
@@ -219,6 +240,22 @@ class TestEncodeFlag:
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
                 assert pairing(UAA, vs[i], vs[j]) == 0
+
+    def test_unscaled_is_scaled_iterated_projection(self, UAA):
+        # entry k's unscaled vector is the product of the earlier entries'
+        # squares times the rational projection off the earlier entries
+        chain = [(1, -1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)]
+        f = encode_flag(UAA, chain, SPEC2)
+        scale = 1
+        for k, x in enumerate(chain):
+            for e in f.entries[:k]:
+                x = rational_projection(UAA.gram, x, e.vector)
+            entry = f.entries[k]
+            assert all(type(c) is int for c in entry.unscaled)
+            assert entry.unscaled == tuple(scale * c for c in x)
+            assert entry.unscaled_square == form(UAA.gram, entry.unscaled, entry.unscaled) < 0
+            scale *= entry.square
+        assert [e.unscaled for e in f.entries] == [(1, -1, 0, 0), (-1, -1, -2, 0), (8, 8, 4, 12)]
 
     def test_non_spec_square_rejected(self, UA):
         with pytest.raises(ValidationError):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mbmlat import core
 from mbmlat.core import (
@@ -25,6 +27,7 @@ from mbmlat.errors import (
     SignatureError,
     ValidationError,
 )
+from oracles import form, rational_projection
 
 
 class TestMakeLattice:
@@ -166,6 +169,29 @@ class TestOrthogonalProject:
     def test_isotropic_rejected(self, U):
         with pytest.raises(IsotropicVectorError):
             orthogonal_project(U, (1, 0), (0, 1))
+
+
+@st.composite
+def projection_cases(draw):
+    """A symmetric integer Gram matrix of rank 2-4 and two integral vectors."""
+    n = draw(st.integers(2, 4))
+    upper = {(i, j): draw(st.integers(-4, 4)) for i in range(n) for j in range(i, n)}
+    gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    v = tuple(draw(st.integers(-5, 5)) for _ in range(n))
+    x = tuple(draw(st.integers(-5, 5)) for _ in range(n))
+    return gram, v, x
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(projection_cases())
+def test_project_off_is_the_integral_multiple_of_the_projection(case):
+    gram, v, x = case
+    qxx = form(gram, x, x)
+    assume(qxx != 0)
+    out = core.project_off(make_lattice(gram), v, x)
+    assert all(type(c) is int for c in out)
+    assert form(gram, out, x) == 0
+    assert out == tuple(qxx * c for c in rational_projection(gram, v, x))
 
 
 class TestRestrictToHyperplane:

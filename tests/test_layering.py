@@ -2,9 +2,11 @@
 
 Each module may import only from the modules below it in ``LAYERS``, at
 module level, and only names it uses.  A function-local import usually
-hides an import cycle between layers; an unused one hides a dependency
-that is not there.  The names the benchmark's tracer binds must also
-resolve, or its metrics read 0 without an error.
+hides an import cycle between layers; an unused one, sibling or stdlib,
+hides a dependency that is not there.  No source holds a float literal
+or a ``float(...)`` call: every decision is exact.  The names the
+benchmark's tracer binds must also resolve, or its metrics read 0
+without an error.
 """
 
 import ast
@@ -51,6 +53,28 @@ def test_sibling_imports_follow_layers_and_are_used(module):
         assert target in below, f"{module}.py imports .{target}, which is not below it in {LAYERS}"
         unused = [n for n in names if n not in used]
         assert unused == [], f"{module}.py imports unused names {unused} from .{target}"
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_module_level_imports_are_used(module):
+    tree = _tree(module)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    unused = [n for n in bound if n not in used]
+    assert unused == [], f"{module}.py imports unused names {unused}"
+
+
+@pytest.mark.parametrize("module", LAYERS + ["__init__"])
+def test_no_floating_point(module):
+    floats = [node.lineno for node in ast.walk(_tree(module))
+              if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+              or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")]
+    assert floats == [], f"{module}.py has a float literal or float() call at lines {floats}"
 
 
 def _bench_constant(name: str):
