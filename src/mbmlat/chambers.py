@@ -80,7 +80,7 @@ class Chamber:
         return tuple(w.sort_key for w in self.crossing_set)
 
 
-def chamber_at(L: Lattice, witness, base=None, spec: WallSpec = None, validate: bool = True) -> Chamber:
+def chamber_at(L: Lattice, witness, base=None, spec: WallSpec = None) -> Chamber:
     """Build the chamber containing ``witness`` relative to ``base``.
 
     Both points must be positive and wall-free; violations raise
@@ -92,9 +92,8 @@ def chamber_at(L: Lattice, witness, base=None, spec: WallSpec = None, validate: 
         base = witness
     wi = primitive_integral(witness)
     bi = primitive_integral(base)
-    if validate:
-        ensure_wall_free(L, wi, spec)
-        ensure_wall_free(L, bi, spec)
+    ensure_wall_free(L, wi, spec)
+    ensure_wall_free(L, bi, spec)
     crossing = tuple(separating_walls(L, bi, wi, spec))
     return Chamber(lattice=L, spec=spec, witness=wi, base_witness=bi, crossing_set=crossing)
 
@@ -227,10 +226,10 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     return FacetResult(faces=tuple(faces), undecided=tuple(undecided), search_bound=search_bound)
 
 
-def _violated(L: Lattice, y, walls) -> list[Wall]:
-    """The walls u with q(u, y) <= 0, from one gram_apply of y."""
+def _violated(L: Lattice, y, walls) -> list[tuple[int, Wall]]:
+    """The pairs (q(u, y), u) with q(u, y) <= 0, from one gram_apply of y."""
     gy = gram_apply(L, y)
-    return [u for u in walls if sum(map(mul, u.vector, gy)) <= 0]
+    return [(q, u) for u in walls if (q := sum(map(mul, u.vector, gy))) <= 0]
 
 
 def _decide_nonreflective(L: Lattice, s: Wall, y, others) -> tuple[str, Vector | None]:
@@ -239,7 +238,7 @@ def _decide_nonreflective(L: Lattice, s: Wall, y, others) -> tuple[str, Vector |
     vio = _violated(L, y, others)
     # certificate: a wall whose projection into s^perp has non-negative
     # square keeps one sign on the whole positive component of the wall
-    for u in vio:
+    for _, u in vio:
         ut = vec_scale(-1, project_off(L, u.vector, s.vector))
         if pairing(L, ut, ut) >= 0 and pairing(L, ut, y) < 0:
             return "non-facet", None
@@ -248,7 +247,7 @@ def _decide_nonreflective(L: Lattice, s: Wall, y, others) -> tuple[str, Vector |
     for _ in range(_REPAIR_BUDGET):
         if not vio:
             return "facet", primitive_part(y)
-        u = min(vio, key=lambda x: (pairing(L, x.vector, y), x.sort_key))
+        u = min(vio, key=lambda qu: (qu[0], qu[1].sort_key))[1]
         ut = vec_scale(-1, project_off(L, u.vector, s.vector))
         if pairing(L, ut, ut) >= 0:
             if pairing(L, ut, y) < 0:
@@ -435,39 +434,33 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
         raise NonPositiveVectorError(f"base {tuple(base)} is not positive")
     ensure_wall_free(L, base_p, spec)
 
-    visited: dict[tuple, dict] = {}
-    frontier: list[tuple[tuple, Vector]] = [((), base_p)]
-    visited[()] = {"witness": base_p, "depth": 0}
+    # chambers are processed layer by layer in key order, which is the
+    # (depth, key) node order; each is built from the walls found on entry
+    seen = {()}
+    frontier = [Chamber(lattice=L, spec=spec, witness=base_p, base_witness=base_p, crossing_set=())]
+    nodes: list[ChamberNode] = []
     edges: set[tuple] = set()
     for layer in range(depth + 1):
-        nxt: list[tuple[tuple, Vector]] = []
-        for key, w in sorted(frontier):
-            res = facet_walls(L, chamber_at(L, w, base_p, spec, validate=False), search_bound)
-            visited[key]["facets"] = tuple(f.supporting_wall for f in res.faces)
-            visited[key]["undecided"] = res.undecided
+        nxt: list[Chamber] = []
+        for ch in sorted(frontier, key=lambda c: c.key):
+            res = facet_walls(L, ch, search_bound)
+            nodes.append(ChamberNode(key=ch.key, witness=ch.witness, depth=layer,
+                                     facets=tuple(f.supporting_wall for f in res.faces),
+                                     undecided=res.undecided))
             if layer == depth:
                 continue
             for face in res.faces:
                 s = face.supporting_wall
-                w2 = reflect_vector(L, w, s.vector)
-                key2 = tuple(x.sort_key for x in separating_walls(L, base_p, w2, spec))
-                edges.add(tuple(sorted((key, key2))) + (s.unsigned(),))
-                if key2 not in visited:
-                    visited[key2] = {"witness": primitive_integral(w2), "depth": layer + 1}
-                    nxt.append((key2, primitive_integral(w2)))
+                w2 = primitive_integral(reflect_vector(L, ch.witness, s.vector))
+                ch2 = Chamber(lattice=L, spec=spec, witness=w2, base_witness=base_p,
+                              crossing_set=tuple(separating_walls(L, base_p, w2, spec)))
+                edges.add(tuple(sorted((ch.key, ch2.key))) + (s.unsigned(),))
+                if ch2.key not in seen:
+                    seen.add(ch2.key)
+                    nxt.append(ch2)
         frontier = nxt
         if not frontier:
             break
-    nodes = tuple(
-        ChamberNode(
-            key=k,
-            witness=rec["witness"],
-            depth=rec["depth"],
-            facets=rec.get("facets", ()),
-            undecided=rec.get("undecided", ()),
-        )
-        for k, rec in sorted(visited.items(), key=lambda kv: (kv[1]["depth"], kv[0]))
-    )
     edge_tuple = tuple(
         TessellationEdge(a=a, b=b, wall=wall)
         for a, b, wall in sorted(edges, key=lambda e: (e[0], e[1], e[2].sort_key))
@@ -477,6 +470,6 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
         base=base_p,
         depth=depth,
         search_bound=search_bound,
-        nodes=nodes,
+        nodes=tuple(nodes),
         edges=edge_tuple,
     )

@@ -38,6 +38,7 @@ from .core import (
     vec_scale,
     _column_reduce,
     _det_bareiss,
+    _require_rank,
 )
 from .enumeration import Wall, WallSpec, is_reflective
 from .errors import (
@@ -62,6 +63,7 @@ class Isometry:
     matrix: Matrix
 
     def apply(self, v) -> Vector:
+        _require_rank(self.lattice, v)
         return mat_vec(self.matrix, v)
 
     def compose(self, other: "Isometry") -> "Isometry":
@@ -314,19 +316,17 @@ class OrbitRepResult:
     visited: int
 
 
-def _generator_matrices(generators) -> list[Matrix]:
-    """Flatten generators to matrices, closed under inverses."""
+def _generator_matrices(L: Lattice, generators) -> list[Matrix]:
+    """Flatten generators to matrices, closed under inverses; a raw matrix
+    is validated as an isometry of L first."""
     mats: list[Matrix] = []
     seen = set()
     for g in generators:
-        m = g.matrix if isinstance(g, Isometry) else tuple(tuple(int(x) for x in r) for r in g)
-        if m not in seen:
-            seen.add(m)
-            mats.append(m)
-        inv = tuple(tuple(as_int_vector(row)) for row in invert_rational(m))
-        if inv not in seen:
-            seen.add(inv)
-            mats.append(inv)
+        g = g if isinstance(g, Isometry) else isometry(L, g)
+        for m in (g.matrix, g.inverse().matrix):
+            if m not in seen:
+                seen.add(m)
+                mats.append(m)
     return mats
 
 
@@ -409,13 +409,15 @@ def canonical_orbit_rep(L: Lattice, v, generators, word_budget: int = 8) -> Orbi
     representative and restarts from any smaller element it finds,
     descending until stable; see :func:`_descend`.
     """
-    (rep,), complete, visited = _descend((as_int_vector(v),), _generator_matrices(generators),
+    _require_rank(L, v)
+    (rep,), complete, visited = _descend((as_int_vector(v),), _generator_matrices(L, generators),
                                          word_budget, _plain_image)
     return OrbitRepResult(vector=rep, complete=complete, visited=visited)
 
 
 def orbit_key_mod_sign(L: Lattice, v, mats, word_budget: int = 8) -> Vector:
     """Canonical key of the orbit of {+-v}: norm-lex min over sign-quotiented BFS."""
+    _require_rank(L, v)
     return _descend((_sign_min(as_int_vector(v)),), mats, word_budget, _sign_image)[0][0]
 
 
@@ -506,7 +508,7 @@ def face_orbit_census(
     counts per depth give the saturation profile.
     """
     graph = explore_tessellation(L, base, spec, depth, search_bound)
-    mats = _generator_matrices(generators)
+    mats = _generator_matrices(L, generators)
     seen1: set = set()
     seen2: set = set()
     key1_cache: dict = {}

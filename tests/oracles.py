@@ -123,7 +123,7 @@ def closure_classes(L, reps, gens, word_len, state_box):
     from mbmlat.orbits import _generator_matrices
     from mbmlat.core import mat_vec
 
-    mats = _generator_matrices(gens)
+    mats = _generator_matrices(L, gens)
     balls = []
     for rep in reps:
         seen = {tuple(rep)}

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mbmlat.cli import run
+from mbmlat.cli import build_parser, run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -32,6 +33,22 @@ GOLDEN_COMMANDS = [
     ("census_d2.json", ["census", "--lattice", "U+A1m2", "--base", "5,3,2", "--squares", "-2",
                         "--depth", "2"]),
     ("validate_catalog.txt", ["validate-catalog", "--format", "text"]),
+    ("enumerate_box.txt", ["enumerate", "--lattice", "U+A1m2", "--square", "-2", "--box", "1", "--format", "text"]),
+    ("separate.txt", ["separate", "--lattice", "U+A1m2", "--v0", "1,1,0", "--v1", "3,2,2", "--squares", "-2",
+                      "--format", "text"]),
+    ("reduce.txt", ["reduce", "--lattice", "U+A1m2", "--v", "3,2,2", "--base", "1,1,0", "--squares", "-2",
+                    "--format", "text"]),
+    # acceptance config B: pins the undecided line and the attached --squares=-2,-4 form
+    ("facets_mixed.txt", ["facets", "--lattice", "U+A1m2+A1m2", "--witness", "5,8,-2,-1", "--squares=-2,-4",
+                          "--format", "text"]),
+    ("flag.txt", ["flag", "--lattice", "U+A1m2+A1m2", "--chain", "0,0,1,0;0,0,0,1", "--squares", "-2",
+                  "--format", "text"]),
+    ("explore_d2.txt", ["explore", "--lattice", "U+A1m2", "--base", "5,3,2", "--squares", "-2", "--depth", "2",
+                        "--format", "text"]),
+    ("orbits.txt", ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--reflections", "0,0,1;1,-1,0",
+                    "--format", "text"]),
+    ("kneser.txt", ["kneser", "--lattice", "Z0+A1m2", "--r", "-8", "--base-reps", "0,2", "--format", "text"]),
+    ("validate_catalog.json", ["validate-catalog"]),
 ]
 
 
@@ -51,6 +68,21 @@ def test_golden(fname, argv):
         path.write_text(out)
     assert path.exists(), f"golden file {fname} missing; run with GOLDEN_REGEN=1"
     assert out == path.read_text()
+
+
+def _format_of(argv):
+    return argv[argv.index("--format") + 1] if "--format" in argv else "json"
+
+
+def test_every_subcommand_format_has_a_golden():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    pairs = {(name, fmt)
+             for name, sp in subparsers.choices.items()
+             for a in sp._actions if a.dest == "format"
+             for fmt in a.choices}
+    pinned = {(argv[0], _format_of(argv)) for _, argv in GOLDEN_COMMANDS}
+    assert {name for name, _ in pairs} == set(subparsers.choices)
+    assert pairs - pinned == set()
 
 
 def test_repeat_runs_byte_identical():
@@ -97,6 +129,8 @@ MALFORMED_INPUTS = {
     "generators_float_entry": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--generators", "{tmp}/float.json"],
     "vector_zero_denominator": ["separate", "--lattice", "U+A1m2", "--v0", "2,3,1", "--v1", "1/0,1,1", "--squares", "-2"],
     "vector_bad_fraction": ["separate", "--lattice", "U+A1m2", "--v0", "2,3,1", "--v1", "1/x,1,1", "--squares", "-2"],
+    "orbits_vector_too_short": ["orbits", "--lattice", "U+A1m2", "--v", "0,0", "--reflections", "0,0,1"],
+    "orbits_vector_too_long": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1,5", "--reflections", "0,0,1;1,-1,0"],
 }
 
 

@@ -9,6 +9,7 @@ from mbmlat.errors import (
     BaseRepsError,
     KernelRankError,
     NonIntegralReflectionError,
+    RankMismatchError,
     ValidationError,
 )
 from mbmlat.orbits import (
@@ -55,6 +56,10 @@ class TestIsometry:
         prod = r1.compose(r2)  # re-validated on construction
         inv = prod.inverse()
         assert prod.compose(inv).matrix == core.identity_matrix(3)
+
+    def test_apply_rejects_wrong_length(self, UA):
+        with pytest.raises(RankMismatchError):
+            reflection(UA, (0, 0, 1)).apply((1, 2))
 
     def test_square_invariance(self, UA):
         r = reflection(UA, (0, 1, 1))
@@ -252,6 +257,12 @@ class TestCanonicalOrbitRep:
         w = g1.apply(g2.apply(v))
         assert canonical_orbit_rep(UA, v, [g1, g2]).vector == canonical_orbit_rep(UA, w, [g1, g2]).vector
 
+    def test_raw_generator_matrices_validated(self, UA):
+        with pytest.raises(ValidationError):
+            canonical_orbit_rep(UA, (1, 0, 0), [((1.7, 0, 0), (0, 1, 0), (0, 0, 1))])
+        with pytest.raises(ValidationError, match="does not preserve the Gram form"):
+            canonical_orbit_rep(UA, (1, 0, 0), [((2, 0, 0), (0, 1, 0), (0, 0, 1))])
+
     def test_canonical_form_count_stabilizes(self, UA):
         # (-2)-classes in box 5 under reflections in the same set:
         # distinct canonical forms stabilize as the word budget grows
@@ -267,7 +278,7 @@ class TestCanonicalOrbitRep:
 class TestOrbitKeys:
     def test_keys_invariant_under_sign_and_generators(self, UA):
         gens = facet_reflection_generators(UA, (5, 3, 2), SPEC2)
-        mats = _generator_matrices(gens)
+        mats = _generator_matrices(UA, gens)
         for g in (gens[0], gens[2].compose(gens[1])):
             for v in [(0, 1, 1), (2, 1, 3), (3, 1, 1)]:
                 key = orbit_key_mod_sign(UA, v, mats)
