@@ -115,10 +115,6 @@ class ReductionResult:
     word: tuple[Wall, ...]
     image: Vector
 
-    @property
-    def canonical_point(self) -> Vector:
-        return self.image
-
 
 def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     """Greedy wall-crossing reduction of v into the chamber of base.
@@ -195,6 +191,8 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     non-reflective ones fall back to projection witness, separation
     certificate, then a bounded reflection-repair search.
     """
+    if search_bound < 1:
+        raise ValidationError(f"search_bound must be >= 1, got {search_bound}")
     spec = chamber.spec
     w = chamber.witness
     candidates = walls_near(L, w, spec, search_bound)

@@ -131,7 +131,7 @@ def _cmd_reduce(args, L, spec) -> dict:
     payload = {
         "word": [vector_to_json(w.vector) for w in res.word],
         "image": vector_to_json(res.image),
-        "canonical_point": vector_to_json(res.canonical_point),
+        "canonical_point": vector_to_json(res.image),
     }
     return _doc(payload, lines)
 

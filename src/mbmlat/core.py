@@ -4,16 +4,16 @@ A lattice is a free Z-module with a symmetric integer Gram matrix.  All
 arithmetic is exact: integers stay integers, everything else is a
 ``fractions.Fraction``.  No floating point is used anywhere -- chamber
 membership and wall incidence are sign decisions and rounding would
-corrupt them.
+corrupt them.  The elimination kernels are fraction-free: integers only.
 
 Conventions:
 
 * vectors are tuples of ``int`` (lattice vectors) or ``Fraction``
   (rational witness points); a matrix is a tuple of row tuples,
   acting on column vectors;
-* the signature ``(p, m)`` counts positive/negative diagonal entries of
-  an exact congruence diagonalization; ``rank - p - m`` is the kernel
-  dimension;
+* the signature ``(p, m)`` counts the positive/negative pivots of the
+  fraction-free congruence elimination (Jacobi's rule on its leading
+  minors); ``rank - p - m`` is the kernel dimension;
 * the discriminant is ``abs(det(gram))``, 0 for degenerate lattices;
 * "primitive" means the gcd of the coordinates is 1; sign-normalized
   means additionally that the first nonzero coordinate is positive.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DegenerateLatticeError,
@@ -130,115 +130,88 @@ def vector_to_json(v: Sequence) -> list:
     return out
 
 
-def vector_from_json(data: Iterable) -> Vector:
-    """Parse the interchange form; "p/q" strings become Fractions."""
-    out = []
-    for a in data:
-        if isinstance(a, str):
-            out.append(Fraction(a))
-        elif isinstance(a, int):
-            out.append(a)
-        else:
-            raise ValidationError(f"bad vector entry {a!r}: expected int or 'p/q' string")
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # exact matrix kernels
 
 
-def _det_bareiss(gram: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(gram)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in gram]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for j in range(k + 1, n):
-                if a[j][k] != 0:
-                    a[k], a[j] = a[j], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _bareiss(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]] = ()) -> tuple[int, tuple[Vector, ...]]:
+    """Row-pivoted fraction-free (Bareiss) Gauss-Jordan elimination of [a | b].
+
+    Returns ``(det(a), x)`` with the integer vectors ``x[j] = det(a) *
+    a^{-1} . b[j]``, or ``(0, ())`` for a singular ``a``.  Every live entry
+    is a minor of [a | b], so each division by the previous pivot is exact
+    (Bareiss, Math. Comp. 22, 1968); each row swap flips the sign.
+    """
+    n = len(a)
+    m = [[int(x) for x in a[i]] + [int(v[i]) for v in b] for i in range(n)]
+    sign = prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if p is None:
+            return 0, ()
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        rk = m[k]
+        pivot = rk[k]
+        for ri in m:
+            if ri is not rk:
+                f = ri[k]
+                for j in range(k + 1, len(rk)):
+                    ri[j] = (pivot * ri[j] - f * rk[j]) // prev
+        prev = pivot
+    # the right block is det(P a) * a^{-1} b for the row permutation P
+    return sign * prev, tuple(tuple(sign * m[i][n + j] for i in range(n)) for j in range(len(b)))
 
 
-def _signature_by_diagonalization(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Signature (p, m) via exact symmetric Gaussian elimination.
+def _symmetric_bareiss(gram: Sequence[Sequence[int]]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Fraction-free elimination of a Gram matrix by unimodular congruences.
 
-    Congruence transformations preserve the signature; eigenvalues are
-    never needed.
+    Returns ``(rows, minors)``: ``rows[i]`` is row i of the upper triangle
+    R from the diagonal on, and ``minors = (1, Delta_1, ..., Delta_n)``
+    are the leading minors of the congruent matrix eliminated, with
+    R_ii = Delta_{i+1}.  A zero pivot e_k swaps in the first later index
+    with a non-zero diagonal entry, else adds the first later e_j with
+    q(e_k, e_j) != 0 (pivot 2 q(e_k, e_j)), else is a kernel direction
+    and moves past the end with minor 0; a positive definite matrix is
+    never repaired.  By Jacobi's rule the signature is the sign count of
+    consecutive minor products, and |Delta_n| is the discriminant.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    p = m = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if pivot is not None:
-                a[k], a[pivot] = a[pivot], a[k]
-                for row in a:
-                    row[k], row[pivot] = row[pivot], row[k]
+    m = [[int(x) for x in row] for row in gram]
+
+    def swap(k, p):
+        m[k], m[p] = m[p], m[k]
+        for row in m:
+            row[k], row[p] = row[p], row[k]
+
+    minors = [1]
+    k, end = 0, n
+    while k < end:
+        if m[k][k] == 0:
+            p = next((j for j in range(k + 1, end) if m[j][j] != 0), None)
+            j = next((j for j in range(k + 1, end) if m[k][j] != 0), None)
+            if p is not None:
+                swap(k, p)
+            elif j is not None:
+                # e_k += e_j as a row and a column operation
+                m[k] = [x + y for x, y in zip(m[k], m[j])]
+                for row in m:
+                    row[k] += row[j]
             else:
-                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if off is None:
-                    continue  # zero row in the remaining block: kernel direction
-                # make a nonzero diagonal entry: (e_k + e_off) has square 2*a[k][off]
-                for j in range(n):
-                    a[k][j] += a[off][j]
-                for i in range(n):
-                    a[i][k] += a[i][off]
-        d = a[k][k]
-        if d > 0:
-            p += 1
-        else:
-            m += 1
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
+                end -= 1
+                swap(k, end)
                 continue
-            f = a[i][k] / d
-            for j in range(n):
-                a[i][j] -= f * a[k][j]
-            for j in range(n):
-                a[j][i] -= f * a[j][k]
-    return p, m
-
-
-def solve_rational(matrix: Sequence[Sequence], rhs: Sequence) -> Vector:
-    """Solve M x = b exactly over the rationals (M square, invertible)."""
-    n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            raise DegenerateLatticeError("singular matrix in exact solve")
-        a[k], a[pivot] = a[pivot], a[k]
-        d = a[k][k]
-        for i in range(n):
-            if i == k or a[i][k] == 0:
-                continue
-            f = a[i][k] / d
-            for j in range(k, n + 1):
-                a[i][j] -= f * a[k][j]
-    return tuple(a[i][n] / a[i][i] for i in range(n))
-
-
-def invert_rational(matrix: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square rational matrix."""
-    n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append(solve_rational(matrix, e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        rk = m[k]
+        pivot = rk[k]
+        for ri in m[k + 1:]:
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (pivot * ri[j] - f * rk[j]) // minors[-1]
+        minors.append(pivot)
+        k += 1
+    minors += [0] * (n - end)
+    return tuple(tuple(m[i][i:]) for i in range(n)), tuple(minors)
 
 
 def mat_vec(matrix: Sequence[Sequence], v: Sequence) -> Vector:
@@ -367,9 +340,10 @@ def make_lattice(gram: Sequence[Sequence[int]], name: str = "") -> Lattice:
                 raise ValidationError(
                     f"gram matrix is not symmetric at entry ({i},{j}): {gram[i][j]} != {gram[j][i]}"
                 )
-    p, m = _signature_by_diagonalization(gram)
-    disc = abs(_det_bareiss(gram))
-    return Lattice(name=name, gram=gram, rank=n, signature=(p, m), discriminant=disc)
+    _, minors = _symmetric_bareiss(gram)
+    signs = [a * b for a, b in zip(minors, minors[1:])]
+    p, m = sum(1 for x in signs if x > 0), sum(1 for x in signs if x < 0)
+    return Lattice(name=name, gram=gram, rank=n, signature=(p, m), discriminant=abs(minors[-1]))
 
 
 def lattice_from_dict(data: dict) -> Lattice:
@@ -437,16 +411,16 @@ def square(L: Lattice, v: Sequence):
 def homology_image(L: Lattice, v: Sequence) -> Vector:
     """Rational cohomology coordinates of a dual (homology) class.
 
-    ``v`` is read in the dual basis (functional coordinates); the image is
-    ``gram^{-1} . v``.  The contract guaranteed by the construction is that
-    ``discriminant * homology_image(v)`` is integral for every integral
-    ``v``, since ``disc * gram^{-1}`` is the (sign-adjusted) adjugate.
+    ``v`` is an integral class read in the dual basis (functional
+    coordinates); the image is ``gram^{-1} . v``.  The contract guaranteed
+    by the construction is that ``discriminant * homology_image(v)`` is
+    integral, since ``disc * gram^{-1}`` is the (sign-adjusted) adjugate.
     """
     _require_rank(L, v)
     if L.is_degenerate:
         raise DegenerateLatticeError("homology image requires a non-degenerate lattice")
-    sol = solve_rational(L.gram, v)
-    return tuple(Fraction(x) for x in sol)
+    det, (x,) = _bareiss(L.gram, (as_int_vector(v),))
+    return tuple(Fraction(xi, det) for xi in x)
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,9 @@ from .core import (
     primitive_integral,
     primitive_part,
     sign_normalize,
-    solve_rational,
     square,
+    _bareiss,
+    _symmetric_bareiss,
 )
 from .errors import (
     NonPositiveVectorError,
@@ -124,8 +125,8 @@ def _passes(L: Lattice, s, spec: WallSpec) -> bool:
 class _PosDefForm:
     """Fraction-free Cholesky data of a positive definite integer form.
 
-    Bareiss elimination on the Gram matrix leaves an integer upper
-    triangle R whose diagonal holds the leading principal minors
+    The shared kernel :func:`core._symmetric_bareiss` leaves an integer
+    upper triangle R whose diagonal holds the leading principal minors
     R_ii = Delta_{i+1} (Delta_0 = 1), and
 
         Q(x) = sum_i (sum_{j>=i} R_ij x_j)^2 / (Delta_i Delta_{i+1}).
@@ -133,26 +134,18 @@ class _PosDefForm:
     With ``scale`` = lcm_i(Delta_i Delta_{i+1}) and integer weights
     W_i = scale / (Delta_i Delta_{i+1}), scale * Q(x) is the weighted sum
     of integer squares sum_i W_i (sum_{j>=i} R_ij x_j)^2.  The form is
-    positive definite iff every pivot is positive (Sylvester).
+    positive definite iff every leading minor is positive (Sylvester), and
+    then the kernel eliminates it without a repair, in its own basis.
     """
 
     def __init__(self, gram):
-        n = len(gram)
-        m = [list(row) for row in gram]
-        minors = [1]
-        for k in range(n):
-            pivot = m[k][k]
-            if pivot <= 0:
-                raise SignatureError("form is not positive definite")
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // minors[-1]
-            minors.append(pivot)
+        self.rows, minors = _symmetric_bareiss(gram)
+        if any(d <= 0 for d in minors):
+            raise SignatureError("form is not positive definite")
+        self.n = n = len(gram)
         dens = [minors[i] * minors[i + 1] for i in range(n)]
-        self.n = n
         self.scale = lcm(*dens)
         self.weights = tuple(self.scale // den for den in dens)
-        self.rows = tuple(tuple(m[i][i:]) for i in range(n))
 
     def enumerate(self, center, lo, hi):
         """Yield every integer x with lo <= Q(x + center) <= hi, each exactly once.
@@ -284,9 +277,10 @@ def _base_data(L: Lattice, v0: Vector) -> _BaseData:
     form = _PosDefForm(tuple(tuple(-x for x in r) for r in sub_gram))
     gx0 = gram_apply(L, x0)
     h1 = tuple(sum(b[i] * gx0[i] for i in range(n)) for b in basis)
-    c1 = solve_rational(sub_gram, h1)
+    det, (x,) = _bareiss(sub_gram, (h1,))
     return _BaseData(
-        norm=int(square(L, v0)), g0=int(g0), x0=x0, basis=basis, form=form, c1=tuple(c1)
+        norm=int(square(L, v0)), g0=int(g0), x0=x0, basis=basis, form=form,
+        c1=tuple(Fraction(xi, det) for xi in x),
     )
 
 

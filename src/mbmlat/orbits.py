@@ -21,10 +21,10 @@ from .core import (
     as_int_vector,
     content,
     gram_apply,
+    identity_matrix,
     induced_gram,
     int_matrix,
     integer_kernel,
-    invert_rational,
     make_lattice,
     mat_mul,
     mat_transpose,
@@ -36,8 +36,8 @@ from .core import (
     vec_add,
     vec_is_zero,
     vec_scale,
+    _bareiss,
     _column_reduce,
-    _det_bareiss,
     _require_rank,
 )
 from .enumeration import Wall, WallSpec, is_reflective
@@ -70,8 +70,9 @@ class Isometry:
         return isometry(self.lattice, mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "Isometry":
-        inv = invert_rational(self.matrix)
-        return isometry(self.lattice, tuple(tuple(as_int_vector(row)) for row in inv))
+        # det = +-1, so the inverse is det * (det * M^{-1})
+        det, cols = _bareiss(self.matrix, identity_matrix(self.lattice.rank))
+        return isometry(self.lattice, mat_transpose([vec_scale(det, c) for c in cols]))
 
 
 def isometry(L: Lattice, matrix) -> Isometry:
@@ -82,7 +83,7 @@ def isometry(L: Lattice, matrix) -> Isometry:
     mt = mat_transpose(m)
     if mat_mul(mat_mul(mt, L.gram), m) != L.gram:
         raise ValidationError("matrix does not preserve the Gram form")
-    if _det_bareiss(m) not in (1, -1):
+    if _bareiss(m)[0] not in (1, -1):
         raise ValidationError("isometry matrix must have determinant +-1")
     return Isometry(lattice=L, matrix=m)
 
@@ -179,8 +180,9 @@ def degenerate_split(L: Lattice) -> DegenerateSplit:
     if induced.is_degenerate:
         raise KernelRankError("complement form is degenerate; kernel was not fully split")
     change = tuple(tuple(list(b[i] for b in basis) + [l[i]]) for i in range(L.rank))
-    inv = invert_rational(change)
-    coord = tuple(tuple(as_int_vector(row)) for row in inv)
+    # [B0 | l] is unimodular (y . l = 1, B0 spans ker y), so det = +-1
+    det, cols = _bareiss(change, identity_matrix(L.rank))
+    coord = mat_transpose([vec_scale(det, c) for c in cols])
     return DegenerateSplit(
         lattice=L, kernel_gen=l, complement_basis=basis, induced=induced, coord_matrix=coord
     )
@@ -282,7 +284,7 @@ def isometries_in_box(L: Lattice, bound: int) -> tuple[Isometry, ...]:
         j = len(cols)
         if j == L.rank:
             m = tuple(tuple(cols[c][r] for c in range(L.rank)) for r in range(L.rank))
-            if _det_bareiss(m) in (1, -1):
+            if _bareiss(m)[0] in (1, -1):
                 out.append(Isometry(lattice=L, matrix=m))
             return
         for v in box:
@@ -357,6 +359,8 @@ def _descend(state, mats, word_budget: int, image):
     when its BFS exhausted the orbit without leaving the box, ``visited``
     the number of states it saw.
     """
+    if word_budget < 1:
+        raise ValidationError(f"word_budget must be >= 1, got {word_budget}")
     rep = state
     for _ in range(_RESTARTS):
         best_sup = _sup(rep)

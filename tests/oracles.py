@@ -12,7 +12,7 @@ from itertools import product
 from math import ceil, floor, lcm
 
 from mbmlat import core
-from mbmlat.core import floor_sqrt, gram_apply, invert_rational
+from mbmlat.core import floor_sqrt, gram_apply
 from mbmlat.enumeration import is_reflective, vectors_of_square
 
 
@@ -27,7 +27,7 @@ def wall_box_bound(L, v0, v1, squares) -> int:
     n = L.rank
     gv0 = gram_apply(L, v0)
     M = [[Fraction(2 * gv0[i] * gv0[j], N) - L.gram[i][j] for j in range(n)] for i in range(n)]
-    Minv = invert_rational(M)
+    Minv = rational_inverse(M)
     # t^2 < |d| * gap / q1, so M(s) = 2 t^2 / N + |d| is bounded by R
     R = max(Fraction(2 * abs(d) * gap, q1 * N) + abs(d) for d in squares)
     return max(floor_sqrt(R * Minv[i][i]) for i in range(n)) + 1
@@ -42,7 +42,7 @@ def posdef_box_scan(G, center, lo, hi) -> list:
     n = len(G)
     if hi < 0:
         return []
-    Ginv = invert_rational(G) if n else []
+    Ginv = rational_inverse(G)
     c = [Fraction(ci) for ci in center]
     D = lcm(*(ci.denominator for ci in c))
     C = [int(ci * D) for ci in c]
@@ -190,3 +190,71 @@ def rational_projection(gram, v, x):
     """v minus its x-component, in plain Fraction arithmetic (q(x,x) != 0)."""
     c = Fraction(form(gram, v, x), form(gram, x, x))
     return tuple(Fraction(a) - c * b for a, b in zip(v, x))
+
+
+def rational_det_inverse(a):
+    """(det(a), a^-1) by plain Fraction Gauss-Jordan; the inverse is None
+    when a is singular."""
+    n = len(a)
+    m = [[Fraction(x) for x in a[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if p is None:
+            return Fraction(0), None
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k] != 0:
+                f = m[i][k]
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det, [row[n:] for row in m]
+
+
+def rational_inverse(a):
+    """Exact inverse of a square non-singular rational matrix."""
+    return rational_det_inverse(a)[1]
+
+
+def signature_by_diagonalization(gram) -> tuple:
+    """Signature (p, m) by symmetric Gaussian elimination over Fraction.
+
+    Congruence transformations preserve the signature; a zero pivot is
+    repaired by a diagonal swap, else by adding e_off (square 2 a_k,off),
+    and a zero row is a kernel direction.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    p = m = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            pivot = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if pivot is not None:
+                a[k], a[pivot] = a[pivot], a[k]
+                for row in a:
+                    row[k], row[pivot] = row[pivot], row[k]
+            else:
+                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if off is None:
+                    continue
+                for j in range(n):
+                    a[k][j] += a[off][j]
+                for i in range(n):
+                    a[i][k] += a[i][off]
+        d = a[k][k]
+        if d > 0:
+            p += 1
+        else:
+            m += 1
+        for i in range(k + 1, n):
+            if a[i][k] == 0:
+                continue
+            f = a[i][k] / d
+            for j in range(n):
+                a[i][j] -= f * a[k][j]
+            for j in range(n):
+                a[j][i] -= f * a[j][k]
+    return p, m

@@ -131,6 +131,14 @@ MALFORMED_INPUTS = {
     "vector_bad_fraction": ["separate", "--lattice", "U+A1m2", "--v0", "2,3,1", "--v1", "1/x,1,1", "--squares", "-2"],
     "orbits_vector_too_short": ["orbits", "--lattice", "U+A1m2", "--v", "0,0", "--reflections", "0,0,1"],
     "orbits_vector_too_long": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1,5", "--reflections", "0,0,1;1,-1,0"],
+    "facets_negative_search_bound": ["facets", "--lattice", "U+A1m2", "--witness", "5,3,2", "--squares", "-2",
+                                     "--search-bound", "-3"],
+    "census_zero_search_bound": ["census", "--lattice", "U+A1m2", "--base", "5,3,2", "--squares", "-2",
+                                 "--depth", "1", "--search-bound", "0"],
+    "census_negative_word_budget": ["census", "--lattice", "U+A1m2", "--base", "5,3,2", "--squares", "-2",
+                                    "--depth", "1", "--word-budget", "-1", "--format", "text"],
+    "orbits_zero_word_budget": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--reflections", "0,0,1;1,-1,0",
+                                "--word-budget", "0"],
 }
 
 

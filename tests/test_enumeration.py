@@ -28,6 +28,7 @@ from oracles import (
     brute_force_walls_through,
     posdef_box_scan,
     random_positive_pair,
+    rational_inverse,
     wall_box_bound,
 )
 
@@ -318,7 +319,7 @@ def skewed_hyperbolic(draw):
         for row in u:
             row[i] += k * row[j]
     G = tuple(tuple(sum(u[t][i] * diag[t] * u[t][j] for t in range(n)) for j in range(n)) for i in range(n))
-    u_inv = core.invert_rational(u)
+    u_inv = rational_inverse(u)
 
     def positive():
         tail = [draw(st.integers(-2, 2)) for _ in range(n - 1)]
