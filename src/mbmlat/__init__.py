@@ -7,6 +7,10 @@ decompositions of the positive cone, reflection-word reduction,
 oriented-flag encodings of faces with bounded-square projections,
 degenerate-kernel orbit representatives, and desk-scale face-orbit
 censuses.
+
+The names imported here are the public API.  Everything else in the
+package needs a caller in the package, the benchmark or the test
+oracles; ``tests/test_layering.py`` checks this.
 """
 
 from .catalog import CatalogEntry, get_entry, load_catalog, resolve_lattice
@@ -27,17 +31,13 @@ from .chambers import (
 )
 from .core import (
     Lattice,
-    HyperplaneRestriction,
-    ProjectionResult,
     direct_sum,
     homology_image,
     is_positive,
     lattice_from_dict,
     make_lattice,
-    orthogonal_project,
     pairing,
     reflect_vector,
-    restrict_to_hyperplane,
     square,
 )
 from .enumeration import (

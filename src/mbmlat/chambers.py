@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     Lattice,
@@ -48,7 +48,6 @@ from .enumeration import (
 )
 from .errors import (
     FlagChainError,
-    NonPositiveVectorError,
     ReductionInvariantError,
     ValidationError,
 )
@@ -100,7 +99,7 @@ def chamber_at(L: Lattice, witness, base=None, spec: WallSpec = None) -> Chamber
 
 def same_chamber(L: Lattice, v, w, spec: WallSpec) -> bool:
     """True iff no spec wall strictly separates v from w."""
-    return not separating_walls(L, primitive_integral(v), w, spec)
+    return not separating_walls(L, v, w, spec)
 
 
 @dataclass(frozen=True)
@@ -176,12 +175,6 @@ class FacetResult:
     @property
     def complete(self) -> bool:
         return not self.undecided
-
-    def __iter__(self) -> Iterator[Face]:
-        return iter(self.faces)
-
-    def __len__(self) -> int:
-        return len(self.faces)
 
 
 def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH_BOUND) -> FacetResult:
@@ -373,12 +366,6 @@ class TessellationGraph:
     def complete(self) -> bool:
         return all(not n.undecided for n in self.nodes)
 
-    def node_by_key(self, key) -> ChamberNode:
-        for n in self.nodes:
-            if n.key == key:
-                return n
-        raise KeyError(key)
-
     def to_json_dict(self) -> dict:
         ids = {n.key: n.node_id for n in self.nodes}
         return {
@@ -428,8 +415,6 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
     if depth < 0:
         raise ValidationError("depth must be >= 0")
     base_p = primitive_integral(base)
-    if square(L, base_p) <= 0:
-        raise NonPositiveVectorError(f"base {tuple(base)} is not positive")
     ensure_wall_free(L, base_p, spec)
 
     # chambers are processed layer by layer in key order, which is the

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -423,22 +423,6 @@ def homology_image(L: Lattice, v: Sequence) -> Vector:
     return tuple(Fraction(xi, det) for xi in x)
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Orthogonal projection of y away from x.
-
-    ``unscaled = project_off(L, y, x) = q(x,x) * tilde_y``, a tuple of
-    ints for integral inputs, and ``primitive`` is its content-reduced
-    part (direction preserved).  ``y = coefficient * x + tilde_y`` with
-    ``q(x, tilde_y) = 0`` is the rational decomposition.
-    """
-
-    coefficient: Fraction
-    tilde_y: Vector
-    unscaled: Vector
-    primitive: Vector
-
-
 def project_off(L: Lattice, v: Sequence, x: Sequence) -> Vector:
     """q(x,x)*v - q(v,x)*x: q(x,x) times the projection of v onto x^perp.
 
@@ -452,33 +436,6 @@ def project_off(L: Lattice, v: Sequence, x: Sequence) -> Vector:
         raise IsotropicVectorError(f"cannot project along isotropic vector {tuple(x)}")
     qvx = pairing(L, v, x)
     return tuple(qxx * v[i] - qvx * x[i] for i in range(L.rank))
-
-
-def orthogonal_project(L: Lattice, x: Sequence, y: Sequence) -> ProjectionResult:
-    """Project y to the orthogonal complement of x (q(x,x) != 0 required)."""
-    unscaled = project_off(L, y, x)
-    qxx = pairing(L, x, x)
-    prim = primitive_part(unscaled) if vec_is_integral(unscaled) else unscaled
-    return ProjectionResult(coefficient=Fraction(pairing(L, x, y), qxx),
-                            tilde_y=tuple(Fraction(t, qxx) for t in unscaled),
-                            unscaled=unscaled, primitive=prim)
-
-
-@dataclass(frozen=True)
-class HyperplaneRestriction:
-    """Integral orthogonal complement of x, with its embedding into L.
-
-    ``basis`` holds the basis vectors in L-coordinates (the columns of the
-    embedding matrix); ``sublattice.gram`` is the pulled-back form.
-    """
-
-    sublattice: Lattice
-    basis: tuple[Vector, ...]
-
-    def embed(self, y: Sequence) -> Vector:
-        """Map sublattice coordinates to L-coordinates."""
-        n = len(self.basis[0]) if self.basis else 0
-        return tuple(sum(y[j] * self.basis[j][i] for j in range(len(self.basis))) for i in range(n))
 
 
 def hyperplane_basis(L: Lattice, x: Sequence) -> tuple[int, Vector, tuple[Vector, ...]]:
@@ -497,18 +454,6 @@ def hyperplane_basis(L: Lattice, x: Sequence) -> tuple[int, Vector, tuple[Vector
 def induced_gram(L: Lattice, basis: Sequence[Vector]) -> Matrix:
     """Gram matrix of the form restricted to the span of ``basis``."""
     return tuple(tuple(int(pairing(L, a, b)) for b in basis) for a in basis)
-
-
-def restrict_to_hyperplane(L: Lattice, x: Sequence) -> HyperplaneRestriction:
-    """Integral basis of {v : q(v, x) = 0} and the induced Gram matrix,
-    via :func:`hyperplane_basis`."""
-    _require_rank(L, x)
-    xi = as_int_vector(x)
-    if vec_is_zero(xi):
-        raise ValidationError("cannot restrict to the hyperplane of the zero vector")
-    _, _, basis = hyperplane_basis(L, xi)
-    sub = make_lattice(induced_gram(L, basis), name=f"{L.name}|{','.join(map(str, xi))}^perp" if L.name else "")
-    return HyperplaneRestriction(sublattice=sub, basis=basis)
 
 
 def is_positive(L: Lattice, v: Sequence, reference: Sequence) -> bool:
@@ -533,9 +478,3 @@ def reflect_vector(L: Lattice, v: Sequence, s: Sequence) -> Vector:
     out = tuple(v[i] - c * s[i] for i in range(L.rank))
     return as_int_vector(out) if vec_is_integral(out) else out
 
-
-def floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for a non-negative rational, exact."""
-    if x < 0:
-        raise ValueError("floor_sqrt of a negative number")
-    return isqrt(x.numerator // x.denominator) if isinstance(x, Fraction) else isqrt(int(x))

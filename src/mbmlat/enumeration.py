@@ -33,14 +33,12 @@ from math import ceil, floor, isqrt, lcm
 from .core import (
     Lattice,
     Vector,
-    as_int_vector,
     content,
     gram_apply,
     hyperplane_basis,
     induced_gram,
     pairing,
     primitive_integral,
-    primitive_part,
     sign_normalize,
     square,
     _bareiss,
@@ -75,10 +73,6 @@ class WallSpec:
             raise ValidationError("WallSpec needs a non-empty set of squares")
         if any((not isinstance(d, int)) or d >= 0 for d in self.squares):
             raise ValidationError(f"WallSpec squares must be negative integers, got {self.squares}")
-
-    @property
-    def max_abs_square(self) -> int:
-        return max(abs(d) for d in self.squares)
 
 
 def wall_spec(squares, require_reflective: bool = False) -> WallSpec:
@@ -336,15 +330,10 @@ def separating_walls(L: Lattice, v0, v1, spec: WallSpec) -> list[Wall]:
     return sorted(iter_separating_walls(L, v0, v1, spec), key=lambda w: w.sort_key)
 
 
-def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec, exclude_unsigned=frozenset()):
-    """Generator behind :func:`separating_walls`; order not guaranteed.
-
-    ``exclude_unsigned`` skips given sign-normalized wall vectors, which
-    lets adjacency tests stop at the first unexpected wall.
-    """
-    v0i = as_int_vector(v0)
-    _check_positive_pair(L, v0i, v1)
-    v0p = primitive_part(v0i)
+def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
+    """Generator behind :func:`separating_walls`; order not guaranteed."""
+    _check_positive_pair(L, v0, v1)
+    v0p = primitive_integral(v0)
     V1 = primitive_integral(v1)
     N = square(L, v0p)
     mu = pairing(L, v0p, V1)
@@ -360,10 +349,7 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec, exclude_unsigned=f
 
     for d in sorted(spec.squares):
         tmax = isqrt((-d * gap - 1) // q1)  # largest t with t^2 q1 < |d| gap
-        for w in _iter_walls_for_t(L, v0p, spec, d, range(1, tmax + 1), keep):
-            if exclude_unsigned and sign_normalize(w.vector) in exclude_unsigned:
-                continue
-            yield w
+        yield from _iter_walls_for_t(L, v0p, spec, d, range(1, tmax + 1), keep)
 
 
 def walls_near(L: Lattice, v, spec: WallSpec, max_pairing: int) -> list[Wall]:
@@ -388,9 +374,7 @@ def has_other_separating_wall(L: Lattice, v0, v1, spec: WallSpec, excluded) -> b
     Early-exits on the first hit; used by the exact facet criterion.
     """
     ex = frozenset(sign_normalize(x) for x in excluded)
-    for _ in iter_separating_walls(L, v0, v1, spec, exclude_unsigned=ex):
-        return True
-    return False
+    return any(sign_normalize(w.vector) not in ex for w in iter_separating_walls(L, v0, v1, spec))
 
 
 def walls_containing(L: Lattice, v, spec: WallSpec, search_bound: int | None = None) -> list[Wall]:
@@ -422,7 +406,10 @@ def walls_containing(L: Lattice, v, spec: WallSpec, search_bound: int | None = N
 
 
 def ensure_wall_free(L: Lattice, v, spec: WallSpec) -> None:
-    """Raise WallIncidenceError when some spec wall passes through v."""
+    """Raise WallIncidenceError when some spec wall passes through v,
+    NonPositiveVectorError when v is not positive."""
+    if square(L, v) <= 0:
+        raise NonPositiveVectorError(f"{tuple(v)} is not positive")
     hits = walls_containing(L, v, spec)
     if hits:
         raise WallIncidenceError(

@@ -220,25 +220,6 @@ def kneser_degenerate_reps(L: Lattice, r: int, base_reps) -> list[Vector]:
     return out
 
 
-def transvection_isometries(split: DegenerateSplit) -> tuple[Isometry, ...]:
-    """Kernel transvections e -> e + phi(e) l from the dual basis of the
-    complement, together with their inverses.  These realize the ideal
-    Hom(complement, kernel) . a0 concretely."""
-    L = split.lattice
-    n = L.rank
-    l = split.kernel_gen
-    gens = []
-    for i in range(n - 1):
-        phi = split.coord_matrix[i]
-        for sgn in (1, -1):
-            m = tuple(
-                tuple((1 if rr == cc else 0) + sgn * l[rr] * phi[cc] for cc in range(n))
-                for rr in range(n)
-            )
-            gens.append(isometry(L, m))
-    return tuple(gens)
-
-
 def kernel_sign_flip(split: DegenerateSplit) -> Isometry:
     """The isometry fixing the complement and negating the kernel generator."""
     L = split.lattice

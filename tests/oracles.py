@@ -9,11 +9,16 @@ separating v0 from v1.
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, lcm
+from math import ceil, floor, isqrt, lcm
 
 from mbmlat import core
-from mbmlat.core import floor_sqrt, gram_apply
+from mbmlat.core import gram_apply
 from mbmlat.enumeration import is_reflective, vectors_of_square
+
+
+def floor_sqrt(x: Fraction) -> int:
+    """floor(sqrt(x)) for a non-negative rational."""
+    return isqrt(x.numerator // x.denominator)
 
 
 def wall_box_bound(L, v0, v1, squares) -> int:

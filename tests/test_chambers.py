@@ -113,8 +113,7 @@ class TestReflectionProperties:
             w = tuple(rng.randint(-5, 5) for _ in range(3))
             assert pairing(UA, r.apply(v), r.apply(w)) == pairing(UA, v, w)
         # fixes a basis of the orthogonal complement pointwise
-        rest = core.restrict_to_hyperplane(UA, (0, 1, 1))
-        for b in rest.basis:
+        for b in core.hyperplane_basis(UA, (0, 1, 1))[2]:
             assert r.apply(b) == b
         assert r.apply((0, 1, 1)) == (0, -1, -1)
 
@@ -153,7 +152,7 @@ class TestFacetWalls:
     def test_facet_criterion_matches_adjacency(self, UA):
         # crossing a facet lands in a chamber separated by that wall alone
         ch = chamber_at(UA, BASE["U+A1m2"], spec=SPEC2)
-        for f in facet_walls(UA, ch, search_bound=24):
+        for f in facet_walls(UA, ch, search_bound=24).faces:
             mirror = core.reflect_vector(UA, ch.witness, f.supporting_wall.vector)
             sep = separating_walls(UA, ch.witness, mirror, SPEC2)
             assert [w.unsigned() for w in sep] == [f.supporting_wall.unsigned()]
@@ -276,8 +275,9 @@ class TestExploreTessellation:
 
     def test_edges_cross_exactly_one_wall(self, UAA):
         g = explore_tessellation(UAA, BASE["U+A1m2+A1m2"], SPEC2, 2, search_bound=20)
+        by_key = {n.key: n for n in g.nodes}
         for e in g.edges:
-            na, nb = g.node_by_key(e.a), g.node_by_key(e.b)
+            na, nb = by_key[e.a], by_key[e.b]
             sep = separating_walls(UAA, na.witness, nb.witness, SPEC2)
             assert [w.unsigned() for w in sep] == [e.wall]
             # keys of adjacent chambers differ by exactly that wall

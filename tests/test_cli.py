@@ -156,11 +156,16 @@ def test_malformed_input_file_is_domain_error(tmp_path, argv):
     assert set(json.loads(err)) == {"error", "message"}
 
 
-def test_wall_incidence_error_is_domain_error():
-    code, _, err = invoke(["explore", "--lattice", "U+A1m2", "--base", "1,1,0",
-                           "--squares", "-2", "--depth", "1"])
+@pytest.mark.parametrize("argv, error", [
+    (["explore", "--base", "1,1,0", "--depth", "1"], "WallIncidenceError"),
+    (["explore", "--base", "1,0,0", "--depth", "1"], "NonPositiveVectorError"),
+    (["facets", "--witness", "1,0,0"], "NonPositiveVectorError"),
+    (["census", "--base", "1,0,0", "--depth", "1"], "NonPositiveVectorError"),
+], ids=["explore-on-wall", "explore-isotropic", "facets-isotropic", "census-isotropic"])
+def test_wall_incidence_error_is_domain_error(argv, error):
+    code, _, err = invoke(argv + ["--lattice", "U+A1m2", "--squares", "-2"])
     assert code == 1
-    assert json.loads(err)["error"] == "WallIncidenceError"
+    assert json.loads(err)["error"] == error
 
 
 def test_usage_error_exit_code():
@@ -210,6 +215,10 @@ def test_generator_file_input(tmp_path):
 
 def test_rational_witness_accepted():
     code, out, _ = invoke(["separate", "--lattice", "U+A1m2", "--v0", "1,1,0",
+                           "--v1", "3/2,1,1", "--squares", "-2"])
+    assert code == 0
+    assert json.loads(out) == [[0, 1, 1], [1, 0, 1]]
+    code, out, _ = invoke(["separate", "--lattice", "U+A1m2", "--v0", "1/2,1/2,0",
                            "--v1", "3/2,1,1", "--squares", "-2"])
     assert code == 0
     assert json.loads(out) == [[0, 1, 1], [1, 0, 1]]

@@ -5,17 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mbmlat import core
+from mbmlat import core, enumeration
 from mbmlat.core import (
-    HyperplaneRestriction,
     direct_sum,
     homology_image,
     is_positive,
     make_lattice,
-    orthogonal_project,
     pairing,
     reflect_vector,
-    restrict_to_hyperplane,
     sign_normalize,
     square,
 )
@@ -137,38 +134,38 @@ class TestHomologyImage:
 
 
 class TestOrthogonalProject:
+    """``project_off(L, y, x) = q(x,x) y - q(y,x) x``."""
+
     def test_bound_attaining_instance(self, UAA):
-        res = orthogonal_project(UAA, (0, 0, 1, 0), (0, 0, 0, 1))
-        assert res.coefficient == 0
-        assert res.tilde_y == (0, 0, 0, 1)
-        assert res.unscaled == (0, 0, 0, -2)
-        assert square(UAA, res.unscaled) == -8
+        out = core.project_off(UAA, (0, 0, 0, 1), (0, 0, 1, 0))
+        assert out == (0, 0, 0, -2)
+        assert square(UAA, out) == -8
 
     def test_self_projection(self, UA):
-        res = orthogonal_project(UA, (0, 0, 1), (0, 0, 1))
-        assert all(x == 0 for x in res.tilde_y)
+        assert core.project_off(UA, (0, 0, 1), (0, 0, 1)) == (0, 0, 0)
 
     def test_positive_projected_square(self, UA):
-        res = orthogonal_project(UA, (0, 0, 1), (3, 1, 2))
-        assert res.coefficient == 2
-        assert res.tilde_y == (3, 1, 0)
-        assert pairing(UA, res.tilde_y, res.tilde_y) == 6
+        # y = 2x + (3, 1, 0), scaled by q(x, x) = -2
+        out = core.project_off(UA, (3, 1, 2), (0, 0, 1))
+        assert out == (-6, -2, 0)
+        assert pairing(UA, out, out) == 4 * 6
 
     def test_reconstruction_and_orthogonality(self, UAA):
         rng = random.Random(3)
         for _ in range(40):
             x = tuple(rng.randint(-4, 4) for _ in range(4))
             y = tuple(rng.randint(-4, 4) for _ in range(4))
-            if square(UAA, x) == 0:
+            qxx = square(UAA, x)
+            if qxx == 0:
                 continue
-            res = orthogonal_project(UAA, x, y)
-            assert pairing(UAA, x, res.tilde_y) == 0
-            rebuilt = tuple(res.coefficient * x[i] + res.tilde_y[i] for i in range(4))
-            assert rebuilt == tuple(Fraction(c) for c in y)
+            out = core.project_off(UAA, y, x)
+            assert pairing(UAA, x, out) == 0
+            qyx = pairing(UAA, y, x)
+            assert tuple(qyx * x[i] + out[i] for i in range(4)) == tuple(qxx * c for c in y)
 
     def test_isotropic_rejected(self, U):
         with pytest.raises(IsotropicVectorError):
-            orthogonal_project(U, (1, 0), (0, 1))
+            core.project_off(U, (0, 1), (1, 0))
 
 
 @st.composite
@@ -274,27 +271,33 @@ def test_symmetric_bareiss_signature_and_determinant(g):
     assert sum(1 for d in minors[1:] if d != 0) == sum(L.signature)
 
 
+def restrict(L, x):
+    """The integral basis of x^perp and the lattice of its induced form."""
+    basis = core.hyperplane_basis(L, x)[2]
+    return basis, make_lattice(core.induced_gram(L, basis))
+
+
 class TestRestrictToHyperplane:
     def test_isotropic_orthogonal_in_u(self, U):
-        res = restrict_to_hyperplane(U, (1, 0))
-        assert res.sublattice.rank == 1
-        assert res.sublattice.gram == ((0,),)
+        _, sub = restrict(U, (1, 0))
+        assert sub.rank == 1
+        assert sub.gram == ((0,),)
 
     def test_wall_orthogonal_is_u(self, UA):
-        res = restrict_to_hyperplane(UA, (0, 0, 1))
-        assert res.sublattice.signature == (1, 1)
-        assert res.sublattice.discriminant == 1
+        _, sub = restrict(UA, (0, 0, 1))
+        assert sub.signature == (1, 1)
+        assert sub.discriminant == 1
 
     def test_negative_class_orthogonal_is_hyperbolic(self, UA):
         # q((0,1,1)) = -2, so the orthogonal has signature (1,1)
-        res = restrict_to_hyperplane(UA, (0, 1, 1))
-        assert res.sublattice.signature == (1, 1)
+        _, sub = restrict(UA, (0, 1, 1))
+        assert sub.signature == (1, 1)
 
     def test_isotropic_class_gives_degenerate_restriction(self, UA):
         # feeds the degenerate-kernel algorithm
-        res = restrict_to_hyperplane(UA, (1, 0, 0))
-        assert res.sublattice.signature == (0, 1)
-        assert res.sublattice.kernel_dimension == 1
+        _, sub = restrict(UA, (1, 0, 0))
+        assert sub.signature == (0, 1)
+        assert sub.kernel_dimension == 1
 
     def test_embedding_pairs_to_zero_and_pulls_back_gram(self, UAA):
         rng = random.Random(4)
@@ -302,27 +305,27 @@ class TestRestrictToHyperplane:
             x = tuple(rng.randint(-3, 3) for _ in range(4))
             if all(c == 0 for c in x):
                 continue
-            res = restrict_to_hyperplane(UAA, x)
-            for b in res.basis:
+            basis, sub = restrict(UAA, x)
+            for b in basis:
                 assert pairing(UAA, b, x) == 0
-            k = len(res.basis)
+            k = len(basis)
             for i in range(k):
                 for j in range(k):
-                    assert res.sublattice.gram[i][j] == pairing(UAA, res.basis[i], res.basis[j])
+                    assert sub.gram[i][j] == pairing(UAA, basis[i], basis[j])
 
     def test_kernel_vector_restricts_to_all_of_l(self):
         # gram . x = 0: the hyperplane is the whole lattice
         L = make_lattice(direct_sum([[0]], [[-2]]), "Z0+A1m2")
-        res = restrict_to_hyperplane(L, (1, 0))
-        assert res.basis == ((1, 0), (0, 1))
-        assert res.sublattice.gram == L.gram
+        basis, sub = restrict(L, (1, 0))
+        assert basis == ((1, 0), (0, 1))
+        assert sub.gram == L.gram
 
     def test_embed_roundtrip(self, UA):
-        res = restrict_to_hyperplane(UA, (0, 0, 1))
-        assert isinstance(res, HyperplaneRestriction)
-        y = (2, -3)
-        v = res.embed(y)
-        assert pairing(UA, v, (0, 0, 1)) == 0
+        # the wall search's embedding k x0 + sum y_j b_j pairs to k g with x
+        g, x0, basis = core.hyperplane_basis(UA, (0, 0, 1))
+        for k in (0, 1, -2):
+            v = enumeration._embed(basis, x0, k, (2, -3))
+            assert pairing(UA, v, (0, 0, 1)) == k * g
 
 
 class TestIsPositive:

@@ -257,7 +257,6 @@ class TestWallSpec:
     def test_normalizes(self):
         spec = wall_spec([-4, -2, -4])
         assert spec.squares == (-4, -2)
-        assert spec.max_abs_square == 4
 
     def test_reflectivity_predicate(self, UA):
         assert is_reflective(UA, (0, 0, 1))

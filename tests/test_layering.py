@@ -94,3 +94,36 @@ def test_benchmark_bindings_resolve():
     for metric, (module, name) in _bench_constant("CACHES").items():
         fn = getattr(importlib.import_module(f"mbmlat.{module}"), name, None)
         assert hasattr(fn, "cache_info"), f"{metric}: mbmlat.{module}.{name} is missing or has no cache_info()"
+
+
+def _names_used(paths) -> set:
+    """Every ``ast.Name`` id and ``ast.Attribute`` attr in the given sources."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_package_code_has_a_non_test_caller():
+    """Package code is public API (imported by ``__init__``) or has a
+    caller in the package, the benchmark or the test oracles; code that
+    only unit tests call is dead weight on the package."""
+    used = _names_used([*SRC.glob("*.py"), *BENCH_TRACING.parent.glob("*.py"),
+                        Path(__file__).with_name("oracles.py")])
+    exported = {name for _, names in _sibling_imports(_tree("__init__")) for name in names}
+    uncalled = []
+    for module in LAYERS:
+        for node in _tree(module).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
+                continue
+            if node.name not in used:
+                uncalled.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                uncalled += [f"{module}.{node.name}.{m.name}" for m in node.body
+                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                             and m.name not in used]
+    assert uncalled == [], f"only tests call {uncalled}"
