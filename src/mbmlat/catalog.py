@@ -120,8 +120,8 @@ def read_json_file(path: str, what: str):
         raise ValidationError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
-def resolve_lattice(source: str, path: str | None = None) -> Lattice:
+def resolve_lattice(source: str) -> Lattice:
     """Map a CLI lattice source to a Lattice: catalog name or JSON file."""
     if os.path.exists(source):
         return lattice_from_dict(read_json_file(source, "lattice"))
-    return get_entry(name=source, path=path).lattice
+    return get_entry(name=source).lattice

@@ -16,9 +16,9 @@ condition ``q(s, v1) < 0`` together with Cauchy-Schwarz in ``v0^perp``
 bounds ``t^2 < |d| (mu^2 - N q1) / q1`` where ``mu = q(v0, v1)`` and
 ``q1 = q(v1, v1)``.  Every admissible ``t`` is a multiple of the
 divisibility ``g0 = gcd(gram . v0)``; for each one the candidates are
-enumerated exactly in ``v0^perp`` around a rational center and
-reconstructed in the ambient lattice, discarding non-integral or
-imprimitive reconstructions.
+enumerated exactly in ``v0^perp`` around an integer center over one
+denominator and reconstructed in the ambient lattice, discarding
+non-integral or imprimitive reconstructions.
 
 All functions are pure; per-basepoint data is memoized on immutable keys.
 """
@@ -26,9 +26,9 @@ All functions are pure; per-basepoint data is memoized on immutable keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, isqrt, lcm
+from math import isqrt, lcm
+from operator import mul
 
 from .core import (
     Lattice,
@@ -141,23 +141,20 @@ class _PosDefForm:
         self.scale = lcm(*dens)
         self.weights = tuple(self.scale // den for den in dens)
 
-    def enumerate(self, center, lo, hi):
-        """Yield every integer x with lo <= Q(x + center) <= hi, each exactly once.
+    def enumerate(self, C, D, lo, hi):
+        """Yield every integer x with lo <= D^2 Q(x + C/D) <= hi, each exactly once.
 
-        ``center`` is rational, ``lo`` and ``hi`` are rational bounds.
-        Writing center = C / D with D the lcm of its denominators, every
-        level works on the integers z_j = D x_j + C_j against the bounds
-        floor(scale D^2 hi) and ceil(scale D^2 lo).
+        ``C`` is an integer vector, ``D > 0`` one common denominator and
+        ``lo``, ``hi`` are integers.  Since D^2 Q(x + C/D) = Q(D x + C),
+        every level works on the integers z_j = D x_j + C_j against the
+        bounds scale * hi and scale * lo.
         """
         n, rows, weights = self.n, self.rows, self.weights
         if n == 0:
             if lo <= 0 <= hi:
                 yield ()
             return
-        c = [Fraction(ci) for ci in center]
-        D = lcm(*(ci.denominator for ci in c))
-        C = [ci.numerator * (D // ci.denominator) for ci in c]
-        top, bottom = floor(self.scale * D * D * hi), ceil(self.scale * D * D * lo)
+        top, bottom = self.scale * hi, self.scale * lo
         if top < 0 or bottom > top:
             return
         x = [0] * n
@@ -208,7 +205,7 @@ def definite_short_vectors(L: Lattice, min_square: int) -> list[Vector]:
         raise ValidationError(f"min_square must be a negative integer, got {min_square}")
     form = _posdef_of_negdef(L.gram)
     found = set()
-    for v in form.enumerate((0,) * L.rank, 1, -min_square):
+    for v in form.enumerate((0,) * L.rank, 1, 1, -min_square):
         found.add(sign_normalize(v))
     return sorted(found)
 
@@ -259,7 +256,8 @@ class _BaseData:
     x0: Vector                     # integral solution of q(x, v0) = g0
     basis: tuple                   # integral basis of v0^perp (columns)
     form: _PosDefForm              # positive definite form on v0^perp
-    c1: tuple                      # Gw^{-1} (B^T G x0): center per unit t/g0
+    c1: tuple                      # |det Gw| Gw^{-1} (B^T G x0): center numerator per unit t/g0
+    det: int                       # |det Gw| > 0, the center's denominator
 
 
 @lru_cache(maxsize=256)
@@ -272,9 +270,10 @@ def _base_data(L: Lattice, v0: Vector) -> _BaseData:
     gx0 = gram_apply(L, x0)
     h1 = tuple(sum(b[i] * gx0[i] for i in range(n)) for b in basis)
     det, (x,) = _bareiss(sub_gram, (h1,))
+    sign = 1 if det > 0 else -1
     return _BaseData(
         norm=int(square(L, v0)), g0=int(g0), x0=x0, basis=basis, form=form,
-        c1=tuple(Fraction(xi, det) for xi in x),
+        c1=tuple(sign * xi for xi in x), det=sign * det,
     )
 
 
@@ -283,36 +282,37 @@ def _embed(basis, x0, k, y) -> Vector:
     return tuple(k * x0[i] + sum(y[j] * basis[j][i] for j in range(len(basis))) for i in range(n))
 
 
-def _check_positive_pair(L: Lattice, v0, v1):
+def _positive(L: Lattice, v) -> tuple[Vector, int]:
+    """The primitive integral ray of v and its square, after checking that
+    L has signature (1, m) and that v is positive."""
     if L.signature[0] != 1:
         raise SignatureError(f"wall search needs signature (1, m), lattice has {L.signature}")
-    if square(L, v0) <= 0:
-        raise NonPositiveVectorError(f"v0 = {tuple(v0)} is not positive")
-    if square(L, v1) <= 0:
-        raise NonPositiveVectorError(f"v1 = {tuple(v1)} is not positive")
-    if pairing(L, v0, v1) <= 0:
-        raise NonPositiveVectorError("v0 and v1 do not lie in the same positive component")
+    vi = primitive_integral(v)
+    qv = square(L, vi)
+    if qv <= 0:
+        raise NonPositiveVectorError(f"{tuple(v)} is not positive")
+    return vi, qv
 
 
-def _iter_walls_for_t(L: Lattice, v0p: Vector, spec: WallSpec, d: int, t_values, keep):
-    """Shared kernel: yield walls s with q(s,s) = d, q(s, v0p) = t >= 0."""
-    data = _base_data(L, v0p)
-    N, g0 = data.norm, data.g0
-    for t in t_values:
-        k, rmod = divmod(t, g0)
-        if rmod != 0:
+def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, d: int, t_lo: int, t_hi: int):
+    """Shared kernel: yield walls s with q(s,s) = d and t_lo <= q(s, v) <= t_hi.
+
+    Every pairing t = q(s, v) is a multiple k g0.  The orthogonal part
+    of s has D^2 Q(y + k c1/D) = D^2 (t^2/N - d), an integer for every
+    integral s, so a t where it is not has no wall.
+    """
+    data = _base_data(L, v)
+    N, g0, D = data.norm, data.g0, data.det
+    for k in range(-(-t_lo // g0), t_hi // g0 + 1):
+        t = k * g0
+        target, rmod = divmod(D * D * (t * t - d * N), N)
+        if rmod:
             continue
-        target = Fraction(t * t, N) - d
         center = tuple(k * ci for ci in data.c1)
-        for y in data.form.enumerate(center, target, target):
+        for y in data.form.enumerate(center, D, target, target):
             s = _embed(data.basis, data.x0, k, y)
-            if content(s) != 1:
-                continue
-            if not _passes(L, s, spec):
-                continue
-            if keep is not None and not keep(s):
-                continue
-            yield Wall(vector=s, square=d)
+            if content(s) == 1 and _passes(L, s, spec):
+                yield Wall(vector=s, square=d)
 
 
 def separating_walls(L: Lattice, v0, v1, spec: WallSpec) -> list[Wall]:
@@ -332,38 +332,30 @@ def separating_walls(L: Lattice, v0, v1, spec: WallSpec) -> list[Wall]:
 
 def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
     """Generator behind :func:`separating_walls`; order not guaranteed."""
-    _check_positive_pair(L, v0, v1)
-    v0p = primitive_integral(v0)
-    V1 = primitive_integral(v1)
-    N = square(L, v0p)
+    v0p, N = _positive(L, v0)
+    V1, q1 = _positive(L, v1)
     mu = pairing(L, v0p, V1)
-    q1 = square(L, V1)
+    if mu <= 0:
+        raise NonPositiveVectorError("v0 and v1 do not lie in the same positive component")
     gap = mu * mu - N * q1  # zero iff v0, v1 are proportional
     if gap <= 0:
         return
     gv1 = gram_apply(L, V1)
-    rank = L.rank
-
-    def keep(s):
-        return sum(s[i] * gv1[i] for i in range(rank)) < 0
-
     for d in sorted(spec.squares):
         tmax = isqrt((-d * gap - 1) // q1)  # largest t with t^2 q1 < |d| gap
-        yield from _iter_walls_for_t(L, v0p, spec, d, range(1, tmax + 1), keep)
+        for w in _iter_walls_for_t(L, v0p, spec, d, 1, tmax):
+            if sum(map(mul, w.vector, gv1)) < 0:
+                yield w
 
 
 def walls_near(L: Lattice, v, spec: WallSpec, max_pairing: int) -> list[Wall]:
     """Walls s with q(s,s) in spec and 1 <= q(s, v~) <= max_pairing, where
     v~ is the primitive integral rescaling of v.  Candidate universe for
     facet detection; completeness is relative to the pairing bound."""
-    vi = primitive_integral(v)
-    if square(L, vi) <= 0:
-        raise NonPositiveVectorError(f"witness {tuple(v)} is not positive")
-    if L.signature[0] != 1:
-        raise SignatureError(f"wall search needs signature (1, m), lattice has {L.signature}")
+    vi, _ = _positive(L, v)
     walls: list[Wall] = []
     for d in sorted(spec.squares):
-        walls.extend(_iter_walls_for_t(L, vi, spec, d, range(1, max_pairing + 1), None))
+        walls.extend(_iter_walls_for_t(L, vi, spec, d, 1, max_pairing))
     walls.sort(key=lambda w: w.sort_key)
     return walls
 
@@ -377,39 +369,19 @@ def has_other_separating_wall(L: Lattice, v0, v1, spec: WallSpec, excluded) -> b
     return any(sign_normalize(w.vector) not in ex for w in iter_separating_walls(L, v0, v1, spec))
 
 
-def walls_containing(L: Lattice, v, spec: WallSpec, search_bound: int | None = None) -> list[Wall]:
-    """All walls through v (q(s, v) = 0), sign-normalized and sorted.
-
-    For positive v the orthogonal complement is negative definite, so
-    the enumeration is complete and ``search_bound`` is ignored.  For v
-    on the boundary of the positive cone (q(v,v) = 0) completeness fails
-    structurally; a box scan bounded by ``search_bound`` is performed
-    and the limitation is the caller's to interpret.
-    """
-    vi = primitive_integral(v)
-    qv = square(L, vi)
-    if qv < 0:
-        raise NonPositiveVectorError(f"{tuple(v)} is negative: not in the closed positive cone")
-    found = set()
-    if qv > 0:
-        for d in sorted(spec.squares):
-            for w in _iter_walls_for_t(L, vi, spec, d, (0,), None):
-                found.add((d, sign_normalize(w.vector)))
-    else:
-        if search_bound is None:
-            raise ValidationError("boundary point: walls_containing needs an explicit search_bound")
-        for d in sorted(spec.squares):
-            for s in vectors_of_square(L, d, search_bound):
-                if content(s) == 1 and pairing(L, s, vi) == 0 and _passes(L, s, spec):
-                    found.add((d, sign_normalize(s)))
+def walls_containing(L: Lattice, v, spec: WallSpec) -> list[Wall]:
+    """All walls through the positive class v (q(s, v) = 0), sign-normalized
+    and sorted; complete, since v^perp is negative definite."""
+    vi, _ = _positive(L, v)
+    found = {(d, sign_normalize(w.vector)) for d in spec.squares
+             for w in _iter_walls_for_t(L, vi, spec, d, 0, 0)}
     return [Wall(vector=vec, square=d) for d, vec in sorted(found)]
 
 
 def ensure_wall_free(L: Lattice, v, spec: WallSpec) -> None:
     """Raise WallIncidenceError when some spec wall passes through v,
-    NonPositiveVectorError when v is not positive."""
-    if square(L, v) <= 0:
-        raise NonPositiveVectorError(f"{tuple(v)} is not positive")
+    NonPositiveVectorError when v is not positive, SignatureError when L
+    is not of signature (1, m)."""
     hits = walls_containing(L, v, spec)
     if hits:
         raise WallIncidenceError(

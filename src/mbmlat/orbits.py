@@ -400,19 +400,13 @@ def canonical_orbit_rep(L: Lattice, v, generators, word_budget: int = 8) -> Orbi
     return OrbitRepResult(vector=rep, complete=complete, visited=visited)
 
 
-def orbit_key_mod_sign(L: Lattice, v, mats, word_budget: int = 8) -> Vector:
-    """Canonical key of the orbit of {+-v}: norm-lex min over sign-quotiented BFS."""
-    _require_rank(L, v)
-    return _descend((_sign_min(as_int_vector(v)),), mats, word_budget, _sign_image)[0][0]
-
-
-def _pair_key(L: Lattice, pair, mats, word_budget: int, cache: dict) -> tuple:
-    """Canonical key of an ordered wall pair under the diagonal action,
-    orientation forgotten entrywise; (sup-norm, lex) canonical order."""
-    norm = (_sign_min(pair[0]), _sign_min(pair[1]))
-    if norm not in cache:
-        cache[norm] = _descend(norm, mats, word_budget, _sign_image)[0]
-    return cache[norm]
+def orbit_key_mod_sign(L: Lattice, vectors, mats, word_budget: int = 8) -> tuple[Vector, ...]:
+    """Canonical key of the orbit of a tuple of classes under the diagonal
+    action, each class taken up to sign: the (sup-norm, lex) minimum of a
+    sign-quotiented BFS."""
+    for v in vectors:
+        _require_rank(L, v)
+    return _descend(tuple(_sign_min(as_int_vector(v)) for v in vectors), mats, word_budget, _sign_image)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -494,42 +488,33 @@ def face_orbit_census(
     """
     graph = explore_tessellation(L, base, spec, depth, search_bound)
     mats = _generator_matrices(L, generators)
-    seen1: set = set()
-    seen2: set = set()
-    key1_cache: dict = {}
-    pair_cache: dict = {}
+    codims = (1, 2) if max_codim >= 2 else (1,)
+    seen: dict = {c: set() for c in codims}
+    keys: dict = {}
     rows: list[CensusRow] = []
     for d in range(depth + 1):
-        nodes = [n for n in graph.nodes if n.depth == d]
-        faces1 = 0
-        new1 = 0
-        faces2 = 0
-        new2 = 0
-        for n in nodes:
-            for s in n.facets:
-                faces1 += 1
-                norm = _sign_min(s.vector)
-                if norm not in key1_cache:
-                    key1_cache[norm] = orbit_key_mod_sign(L, norm, mats, word_budget)
-                k = key1_cache[norm]
-                if k not in seen1:
-                    seen1.add(k)
-                    new1 += 1
+        faces = dict.fromkeys(codims, 0)
+        new = dict.fromkeys(codims, 0)
+        for n in graph.nodes:
+            if n.depth != d:
+                continue
+            states = [(1, (_sign_min(s.vector),)) for s in n.facets]
             if max_codim >= 2:
-                for s1, s2 in permutations(n.facets, 2):
+                for pair in permutations(n.facets, 2):
                     try:
-                        flag = encode_flag(L, [s1, s2], spec)
+                        flag = encode_flag(L, list(pair), spec)
                     except FlagChainError:
                         continue
-                    faces2 += 1
-                    pair = (flag.entries[0].vector, flag.entries[1].vector)
-                    k = _pair_key(L, pair, mats, word_budget, pair_cache)
-                    if k not in seen2:
-                        seen2.add(k)
-                        new2 += 1
-        rows.append(CensusRow(depth=d, codim=1, faces=faces1, new_orbits=new1, total_orbits=len(seen1)))
-        if max_codim >= 2:
-            rows.append(CensusRow(depth=d, codim=2, faces=faces2, new_orbits=new2, total_orbits=len(seen2)))
+                    states.append((2, tuple(_sign_min(e.vector) for e in flag.entries)))
+            for codim, state in states:
+                faces[codim] += 1
+                if state not in keys:
+                    keys[state] = orbit_key_mod_sign(L, state, mats, word_budget)
+                if keys[state] not in seen[codim]:
+                    seen[codim].add(keys[state])
+                    new[codim] += 1
+        rows += [CensusRow(depth=d, codim=c, faces=faces[c], new_orbits=new[c], total_orbits=len(seen[c]))
+                 for c in codims]
     return CensusTable(lattice_name=L.name, base=graph.base, depth=depth, rows=tuple(rows))
 
 

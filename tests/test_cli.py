@@ -168,6 +168,24 @@ def test_wall_incidence_error_is_domain_error(argv, error):
     assert json.loads(err)["error"] == error
 
 
+K3_POSITIVE = ",".join(["1", "1"] + ["0"] * 20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["facets", "--witness", K3_POSITIVE],
+    ["explore", "--base", K3_POSITIVE, "--depth", "1"],
+    ["census", "--base", K3_POSITIVE, "--depth", "1"],
+    ["separate", "--v0", K3_POSITIVE, "--v1", K3_POSITIVE],
+], ids=["facets", "explore", "census", "separate"])
+def test_wall_search_names_the_signature(argv):
+    # K3 has signature (3, 19): every wall search rejects the lattice, not its form
+    code, _, err = invoke(argv + ["--lattice", "K3", "--squares", "-2"])
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["error"] == "SignatureError"
+    assert "(1, m)" in payload["message"]
+
+
 def test_usage_error_exit_code():
     code, _, _ = invoke(["no-such-command"])
     assert code == 2

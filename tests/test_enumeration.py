@@ -1,5 +1,5 @@
 import random
-from math import isqrt
+from math import ceil, floor, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -223,11 +223,9 @@ class TestWallsContaining:
         with pytest.raises(NonPositiveVectorError):
             walls_containing(UA, (1, -1, 0), SPEC2)
 
-    def test_boundary_needs_bound(self, U):
-        with pytest.raises(ValidationError):
+    def test_boundary_point_rejected(self, U):
+        with pytest.raises(NonPositiveVectorError):
             walls_containing(U, (1, 0), SPEC2)
-        got = walls_containing(U, (1, 0), SPEC2, search_bound=3)
-        assert [w.vector for w in got] == []
 
 
 class TestWallsNear:
@@ -291,7 +289,10 @@ def test_posdef_enumeration_matches_box_scan(data):
     lo = data.draw(st.fractions(-2, 8, max_denominator=3))
     hi = lo + data.draw(st.fractions(0, 6, max_denominator=3))
     form = _PosDefForm(G)
-    got = list(form.enumerate(center, lo, hi))
+    # center = C/D over one denominator; D^2 Q(x + C/D) is an integer
+    D = lcm(*(c.denominator for c in center))
+    C = tuple(int(c * D) for c in center)
+    got = list(form.enumerate(C, D, ceil(D * D * lo), floor(D * D * hi)))
     assert len(got) == len(set(got))
     expected = posdef_box_scan(G, center, lo, hi)
     assert sorted(got) == sorted(expected)
@@ -300,7 +301,7 @@ def test_posdef_enumeration_matches_box_scan(data):
         x = data.draw(st.sampled_from(expected))
         y = [x[i] + center[i] for i in range(n)]
         target = sum(y[i] * G[i][j] * y[j] for i in range(n) for j in range(n))
-        exact = list(form.enumerate(center, target, target))
+        exact = list(form.enumerate(C, D, int(D * D * target), int(D * D * target)))
         assert x in exact and len(exact) == len(set(exact))
         assert sorted(exact) == sorted(posdef_box_scan(G, center, target, target))
 

@@ -77,6 +77,15 @@ def test_no_floating_point(module):
     assert floats == [], f"{module}.py has a float literal or float() call at lines {floats}"
 
 
+def test_fractions_stay_at_the_boundary():
+    """Only ``core`` (exact rationals at the interface) and ``cli`` (parsing)
+    import ``fractions``; the kernels above ``core`` work in integers."""
+    importers = {module for module in LAYERS for node in ast.walk(_tree(module))
+                 if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+                 or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))}
+    assert importers <= {"core", "cli"}, f"{sorted(importers - {'core', 'cli'})} import fractions; only core and cli may"
+
+
 def _bench_constant(name: str):
     """A literal module-level constant of bench/tracing.py, read without importing it."""
     tree = ast.parse(BENCH_TRACING.read_text(encoding="utf-8"))

@@ -15,7 +15,6 @@ from mbmlat.errors import (
 from mbmlat.orbits import (
     Isometry,
     _generator_matrices,
-    _pair_key,
     canonical_orbit_rep,
     check_square_bound_reflective,
     degenerate_split,
@@ -271,12 +270,12 @@ class TestOrbitKeys:
         mats = _generator_matrices(UA, gens)
         for g in (gens[0], gens[2].compose(gens[1])):
             for v in [(0, 1, 1), (2, 1, 3), (3, 1, 1)]:
-                key = orbit_key_mod_sign(UA, v, mats)
-                assert orbit_key_mod_sign(UA, tuple(-c for c in v), mats) == key
-                assert orbit_key_mod_sign(UA, g.apply(v), mats) == key
+                key = orbit_key_mod_sign(UA, (v,), mats)
+                assert orbit_key_mod_sign(UA, (tuple(-c for c in v),), mats) == key
+                assert orbit_key_mod_sign(UA, (g.apply(v),), mats) == key
             a, b = (0, 1, 1), (2, 0, 1)
-            key = _pair_key(UA, (a, b), mats, 8, {})
-            assert _pair_key(UA, (g.apply(a), g.apply(b)), mats, 8, {}) == key
+            key = orbit_key_mod_sign(UA, (a, b), mats, 8)
+            assert orbit_key_mod_sign(UA, (g.apply(a), g.apply(b)), mats, 8) == key
 
 
 class TestCensus:
