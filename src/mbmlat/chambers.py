@@ -193,13 +193,12 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     undecided: list[Wall] = []
     for s in candidates:
         # every candidate pairs positively with w, so -s is never one
-        others = [u for u in candidates if u != s]
         # q(s,s) < 0: y is a positive multiple of w's projection onto the wall
         y = vec_scale(-1, project_off(L, w, s.vector))
         if is_reflective(L, s.vector):
             # cheap kill: a facet's midpoint witness must be strictly
             # feasible for every other wall, candidates included
-            if _violated(L, y, others):
+            if _violated(L, y, candidates, s):
                 continue
             # exact mirror criterion: s is a facet iff nothing else
             # separates the witness from its reflection
@@ -208,7 +207,7 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
                 faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y),
                                   chamber_witness=w))
             continue
-        status, on_wall = _decide_nonreflective(L, s, y, others)
+        status, on_wall = _decide_nonreflective(L, s, y, candidates)
         if status == "facet":
             faces.append(Face(supporting_wall=s, witness_on_wall=on_wall, chamber_witness=w))
         elif status == "unknown":
@@ -217,16 +216,18 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     return FacetResult(faces=tuple(faces), undecided=tuple(undecided), search_bound=search_bound)
 
 
-def _violated(L: Lattice, y, walls) -> list[tuple[int, Wall]]:
-    """The pairs (q(u, y), u) with q(u, y) <= 0, from one gram_apply of y."""
+def _violated(L: Lattice, y, walls, s: Wall) -> list[tuple[int, Wall]]:
+    """The pairs (q(u, y), u) with q(u, y) <= 0 for the walls u other than
+    s itself, from one gram_apply of y."""
     gy = gram_apply(L, y)
-    return [(q, u) for u in walls if (q := sum(map(mul, u.vector, gy))) <= 0]
+    return [(q, u) for u in walls if u is not s and (q := sum(map(mul, u.vector, gy))) <= 0]
 
 
-def _decide_nonreflective(L: Lattice, s: Wall, y, others) -> tuple[str, Vector | None]:
-    """Decide s from y, a positive point on the wall; ``others`` are the
-    other candidates, none of them parallel to s."""
-    vio = _violated(L, y, others)
+def _decide_nonreflective(L: Lattice, s: Wall, y, candidates) -> tuple[str, Vector | None]:
+    """Decide s from y, a positive point on the wall, against the other
+    ``candidates``; every candidate pairs positively with the chamber
+    witness, so none is parallel to s."""
+    vio = _violated(L, y, candidates, s)
     # certificate: a wall whose projection into s^perp has non-negative
     # square keeps one sign on the whole positive component of the wall
     for _, u in vio:
@@ -245,7 +246,7 @@ def _decide_nonreflective(L: Lattice, s: Wall, y, others) -> tuple[str, Vector |
                 return "non-facet", None
             return "unknown", None
         y = primitive_integral(reflect_vector(L, y, ut))
-        vio = _violated(L, y, others)
+        vio = _violated(L, y, candidates, s)
     return "unknown", None
 
 
@@ -334,11 +335,16 @@ def encode_flag(L: Lattice, face_chain: Sequence, spec: WallSpec) -> Flag:
 
 @dataclass(frozen=True)
 class ChamberNode:
+    """An explored chamber.  ``path`` lists the facets s_1, ..., s_k crossed
+    on its BFS path from the base, so its witness is a positive multiple
+    of g(base) for g = r_{s_k} ... r_{s_1}."""
+
     key: tuple
     witness: Vector
     depth: int
     facets: tuple[Wall, ...]       # oriented toward the chamber interior
     undecided: tuple[Wall, ...]
+    path: tuple[Wall, ...] = ()
 
     @property
     def node_id(self) -> str:
@@ -410,7 +416,10 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
     Crossing reflects the witness across the facet wall (exact; for a
     reflective wall system the image witness is wall-free whenever the
     source is).  Chamber identity is the sorted crossing set relative to
-    the base witness.  Node and edge orderings are deterministic.
+    the base witness.  Every crossing must change that set by exactly
+    the crossed wall, or ReductionInvariantError is raised.  Node and
+    edge orderings are deterministic; each node records the path of its
+    first discovery.
     """
     if depth < 0:
         raise ValidationError("depth must be >= 0")
@@ -420,16 +429,16 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
     # chambers are processed layer by layer in key order, which is the
     # (depth, key) node order; each is built from the walls found on entry
     seen = {()}
-    frontier = [Chamber(lattice=L, spec=spec, witness=base_p, base_witness=base_p, crossing_set=())]
+    frontier = [(Chamber(lattice=L, spec=spec, witness=base_p, base_witness=base_p, crossing_set=()), ())]
     nodes: list[ChamberNode] = []
     edges: set[tuple] = set()
     for layer in range(depth + 1):
-        nxt: list[Chamber] = []
-        for ch in sorted(frontier, key=lambda c: c.key):
+        nxt: list[tuple[Chamber, tuple[Wall, ...]]] = []
+        for ch, path in sorted(frontier, key=lambda cp: cp[0].key):
             res = facet_walls(L, ch, search_bound)
             nodes.append(ChamberNode(key=ch.key, witness=ch.witness, depth=layer,
                                      facets=tuple(f.supporting_wall for f in res.faces),
-                                     undecided=res.undecided))
+                                     undecided=res.undecided, path=path))
             if layer == depth:
                 continue
             for face in res.faces:
@@ -437,10 +446,16 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
                 w2 = primitive_integral(reflect_vector(L, ch.witness, s.vector))
                 ch2 = Chamber(lattice=L, spec=spec, witness=w2, base_witness=base_p,
                               crossing_set=tuple(separating_walls(L, base_p, w2, spec)))
+                crossed = {sign_normalize(k[1]) for k in set(ch.key) ^ set(ch2.key)}
+                if crossed != {sign_normalize(s.vector)}:
+                    raise ReductionInvariantError(
+                        f"crossing {s.vector} from {ch.witness} to {w2} changed the crossing set "
+                        f"by {sorted(crossed)}, not by that one wall"
+                    )
                 edges.add(tuple(sorted((ch.key, ch2.key))) + (s.unsigned(),))
                 if ch2.key not in seen:
                     seen.add(ch2.key)
-                    nxt.append(ch2)
+                    nxt.append((ch2, path + (s,)))
         frontier = nxt
         if not frontier:
             break

@@ -485,6 +485,17 @@ def face_orbit_census(
     codim-2 face chains are keyed by the orbit of the flag pair under
     the diagonal generator action, orientation forgotten.  New-orbit
     counts per depth give the saturation profile.
+
+    The base chamber's states are keyed first, by descent.  A chamber
+    gC reached by crossing facets whose base-frame reflections are all
+    generators (see :func:`_path_inverse`) has g in the group, so each of
+    its states shares the key of its g^{-1} image, a state of the base
+    chamber: when every base-facet reflection is a generator, the rows
+    of depth >= 1 have no new orbits by construction.  A state falls
+    back to its own descent when its chamber's g is not known to be in
+    the group (custom generators without the base-facet reflections, or
+    a crossing whose reflection is not integral) or when its image is
+    not a keyed base state (a base facet cut off at ``search_bound``).
     """
     graph = explore_tessellation(L, base, spec, depth, search_bound)
     mats = _generator_matrices(L, generators)
@@ -498,6 +509,7 @@ def face_orbit_census(
         for n in graph.nodes:
             if n.depth != d:
                 continue
+            ginv = _path_inverse(L, n.path, mats)
             states = [(1, (_sign_min(s.vector),)) for s in n.facets]
             if max_codim >= 2:
                 for pair in permutations(n.facets, 2):
@@ -509,13 +521,38 @@ def face_orbit_census(
             for codim, state in states:
                 faces[codim] += 1
                 if state not in keys:
-                    keys[state] = orbit_key_mod_sign(L, state, mats, word_budget)
+                    image = None if ginv is None else _sign_image(ginv, state)
+                    keys[state] = (keys[image] if image in keys
+                                   else orbit_key_mod_sign(L, state, mats, word_budget))
                 if keys[state] not in seen[codim]:
                     seen[codim].add(keys[state])
                     new[codim] += 1
         rows += [CensusRow(depth=d, codim=c, faces=faces[c], new_orbits=new[c], total_orbits=len(seen[c]))
                  for c in codims]
     return CensusTable(lattice_name=L.name, base=graph.base, depth=depth, rows=tuple(rows))
+
+
+def _path_inverse(L: Lattice, path, mats) -> Matrix | None:
+    """g^{-1} for g = r_{s_k} ... r_{s_1}, the product of the reflections in
+    the facets s_1, ..., s_k crossed on a BFS path, or None unless g is a
+    word in the generator matrices ``mats``.
+
+    Step i crosses a facet of g_{i-1}C, so s_i = g_{i-1} t_i for the
+    base-frame wall t_i = g_{i-1}^{-1} s_i; then r_{s_i} = g_{i-1} r_{t_i}
+    g_{i-1}^{-1} and g = r_{t_1} ... r_{t_k}, which lies in the group when
+    every r_{t_i} is a generator.  A crossing whose reflection is not
+    integral is taken as not in the group.
+    """
+    ginv = identity_matrix(L.rank)
+    for s in path:
+        try:
+            r = reflection(L, mat_vec(ginv, s.vector)).matrix
+        except NonIntegralReflectionError:
+            return None
+        if r not in mats:
+            return None
+        ginv = mat_mul(r, ginv)
+    return ginv
 
 
 def facet_reflection_generators(L: Lattice, base, spec: WallSpec, search_bound: int = 24) -> tuple[Isometry, ...]:

@@ -191,6 +191,31 @@ def form(gram, a, b):
     return sum(a[i] * gram[i][j] * b[j] for i in range(len(a)) for j in range(len(b)))
 
 
+def odd_coxeter_classes(gram, roots) -> int:
+    """Components of the graph on simple roots of square -2 with an edge
+    wherever |q(s_i, s_j)| = 1, i.e. the Coxeter label m_ij is 3.
+
+    Two simple reflections are conjugate in the reflection group if and
+    only if a path of odd-m edges joins them (Bourbaki, Lie Groups ch. IV
+    §1 ex. 3), so this counts the orbits of the facets of the base chamber.
+    """
+    seen: set = set()
+    classes = 0
+    for i in range(len(roots)):
+        if i in seen:
+            continue
+        classes += 1
+        seen.add(i)
+        stack = [i]
+        while stack:
+            a = stack.pop()
+            for b in range(len(roots)):
+                if b not in seen and abs(form(gram, roots[a], roots[b])) == 1:
+                    seen.add(b)
+                    stack.append(b)
+    return classes
+
+
 def rational_projection(gram, v, x):
     """v minus its x-component, in plain Fraction arithmetic (q(x,x) != 0)."""
     c = Fraction(form(gram, v, x), form(gram, x, x))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mbmlat import core
+from mbmlat import chambers, core
 from mbmlat.chambers import (
     DEFAULT_SEARCH_BOUND,
     chamber_at,
@@ -286,6 +286,14 @@ class TestExploreTessellation:
             ((d, vec),) = diff
             assert d == e.wall.square
             assert core.sign_normalize(vec) == e.wall.vector
+
+    def test_crossing_must_change_the_key_by_one_wall(self, UA, monkeypatch):
+        # a separating search that drops a wall leaves every crossed
+        # chamber with the base's key: the run-time adjacency check fires
+        real = chambers.separating_walls
+        monkeypatch.setattr(chambers, "separating_walls", lambda *args: real(*args)[1:])
+        with pytest.raises(ReductionInvariantError, match="not by that one wall"):
+            explore_tessellation(UA, BASE["U+A1m2"], SPEC2, 1)
 
     def test_base_on_wall_rejected(self, UA):
         with pytest.raises(WallIncidenceError):

@@ -32,6 +32,10 @@ GOLDEN_COMMANDS = [
                        "--depth", "3", "--format", "text"]),
     ("census_d2.json", ["census", "--lattice", "U+A1m2", "--base", "5,3,2", "--squares", "-2",
                         "--depth", "2"]),
+    # one of the three base-facet reflections only: chambers past the other two
+    # facets are keyed by descent, and their rows keep new orbits
+    ("census_custom.txt", ["census", "--lattice", "U+A1m2", "--base", "5,3,2", "--squares", "-2",
+                           "--depth", "2", "--reflections", "0,0,1", "--format", "text"]),
     ("validate_catalog.txt", ["validate-catalog", "--format", "text"]),
     ("enumerate_box.txt", ["enumerate", "--lattice", "U+A1m2", "--square", "-2", "--box", "1", "--format", "text"]),
     ("separate.txt", ["separate", "--lattice", "U+A1m2", "--v0", "1,1,0", "--v1", "3,2,2", "--squares", "-2",

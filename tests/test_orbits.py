@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from mbmlat import core
+from mbmlat import core, orbits
+from mbmlat.chambers import chamber_at, explore_tessellation, facet_walls
 from mbmlat.core import make_lattice, pairing, square
-from mbmlat.enumeration import vectors_of_square, wall_spec
+from mbmlat.enumeration import Wall, separating_walls, vectors_of_square, wall_spec
 from mbmlat.errors import (
     BaseRepsError,
     KernelRankError,
@@ -15,6 +16,7 @@ from mbmlat.errors import (
 from mbmlat.orbits import (
     Isometry,
     _generator_matrices,
+    _path_inverse,
     canonical_orbit_rep,
     check_square_bound_reflective,
     degenerate_split,
@@ -28,7 +30,7 @@ from mbmlat.orbits import (
     orbit_key_mod_sign,
     reflection,
 )
-from oracles import closure_classes, complement_orbit_reps, degenerate_generator_set
+from oracles import closure_classes, complement_orbit_reps, degenerate_generator_set, form, odd_coxeter_classes
 
 SPEC2 = wall_spec([-2])
 
@@ -300,3 +302,77 @@ class TestCensus:
         lines = text.strip().split("\n")
         assert lines[0].split() == ["depth", "codim", "faces", "new_orbits", "total_orbits"]
         assert len({len(line) for line in lines}) == 1
+
+
+# the census-r4 input: U+A1m2+A1m2, base (3,4,1,1), search bound 20, depth 2
+R4_BASE = (3, 4, 1, 1)
+
+
+@pytest.fixture(scope="module")
+def r4(UAA):
+    """The census-r4 census with the start state of every descent recorded,
+    its exploration and its generator matrices."""
+    gens = facet_reflection_generators(UAA, R4_BASE, SPEC2, 20)
+    starts = []
+    real = orbits._descend
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_descend", lambda state, *rest: starts.append(state) or real(state, *rest))
+        table = face_orbit_census(UAA, R4_BASE, SPEC2, gens, 2, search_bound=20)
+    graph = explore_tessellation(UAA, R4_BASE, SPEC2, 2, 20)
+    return table, starts, graph, _generator_matrices(UAA, gens)
+
+
+class TestCensusByBaseReduction:
+    def test_one_descent_per_base_state(self, r4):
+        table, starts, graph, _ = r4
+        # 5 base facets and 16 encodable base flags, each descended once;
+        # every other chamber's states reuse the keys of their base images
+        assert len(starts) == len(set(starts)) == 21
+        base = graph.nodes[0]
+        assert {s for s in starts if len(s) == 1} == {(orbits._sign_min(f.vector),) for f in base.facets}
+        assert table.saturation(1) == (3, 0, 0)
+        assert table.saturation(2) == (8, 0, 0)
+
+    def _path_isometries(self, UAA, r4):
+        _, _, graph, mats = r4
+        for node in graph.nodes:
+            ginv = _path_inverse(UAA, node.path, mats)
+            assert ginv is not None, node.path
+            assert len(node.path) == node.depth
+            yield node, isometry(UAA, ginv).inverse().matrix
+
+    def test_path_isometry_preserves_the_gram_matrix(self, UAA, r4):
+        for _, g in self._path_isometries(UAA, r4):
+            cols = core.mat_transpose(g)
+            assert [[form(UAA.gram, a, b) for b in cols] for a in cols] == [list(r) for r in UAA.gram]
+
+    def test_path_isometry_maps_the_base_witness_into_the_chamber(self, UAA, r4):
+        for node, g in self._path_isometries(UAA, r4):
+            image = core.mat_vec(g, R4_BASE)
+            assert tuple(w.sort_key for w in separating_walls(UAA, R4_BASE, image, SPEC2)) == node.key
+
+    def test_path_isometry_maps_base_facets_onto_the_chamber_facets(self, UAA, r4):
+        base = r4[2].nodes[0]
+        for node, g in self._path_isometries(UAA, r4):
+            images = {core.sign_normalize(core.mat_vec(g, f.vector)) for f in base.facets}
+            assert images == {core.sign_normalize(f.vector) for f in node.facets}
+
+    def test_path_outside_the_group_has_no_inverse(self, UAA, r4):
+        mats = r4[3]
+        # q(e_1, s) = -1 is not divisible by q(s, s)/2 = -2: no integral reflection
+        assert _path_inverse(UAA, (Wall(vector=(1, -1, 0, 1), square=-4),), mats) is None
+        # the reflection in e_3 alone reaches across that base facet only;
+        # nodes 1-5 are the chambers across the five base facets
+        only_e3 = _generator_matrices(UAA, [reflection(UAA, (0, 0, 1, 0))])
+        for node in r4[2].nodes[1:6]:
+            across_e3 = core.sign_normalize(node.path[0].vector) == (0, 0, 1, 0)
+            assert (_path_inverse(UAA, node.path, only_e3) is not None) == across_e3
+
+    def test_facet_orbits_are_odd_coxeter_classes(self, UA, UAA, r4):
+        ua_base = (5, 3, 2)
+        ua_table = face_orbit_census(UA, ua_base, SPEC2, facet_reflection_generators(UA, ua_base, SPEC2), 2)
+        for L, base, bound, table, want in ((UA, ua_base, 24, ua_table, 2), (UAA, R4_BASE, 20, r4[0], 3)):
+            roots = [f.supporting_wall.vector
+                     for f in facet_walls(L, chamber_at(L, base, spec=SPEC2), bound).faces]
+            assert odd_coxeter_classes(L.gram, roots) == want
+            assert next(r.total_orbits for r in table.rows if r.codim == 1 and r.depth == 2) == want
