@@ -46,7 +46,6 @@ from .orbits import (
     Isometry,
     canonical_orbit_rep,
     face_orbit_census,
-    facet_reflection_generators,
     isometry,
     kneser_degenerate_reps,
     reflection,
@@ -224,11 +223,9 @@ def _cmd_kneser(args, L, spec) -> dict:
 
 def _cmd_census(args, L, spec) -> dict:
     base = _parse_vector(args.base)
-    gens = _load_generators(L, args)
-    if not gens:
-        gens = list(facet_reflection_generators(L, base, spec, args.search_bound))
+    # no generators given: the base chamber's facet reflections
     table = face_orbit_census(
-        L, base, spec, gens, args.depth,
+        L, base, spec, _load_generators(L, args) or None, args.depth,
         word_budget=args.word_budget, search_bound=args.search_bound, max_codim=args.max_codim,
     )
     return {"json": table.to_json_dict(), "text": table.to_text()}

@@ -18,7 +18,9 @@ bounds ``t^2 < |d| (mu^2 - N q1) / q1`` where ``mu = q(v0, v1)`` and
 divisibility ``g0 = gcd(gram . v0)``; for each one the candidates are
 enumerated exactly in ``v0^perp`` around an integer center over one
 denominator and reconstructed in the ambient lattice, discarding
-non-integral or imprimitive reconstructions.
+imprimitive reconstructions.  The half-space ``q(s, v1) < 0`` is a
+linear cut of that enumeration, which prunes by it on every level, so
+only the far-side cap of each t-ellipsoid is visited.
 
 All functions are pure; per-basepoint data is memoized on immutable keys.
 """
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, lcm
+from itertools import accumulate
+from math import isqrt, lcm, prod
 from operator import mul
 
 from .core import (
@@ -137,51 +140,88 @@ class _PosDefForm:
         if any(d <= 0 for d in minors):
             raise SignatureError("form is not positive definite")
         self.n = n = len(gram)
-        dens = [minors[i] * minors[i + 1] for i in range(n)]
+        self.dens = dens = tuple(minors[i] * minors[i + 1] for i in range(n))
         self.scale = lcm(*dens)
         self.weights = tuple(self.scale // den for den in dens)
 
-    def enumerate(self, C, D, lo, hi):
+    def linear(self, h):
+        """The linear form z -> h.z in the kernel's coordinates, integrally.
+
+        With a_i = sum_{j>=i} R_ij z_j, h.z = lam.a for lam = R^{-T} h.
+        Returns ``(Lam, mu, sums)``: Lam = prod_i R_ii, the integer vector
+        mu = Lam lam (one forward substitution, every division exact since
+        Lam R^{-T} is the adjugate) and the prefix sums
+        sums[L] = sum_{i<=L} mu_i^2 Delta_i Delta_{i+1}.
+        """
+        rows = self.rows
+        big = prod(row[0] for row in rows)
+        mu: list[int] = []
+        for j, row in enumerate(rows):
+            mu.append((big * h[j] - sum(rows[i][j - i] * mu[i] for i in range(j))) // row[0])
+        return big, tuple(mu), tuple(accumulate(m * m * den for m, den in zip(mu, self.dens)))
+
+    def enumerate(self, C, D, lo, hi, cut=None):
         """Yield every integer x with lo <= D^2 Q(x + C/D) <= hi, each exactly once.
 
         ``C`` is an integer vector, ``D > 0`` one common denominator and
         ``lo``, ``hi`` are integers.  Since D^2 Q(x + C/D) = Q(D x + C),
         every level works on the integers z_j = D x_j + C_j against the
         bounds scale * hi and scale * lo.
+
+        ``cut = (self.linear(h), thr)`` keeps only the x with h.z < thr, an
+        integer threshold, and prunes by it on every level: with the
+        coordinates above L fixed, Lam h.z = P + sum_{i<=L} mu_i a_i, and
+        over the ball sum_{i<=L} W_i a_i^2 <= rem that sum is at least
+        -sqrt(rem sums[L] / scale) (Cauchy-Schwarz), so a subtree with
+        P >= Lam thr and scale (P - Lam thr)^2 >= rem sums[L] holds no
+        point of the cut.  On level 0 the cut is an interval of a_0.
         """
-        n, rows, weights = self.n, self.rows, self.weights
+        n, rows, weights, scale = self.n, self.rows, self.weights, self.scale
+        (big, mu, sums), thr = cut or ((1, (0,) * n, (0,) * n), 1)
         if n == 0:
-            if lo <= 0 <= hi:
+            if lo <= 0 <= hi and 0 < thr:
                 yield ()
             return
-        top, bottom = self.scale * hi, self.scale * lo
+        top, bottom = scale * hi, scale * lo
         if top < 0 or bottom > top:
             return
+        limit = big * thr
         x = [0] * n
         z = [0] * n
 
-        def rec(level: int, used: int):
+        def rec(level: int, used: int, part: int):
+            # part = Lam h.z over the fixed levels above this one
+            excess, rem = part - limit, top - used
+            if excess >= 0 and scale * excess * excess >= rem * sums[level]:
+                return
             # a = sum_{j>=level} R_lj z_j = step * x_level + b, |a| <= r
             row = rows[level]
             step = D * row[0]
             b = row[0] * C[level] + sum(row[j - level] * z[j] for j in range(level + 1, n))
-            r = isqrt((top - used) // weights[level])
+            r = isqrt(rem // weights[level])
+            m = mu[level]
             if level > 0:
                 for t in range(-((r + b) // step), (r - b) // step + 1):
                     x[level] = t
                     z[level] = D * t + C[level]
                     a = step * t + b
-                    yield from rec(level - 1, used + weights[level] * a * a)
+                    yield from rec(level - 1, used + weights[level] * a * a, part + m * a)
                 return
             need = bottom - used
             s = isqrt((need - 1) // weights[0]) + 1 if need > 0 else 0
-            # a in [s, r], then a in [-r, -max(s, 1)]: |a| >= s, zero once
-            for t in (*range(-((b - s) // step), (r - b) // step + 1),
-                      *range(-((r + b) // step), (-max(s, 1) - b) // step + 1)):
+            # the cut part + m a < limit bounds a on one side: a in [a_lo, a_hi]
+            a_lo, a_hi = -r, r
+            if m > 0:
+                a_hi = min(r, (limit - part - 1) // m)
+            elif m < 0:
+                a_lo = max(-r, -((limit - part - 1) // -m))
+            # a >= max(s, a_lo), then a <= -max(s, 1): |a| >= s, zero once
+            for t in (*range(-((b - max(s, a_lo)) // step), (a_hi - b) // step + 1),
+                      *range(-((b - a_lo) // step), (min(-max(s, 1), a_hi) - b) // step + 1)):
                 x[0] = t
                 yield tuple(x)
 
-        yield from rec(n - 1, 0)
+        yield from rec(n - 1, 0, 0)
 
 
 @lru_cache(maxsize=256)
@@ -294,25 +334,37 @@ def _positive(L: Lattice, v) -> tuple[Vector, int]:
     return vi, qv
 
 
-def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, d: int, t_lo: int, t_hi: int):
-    """Shared kernel: yield walls s with q(s,s) = d and t_lo <= q(s, v) <= t_hi.
+def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, ranges, gv1=None):
+    """Shared kernel: yield walls s with q(s,s) = d and t_lo <= q(s, v) <= t_hi
+    for each ``(d, t_lo, t_hi)`` in ``ranges``, and, given ``gv1`` = G v1,
+    only those with q(s, v1) < 0.
 
     Every pairing t = q(s, v) is a multiple k g0.  The orthogonal part
     of s has D^2 Q(y + k c1/D) = D^2 (t^2/N - d), an integer for every
-    integral s, so a t where it is not has no wall.
+    integral s, so a t where it is not has no wall.  With s = k x0 + B y
+    and z = D y + k c1, q(s, v1) = k q(x0, v1) + h.y for h_j = q(b_j, v1),
+    so q(s, v1) < 0 is the enumeration's cut h.z < k (h.c1 - D q(x0, v1)),
+    whose form data does not depend on d or t.
     """
     data = _base_data(L, v)
-    N, g0, D = data.norm, data.g0, data.det
-    for k in range(-(-t_lo // g0), t_hi // g0 + 1):
-        t = k * g0
-        target, rmod = divmod(D * D * (t * t - d * N), N)
-        if rmod:
-            continue
-        center = tuple(k * ci for ci in data.c1)
-        for y in data.form.enumerate(center, D, target, target):
-            s = _embed(data.basis, data.x0, k, y)
-            if content(s) == 1 and _passes(L, s, spec):
-                yield Wall(vector=s, square=d)
+    N, g0, D, c1 = data.norm, data.g0, data.det, data.c1
+    linear = per_k = None
+    if gv1 is not None:
+        h = tuple(sum(map(mul, b, gv1)) for b in data.basis)
+        linear = data.form.linear(h)
+        per_k = sum(map(mul, h, c1)) - D * sum(map(mul, data.x0, gv1))
+    for d, t_lo, t_hi in ranges:
+        for k in range(-(-t_lo // g0), t_hi // g0 + 1):
+            t = k * g0
+            target, rmod = divmod(D * D * (t * t - d * N), N)
+            if rmod:
+                continue
+            center = tuple(k * ci for ci in c1)
+            cut = None if linear is None else (linear, k * per_k)
+            for y in data.form.enumerate(center, D, target, target, cut):
+                s = _embed(data.basis, data.x0, k, y)
+                if content(s) == 1 and _passes(L, s, spec):
+                    yield Wall(vector=s, square=d)
 
 
 def separating_walls(L: Lattice, v0, v1, spec: WallSpec) -> list[Wall]:
@@ -331,7 +383,8 @@ def separating_walls(L: Lattice, v0, v1, spec: WallSpec) -> list[Wall]:
 
 
 def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
-    """Generator behind :func:`separating_walls`; order not guaranteed."""
+    """Generator behind :func:`separating_walls`; order not guaranteed.
+    Only the far-side cap q(s, v1) < 0 of each t-ellipsoid is enumerated."""
     v0p, N = _positive(L, v0)
     V1, q1 = _positive(L, v1)
     mu = pairing(L, v0p, V1)
@@ -340,12 +393,9 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
     gap = mu * mu - N * q1  # zero iff v0, v1 are proportional
     if gap <= 0:
         return
-    gv1 = gram_apply(L, V1)
-    for d in sorted(spec.squares):
-        tmax = isqrt((-d * gap - 1) // q1)  # largest t with t^2 q1 < |d| gap
-        for w in _iter_walls_for_t(L, v0p, spec, d, 1, tmax):
-            if sum(map(mul, w.vector, gv1)) < 0:
-                yield w
+    # the largest t with t^2 q1 < |d| gap, per square
+    ranges = [(d, 1, isqrt((-d * gap - 1) // q1)) for d in sorted(spec.squares)]
+    yield from _iter_walls_for_t(L, v0p, spec, ranges, gram_apply(L, V1))
 
 
 def walls_near(L: Lattice, v, spec: WallSpec, max_pairing: int) -> list[Wall]:
@@ -353,11 +403,8 @@ def walls_near(L: Lattice, v, spec: WallSpec, max_pairing: int) -> list[Wall]:
     v~ is the primitive integral rescaling of v.  Candidate universe for
     facet detection; completeness is relative to the pairing bound."""
     vi, _ = _positive(L, v)
-    walls: list[Wall] = []
-    for d in sorted(spec.squares):
-        walls.extend(_iter_walls_for_t(L, vi, spec, d, 1, max_pairing))
-    walls.sort(key=lambda w: w.sort_key)
-    return walls
+    ranges = [(d, 1, max_pairing) for d in spec.squares]
+    return sorted(_iter_walls_for_t(L, vi, spec, ranges), key=lambda w: w.sort_key)
 
 
 def has_other_separating_wall(L: Lattice, v0, v1, spec: WallSpec, excluded) -> bool:
@@ -373,8 +420,8 @@ def walls_containing(L: Lattice, v, spec: WallSpec) -> list[Wall]:
     """All walls through the positive class v (q(s, v) = 0), sign-normalized
     and sorted; complete, since v^perp is negative definite."""
     vi, _ = _positive(L, v)
-    found = {(d, sign_normalize(w.vector)) for d in spec.squares
-             for w in _iter_walls_for_t(L, vi, spec, d, 0, 0)}
+    found = {(w.square, sign_normalize(w.vector))
+             for w in _iter_walls_for_t(L, vi, spec, [(d, 0, 0) for d in spec.squares])}
     return [Wall(vector=vec, square=d) for d, vec in sorted(found)]
 
 

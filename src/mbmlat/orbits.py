@@ -496,8 +496,11 @@ def face_orbit_census(
     the group (custom generators without the base-facet reflections, or
     a crossing whose reflection is not integral) or when its image is
     not a keyed base state (a base facet cut off at ``search_bound``).
+    ``generators=None`` takes the reflections in the base node's facets.
     """
     graph = explore_tessellation(L, base, spec, depth, search_bound)
+    if generators is None:
+        generators = [reflection(L, s) for s in graph.nodes[0].facets]
     mats = _generator_matrices(L, generators)
     codims = (1, 2) if max_codim >= 2 else (1,)
     seen: dict = {c: set() for c in codims}

@@ -180,6 +180,30 @@ class TestSeparatingWalls:
                 assert w.square == square(UAA, w.vector)
                 assert w.square in spec.squares
 
+    @pytest.mark.parametrize("v0, v1", [
+        ((3, 4, 1, 1), (20, 3, 4, -5)),
+        ((3, 4, 1, 1), (2, 15, -3, 4)),
+        ((3, 4, 1, 1), (11, 11, 6, -6)),
+        ((4, 5, 1, 2), (13, 2, 0, -4)),
+    ])
+    def test_search_visits_only_the_far_side(self, UAA, v0, v1, monkeypatch):
+        # every point the enumeration yields is a separating wall: none is
+        # on the near side q(s, v1) >= 0, so none is embedded and dropped
+        yielded = []
+        enumerate_points = _PosDefForm.enumerate
+
+        def counted(form, *args):
+            for x in enumerate_points(form, *args):
+                yielded.append(x)
+                yield x
+
+        monkeypatch.setattr(_PosDefForm, "enumerate", counted)
+        got = separating_walls(UAA, v0, v1, SPEC2)
+        assert len(got) >= 5
+        assert len(yielded) == len(got)
+        box = wall_box_bound(UAA, v0, v1, SPEC2.squares)
+        assert {(w.square, w.vector) for w in got} == brute_force_separating(UAA, v0, v1, SPEC2, box)
+
     def test_reflective_filter(self):
         # on <-4>+U the class (1,0,0) reflects integrally, (1,1,0)-type may not
         L = make_lattice(core.direct_sum([[-4]], core.U_GRAM), "A1m4+U")
@@ -304,6 +328,36 @@ def test_posdef_enumeration_matches_box_scan(data):
         exact = list(form.enumerate(C, D, int(D * D * target), int(D * D * target)))
         assert x in exact and len(exact) == len(set(exact))
         assert sorted(exact) == sorted(posdef_box_scan(G, center, target, target))
+
+
+@PROPERTY
+@given(st.data())
+def test_posdef_enumeration_with_a_cut_matches_box_scan(data):
+    G = data.draw(posdef_grams())
+    n = len(G)
+    center = tuple(data.draw(st.fractions(-2, 2, max_denominator=4)) for _ in range(n))
+    lo = data.draw(st.fractions(-2, 8, max_denominator=3))
+    hi = lo + data.draw(st.fractions(0, 6, max_denominator=3))
+    D = lcm(*(c.denominator for c in center))
+    C = tuple(int(c * D) for c in center)
+    box = posdef_box_scan(G, center, lo, hi)
+    if box and data.draw(st.booleans()):
+        # an attained exact target, as the wall searches ask for
+        x = data.draw(st.sampled_from(box))
+        y = [x[i] + center[i] for i in range(n)]
+        lo = hi = sum(y[i] * G[i][j] * y[j] for i in range(n) for j in range(n))
+        box = posdef_box_scan(G, center, lo, hi)
+    form = _PosDefForm(G)
+    for h in ((0,) * n, data.draw(st.tuples(*[st.integers(-3, 3)] * n))):
+        sides = {x: sum(h[i] * (D * x[i] + C[i]) for i in range(n)) for x in box}
+        values = sorted(set(sides.values())) or [0]
+        # every attained h.z, whose points lie on the cut and are excluded,
+        # and one past either end, where the cut keeps every point or none
+        for thr in (values[0] - 1, *values, values[-1] + 1):
+            cut = (form.linear(h), thr)
+            got = list(form.enumerate(C, D, ceil(D * D * lo), floor(D * D * hi), cut))
+            assert len(got) == len(set(got))
+            assert sorted(got) == sorted(x for x in box if sides[x] < thr), (h, thr)
 
 
 @st.composite

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mbmlat import core, orbits
+from mbmlat import chambers, core, orbits
 from mbmlat.chambers import chamber_at, explore_tessellation, facet_walls
 from mbmlat.core import make_lattice, pairing, square
 from mbmlat.enumeration import Wall, separating_walls, vectors_of_square, wall_spec
@@ -332,6 +332,17 @@ class TestCensusByBaseReduction:
         assert {s for s in starts if len(s) == 1} == {(orbits._sign_min(f.vector),) for f in base.facets}
         assert table.saturation(1) == (3, 0, 0)
         assert table.saturation(2) == (8, 0, 0)
+
+    def test_default_generators_reuse_the_base_facets(self, UAA, r4, monkeypatch):
+        # without generators the census reflects in the base facets its own
+        # exploration found: one facet search per node, none repeated
+        calls = []
+        real = chambers.facet_walls
+        for module in (chambers, orbits):
+            monkeypatch.setattr(module, "facet_walls", lambda *args: calls.append(args) or real(*args))
+        table = face_orbit_census(UAA, R4_BASE, SPEC2, None, 2, search_bound=20)
+        assert table == r4[0]
+        assert len(calls) == len(r4[2].nodes) == 20
 
     def _path_isometries(self, UAA, r4):
         _, _, graph, mats = r4
