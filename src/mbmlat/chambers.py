@@ -420,6 +420,14 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
     the crossed wall, or ReductionInvariantError is raised.  Node and
     edge orderings are deterministic; each node records the path of its
     first discovery.
+
+    Only the base chamber's facets are searched for with
+    :func:`facet_walls`, and those of a chamber first reached across a
+    non-reflective wall or from a chamber with undecided walls.  A chamber
+    first reached across a reflective facet s of a chamber C with no
+    undecided walls takes r_s(facets of C), with none undecided: the
+    repair search's choices follow ``sort_key`` order, which r_s does not
+    keep, so undecided walls are never transported.
     """
     if depth < 0:
         raise ValidationError("depth must be >= 0")
@@ -427,22 +435,24 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
     ensure_wall_free(L, base_p, spec)
 
     # chambers are processed layer by layer in key order, which is the
-    # (depth, key) node order; each is built from the walls found on entry
+    # (depth, key) node order; each is built from the walls found on entry,
+    # and its facets are those transported to it, or else searched for
     seen = {()}
-    frontier = [(Chamber(lattice=L, spec=spec, witness=base_p, base_witness=base_p, crossing_set=()), ())]
+    frontier = [(Chamber(lattice=L, spec=spec, witness=base_p, base_witness=base_p, crossing_set=()), (), None)]
     nodes: list[ChamberNode] = []
     edges: set[tuple] = set()
     for layer in range(depth + 1):
-        nxt: list[tuple[Chamber, tuple[Wall, ...]]] = []
-        for ch, path in sorted(frontier, key=lambda cp: cp[0].key):
-            res = facet_walls(L, ch, search_bound)
+        nxt: list[tuple[Chamber, tuple[Wall, ...], tuple[Wall, ...] | None]] = []
+        for ch, path, facets in sorted(frontier, key=lambda cp: cp[0].key):
+            undecided = ()
+            if facets is None:
+                res = facet_walls(L, ch, search_bound)
+                facets, undecided = tuple(f.supporting_wall for f in res.faces), res.undecided
             nodes.append(ChamberNode(key=ch.key, witness=ch.witness, depth=layer,
-                                     facets=tuple(f.supporting_wall for f in res.faces),
-                                     undecided=res.undecided, path=path))
+                                     facets=facets, undecided=undecided, path=path))
             if layer == depth:
                 continue
-            for face in res.faces:
-                s = face.supporting_wall
+            for s in facets:
                 w2 = primitive_integral(reflect_vector(L, ch.witness, s.vector))
                 ch2 = Chamber(lattice=L, spec=spec, witness=w2, base_witness=base_p,
                               crossing_set=tuple(separating_walls(L, base_p, w2, spec)))
@@ -455,7 +465,7 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
                 edges.add(tuple(sorted((ch.key, ch2.key))) + (s.unsigned(),))
                 if ch2.key not in seen:
                     seen.add(ch2.key)
-                    nxt.append((ch2, path + (s,)))
+                    nxt.append((ch2, path + (s,), _transported(L, facets, s) if not undecided else None))
         frontier = nxt
         if not frontier:
             break
@@ -471,3 +481,18 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
         nodes=tuple(nodes),
         edges=edge_tuple,
     )
+
+
+def _transported(L: Lattice, facets, s: Wall) -> tuple[Wall, ...] | None:
+    """The facets of r_s(C), as the images of the facets of C, or None
+    when the reflection in s is not integral.
+
+    An integral reflection is an isometry of L: it keeps each wall's
+    square and primitivity, the candidate set q(u, witness) <=
+    search_bound and every exact facet decision, so it maps the facets of
+    C onto those of r_s(C), still oriented toward the interior.
+    """
+    if not is_reflective(L, s.vector):
+        return None
+    return tuple(sorted((Wall(vector=reflect_vector(L, f.vector, s.vector), square=f.square) for f in facets),
+                        key=lambda f: f.sort_key))

@@ -474,7 +474,11 @@ def reflect_vector(L: Lattice, v: Sequence, s: Sequence) -> Vector:
     qss = pairing(L, s, s)
     if qss == 0:
         raise IsotropicVectorError(f"cannot reflect in isotropic vector {tuple(s)}")
-    c = 2 * Fraction(pairing(L, v, s), qss)
+    qvs2 = 2 * pairing(L, v, s)
+    if qvs2 % qss == 0 and all(isinstance(x, int) for x in (*v, *s)):
+        c = qvs2 // qss
+        return tuple(v[i] - c * s[i] for i in range(L.rank))
+    c = Fraction(qvs2, qss)
     out = tuple(v[i] - c * s[i] for i in range(L.rank))
     return as_int_vector(out) if vec_is_integral(out) else out
 

@@ -59,8 +59,10 @@ class BaseRepsError(MbmlatError):
 
 
 class ReductionInvariantError(MbmlatError):
-    """Internal diagnostic: a reflection step failed to strictly decrease the
-    separating-wall count, which would falsify the reduction algorithm."""
+    """Internal diagnostic: a run-time invariant of the chamber geometry
+    failed -- a reflection step that does not decrease the separating-wall
+    count, a crossing that changes the chamber key by more than the
+    crossed wall, or a base chamber with an obtuse angle between facets."""
 
 
 class SquareBoundViolationError(MbmlatError):

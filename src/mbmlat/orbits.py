@@ -1,17 +1,21 @@
 """Isometry-group machinery: reflections, orbit canonicalization, the
 degenerate-kernel orbit-representative algorithm, and face-orbit censuses.
 
-The group acting is always user-supplied (a generator set); nothing here
-claims to construct the full isometry group of an indefinite lattice.
-Orbit canonical forms are explicit under-approximations: equal outputs
-prove two vectors lie in one orbit (a word connects them), unequal
-outputs are inconclusive unless the search is flagged complete.
+The group acting is a generator set: user-supplied, or the reflections
+in the base chamber's facets; nothing here claims to construct the full
+isometry group of an indefinite lattice.  Orbit canonical forms by
+descent are explicit under-approximations: equal outputs prove two
+vectors lie in one orbit (a word connects them), unequal outputs are
+inconclusive unless the search is flagged complete.  Under the base
+chamber's own reflection group the census keys are exact: that chamber
+is a Coxeter polyhedron, and the orbits of its faces follow from its
+Coxeter diagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .chambers import chamber_at, encode_flag, explore_tessellation, facet_walls
 from .core import (
@@ -38,6 +42,7 @@ from .core import (
     vec_scale,
     _bareiss,
     _column_reduce,
+    _symmetric_bareiss,
     _require_rank,
 )
 from .enumeration import Wall, WallSpec, is_reflective
@@ -46,6 +51,7 @@ from .errors import (
     FlagChainError,
     KernelRankError,
     NonIntegralReflectionError,
+    ReductionInvariantError,
     SquareBoundViolationError,
     ValidationError,
 )
@@ -486,21 +492,29 @@ def face_orbit_census(
     the diagonal generator action, orientation forgotten.  New-orbit
     counts per depth give the saturation profile.
 
-    The base chamber's states are keyed first, by descent.  A chamber
-    gC reached by crossing facets whose base-frame reflections are all
-    generators (see :func:`_path_inverse`) has g in the group, so each of
-    its states shares the key of its g^{-1} image, a state of the base
-    chamber: when every base-facet reflection is a generator, the rows
-    of depth >= 1 have no new orbits by construction.  A state falls
-    back to its own descent when its chamber's g is not known to be in
-    the group (custom generators without the base-facet reflections, or
-    a crossing whose reflection is not integral) or when its image is
-    not a keyed base state (a base facet cut off at ``search_bound``).
-    ``generators=None`` takes the reflections in the base node's facets.
+    The base chamber's states are keyed first.  ``generators=None`` takes
+    the reflections in the base node's facets; the base chamber is then a
+    fundamental domain of their group, and its states take the exact
+    labels that :func:`_coxeter_classes` reads off its Coxeter diagram.
+    Explicit generators key them by descent, which is exact only where
+    keys agree.  A chamber gC reached by crossing facets whose base-frame
+    reflections are all generators (see :func:`_path_inverse`) has g in
+    the group, so each of its states shares the key of its g^{-1} image,
+    a state of the base chamber: when every base-facet reflection is a
+    generator, the rows of depth >= 1 have no new orbits by
+    construction.  A state falls back to its own descent when its
+    chamber's g is not known to be in the group (custom generators
+    without the base-facet reflections, or a crossing whose reflection is
+    not integral) or when its image is not a keyed base state (a base
+    facet cut off at ``search_bound``, or one left undecided).
     """
+    if word_budget < 1:
+        raise ValidationError(f"word_budget must be >= 1, got {word_budget}")
     graph = explore_tessellation(L, base, spec, depth, search_bound)
+    diagram = None
     if generators is None:
         generators = [reflection(L, s) for s in graph.nodes[0].facets]
+        diagram = _coxeter_classes(L, graph.nodes[0].facets)
     mats = _generator_matrices(L, generators)
     codims = (1, 2) if max_codim >= 2 else (1,)
     seen: dict = {c: set() for c in codims}
@@ -513,26 +527,115 @@ def face_orbit_census(
             if n.depth != d:
                 continue
             ginv = _path_inverse(L, n.path, mats)
-            states = [(1, (_sign_min(s.vector),)) for s in n.facets]
+            # each state with the indices of the facets it is built from
+            states = [(1, (_sign_min(s.vector),), (i,)) for i, s in enumerate(n.facets)]
             if max_codim >= 2:
-                for pair in permutations(n.facets, 2):
+                for i, j in permutations(range(len(n.facets)), 2):
                     try:
-                        flag = encode_flag(L, list(pair), spec)
+                        flag = encode_flag(L, [n.facets[i], n.facets[j]], spec)
                     except FlagChainError:
                         continue
-                    states.append((2, tuple(_sign_min(e.vector) for e in flag.entries)))
-            for codim, state in states:
+                    states.append((2, tuple(_sign_min(e.vector) for e in flag.entries), (i, j)))
+            for codim, state, index in states:
                 faces[codim] += 1
                 if state not in keys:
                     image = None if ginv is None else _sign_image(ginv, state)
-                    keys[state] = (keys[image] if image in keys
-                                   else orbit_key_mod_sign(L, state, mats, word_budget))
+                    if d == 0 and diagram is not None:
+                        keys[state] = diagram[index]
+                    elif image in keys:
+                        keys[state] = keys[image]
+                    else:
+                        keys[state] = orbit_key_mod_sign(L, state, mats, word_budget)
                 if keys[state] not in seen[codim]:
                     seen[codim].add(keys[state])
                     new[codim] += 1
         rows += [CensusRow(depth=d, codim=c, faces=faces[c], new_orbits=new[c], total_orbits=len(seen[c]))
                  for c in codims]
     return CensusTable(lattice_name=L.name, base=graph.base, depth=depth, rows=tuple(rows))
+
+
+def _coxeter_classes(L: Lattice, facets) -> dict:
+    """Exact orbit labels of a chamber's facets and flags under the group W
+    generated by the reflections in its facets s_1, ..., s_k.
+
+    Labels are keyed (i,) for the facet s_i and (i, j) for the flag
+    (H_i, H_i cap H_j); two states share a label iff one W-orbit holds
+    both.  The chamber cut out by the s_i is a Coxeter polyhedron and a
+    fundamental domain for W, so the orbits follow from its Coxeter
+    matrix.  n_ij = 4 q_ij^2 / (q_ii q_jj) = 4 cos^2(pi / m_ij) is the
+    product of the integral reflection coefficients 2 q_ij / q_ii and
+    2 q_ij / q_jj: n = 0, 1, 2, 3 give m = 2, 3, 4, 6 and n >= 4 gives
+    m = infinity.  An obtuse pair, q_ij < 0, raises ReductionInvariantError.
+
+    * Two facets are conjugate iff a path of m = 3 edges joins them
+      (Humphreys, Reflection Groups and Coxeter Groups, 1990).
+    * (i, j) is a flag iff m_ij is finite, which is when ``encode_flag``
+      accepts the pair.  Flag orbits are the components of the graph of
+      the moves (i, j) -> sigma_I(i, j), from w_0(I) for I = {i, j}, and
+      (i, j) -> sigma_K sigma_I(i, j), from w_0(K) w_0(I) for each
+      spherical K = I + {k}, whose Gram matrix is negative definite.
+      These generate every conjugation of W_I onto a standard parabolic
+      subgroup (Deodhar, Comm. Algebra 10, 1982; Brink and Howlett,
+      Invent. Math. 136, 1999).
+    """
+    g = induced_gram(L, [s.vector for s in facets])
+    k = len(g)
+    obtuse = [(i, j) for i in range(k) for j in range(i) if g[i][j] < 0]
+    if obtuse:
+        i, j = obtuse[0]
+        raise ReductionInvariantError(
+            f"facets {facets[j].vector} and {facets[i].vector} meet at an obtuse angle "
+            f"(q = {g[i][j]} < 0): the chamber is not a Coxeter chamber of their reflections"
+        )
+    n = [[4 * g[i][j] ** 2 // (g[i][i] * g[j][j]) for j in range(k)] for i in range(k)]
+    spherical = [K for K in combinations(range(k), 3)
+                 if all(d > 0 for d in _symmetric_bareiss([[-g[a][b] for b in K] for a in K])[1])]
+    flags = [(i, j) for i, j in permutations(range(k), 2) if n[i][j] < 4]
+    moves = []
+    for i, j in flags:
+        sigma = _opposition((i, j), n)
+        a, b = sigma[i], sigma[j]
+        moves.append(((i, j), (a, b)))
+        for K in spherical:
+            if i in K and j in K:
+                tau = _opposition(K, n)
+                moves.append(((i, j), (tau[a], tau[b])))
+    odd = [(i, j) for i, j in combinations(range(k), 2) if n[i][j] == 1]
+    labels = {(i,): c for i, c in _components(range(k), odd).items()}
+    labels.update(_components(flags, moves))
+    return labels
+
+
+def _opposition(X, n) -> dict:
+    """sigma_X = -w_0 on the simple roots of a spherical X of rank 2 or 3.
+
+    It reverses each component of type A: it swaps an A2 pair and the two
+    ends of an A3, and fixes an A1.  An X with an m = 4 or 6 edge is B2,
+    G2 or B3, possibly plus A1, on which -w_0 is the identity.
+    """
+    links = {i: [j for j in X if j != i and n[i][j]] for i in X}
+    sigma = {i: i for i in X}
+    if all(n[i][j] == 1 for i in X for j in links[i]):
+        for i in X:
+            if len(links[i]) == 1:
+                (j,) = links[i]
+                sigma[i] = next((x for x in links[j] if x != i), j)
+    return sigma
+
+
+def _components(nodes, edges) -> dict:
+    """Each node mapped to the least node of its connected component."""
+    root = {x: x for x in nodes}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in nodes}
 
 
 def _path_inverse(L: Lattice, path, mats) -> Matrix | None:

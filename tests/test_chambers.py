@@ -295,6 +295,26 @@ class TestExploreTessellation:
         with pytest.raises(ReductionInvariantError, match="not by that one wall"):
             explore_tessellation(UA, BASE["U+A1m2"], SPEC2, 1)
 
+    @pytest.mark.parametrize("name, squares, base, fallback", [
+        ("U+A1m2", [-2], BASE["U+A1m2"], False),
+        ("U+A1m2+A1m2", [-2], BASE["U+A1m2+A1m2"], False),
+        # the -4 walls are not reflective and some stay undecided in every
+        # chamber, so no facets are transported: each node searches its own
+        ("U+A1m2+A1m2", [-2, -4], (5, 8, -2, -1), True),
+    ])
+    def test_transported_facets_are_sound(self, lattices, name, squares, base, fallback):
+        L, spec = lattices[name], wall_spec(squares)
+        g = explore_tessellation(L, base, spec, 2)
+        assert len(g.nodes) > 1
+        assert all(n.undecided for n in g.nodes) == fallback
+        for node in g.nodes:
+            direct = facet_walls(L, chamber_at(L, node.witness, spec=spec))
+            faces = {f.supporting_wall for f in direct.faces}
+            assert faces <= set(node.facets) <= faces | set(direct.undecided)
+            if not direct.undecided:
+                assert node.facets == tuple(f.supporting_wall for f in direct.faces)
+            assert node.undecided == (direct.undecided if fallback else ())
+
     def test_base_on_wall_rejected(self, UA):
         with pytest.raises(WallIncidenceError):
             explore_tessellation(UA, (1, 1, 0), SPEC2, 1)

@@ -369,6 +369,26 @@ class TestVectorHelpers:
     def test_reflect_vector(self, UA):
         assert reflect_vector(UA, (3, 2, 2), (0, 1, 1)) == (3, 1, 1)
 
+    def test_reflect_vector_is_exact_and_typed_by_integrality(self):
+        # random pairs on <-4> + U reflect to integral and to proper rational
+        # images; the image is a tuple of ints when it is integral, else a
+        # tuple of Fractions, whatever the input's types
+        L = make_lattice(direct_sum([[-4]], core.U_GRAM))
+        rng = random.Random(79)
+        for _ in range(300):
+            v = tuple(rng.randint(-6, 6) for _ in range(3))
+            s = tuple(rng.randint(-3, 3) for _ in range(3))
+            qss = form(L.gram, s, s)
+            if qss == 0:
+                continue
+            for x in (v, tuple(map(Fraction, v)), tuple(Fraction(c, 2) for c in v)):
+                c = Fraction(2 * form(L.gram, x, s), qss)
+                want = tuple(x[i] - c * s[i] for i in range(3))
+                got = reflect_vector(L, x, s)
+                assert got == want
+                kind = int if all(w.denominator == 1 for w in want) else Fraction
+                assert all(type(g) is kind for g in got), (x, s, got)
+
     def test_vector_json_roundtrip(self):
         v = (1, Fraction(-3, 2), 0)
         data = core.vector_to_json(v)

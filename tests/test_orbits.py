@@ -1,16 +1,20 @@
 import random
+from contextlib import contextmanager
+from itertools import permutations
 
 import pytest
 
 from mbmlat import chambers, core, orbits
-from mbmlat.chambers import chamber_at, explore_tessellation, facet_walls
+from mbmlat.chambers import chamber_at, encode_flag, explore_tessellation, facet_walls
 from mbmlat.core import make_lattice, pairing, square
 from mbmlat.enumeration import Wall, separating_walls, vectors_of_square, wall_spec
 from mbmlat.errors import (
     BaseRepsError,
+    FlagChainError,
     KernelRankError,
     NonIntegralReflectionError,
     RankMismatchError,
+    ReductionInvariantError,
     ValidationError,
 )
 from mbmlat.orbits import (
@@ -311,20 +315,36 @@ R4_BASE = (3, 4, 1, 1)
 @pytest.fixture(scope="module")
 def r4(UAA):
     """The census-r4 census with the start state of every descent recorded,
-    its exploration and its generator matrices."""
+    its exploration, its generator matrices and the key each descent
+    found."""
     gens = facet_reflection_generators(UAA, R4_BASE, SPEC2, 20)
-    starts = []
-    real = orbits._descend
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orbits, "_descend", lambda state, *rest: starts.append(state) or real(state, *rest))
+    with _recorded_descents() as (starts, reps):
         table = face_orbit_census(UAA, R4_BASE, SPEC2, gens, 2, search_bound=20)
     graph = explore_tessellation(UAA, R4_BASE, SPEC2, 2, 20)
-    return table, starts, graph, _generator_matrices(UAA, gens)
+    return table, starts, graph, _generator_matrices(UAA, gens), reps
+
+
+@contextmanager
+def _recorded_descents():
+    """Record the start state of every ``_descend`` call in order, and the
+    representative it reached."""
+    starts, reps = [], {}
+    real = orbits._descend
+
+    def descend(state, *rest):
+        starts.append(state)
+        out = real(state, *rest)
+        reps[state] = out[0]
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_descend", descend)
+        yield starts, reps
 
 
 class TestCensusByBaseReduction:
     def test_one_descent_per_base_state(self, r4):
-        table, starts, graph, _ = r4
+        table, starts, graph, *_ = r4
         # 5 base facets and 16 encodable base flags, each descended once;
         # every other chamber's states reuse the keys of their base images
         assert len(starts) == len(set(starts)) == 21
@@ -335,17 +355,19 @@ class TestCensusByBaseReduction:
 
     def test_default_generators_reuse_the_base_facets(self, UAA, r4, monkeypatch):
         # without generators the census reflects in the base facets its own
-        # exploration found: one facet search per node, none repeated
+        # exploration found, and every other node takes its facets by
+        # transport across a reflective wall: one facet search in all
         calls = []
         real = chambers.facet_walls
         for module in (chambers, orbits):
             monkeypatch.setattr(module, "facet_walls", lambda *args: calls.append(args) or real(*args))
         table = face_orbit_census(UAA, R4_BASE, SPEC2, None, 2, search_bound=20)
         assert table == r4[0]
-        assert len(calls) == len(r4[2].nodes) == 20
+        assert len(r4[2].nodes) == 20
+        assert len(calls) == 1
 
     def _path_isometries(self, UAA, r4):
-        _, _, graph, mats = r4
+        _, _, graph, mats, _ = r4
         for node in graph.nodes:
             ginv = _path_inverse(UAA, node.path, mats)
             assert ginv is not None, node.path
@@ -387,3 +409,72 @@ class TestCensusByBaseReduction:
                      for f in facet_walls(L, chamber_at(L, base, spec=SPEC2), bound).faces]
             assert odd_coxeter_classes(L.gram, roots) == want
             assert next(r.total_orbits for r in table.rows if r.codim == 1 and r.depth == 2) == want
+
+
+# depth-0 census inputs U + X: lattice summand X, base point, wall spec.
+# Their base chambers' diagrams have edges of m = 3 (an A2 pair; an A3
+# path), m = 4 and m = 6.
+DIAGRAM_CASES = {
+    "U+A1m2": ([[-2]], (5, 3, 2), SPEC2),
+    "U+A2m1": ([[-2, 1], [1, -2]], (4, 5, 1, 1), SPEC2),
+    "U+A1m2+m4": ([[-2, 0], [0, -4]], (19, 14, 1, 4), SPEC2),
+    "U+A3m1": ([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], (27, 38, 5, 3, 3), SPEC2),
+    "U+A1m2+m4,reflective-2-4": ([[-2, 0], [0, -4]], (19, 14, 1, 4), wall_spec([-2, -4], True)),
+    "U+m6,reflective-2-4-6": ([[-6]], (5, 3, 1), wall_spec([-2, -4, -6], True)),
+}
+
+
+def _classes(labels: dict) -> set:
+    """The partition that a state -> label map induces, as a set of frozensets."""
+    classes = {}
+    for state, label in labels.items():
+        classes.setdefault(label, set()).add(state)
+    return {frozenset(c) for c in classes.values()}
+
+
+class TestCoxeterDiagramKeys:
+    """With no generators, the census labels the base states from the base
+    chamber's Coxeter diagram.  The oracle is the census with the same
+    group given as explicit generators, which keys them by descent."""
+
+    @staticmethod
+    def _diagram_census(L, base, spec, depth, bound):
+        """The default census and the partition of its base states by the
+        diagram labels it used."""
+        calls = []
+        real = orbits._coxeter_classes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbits, "_coxeter_classes", lambda *args: calls.append((args[1], real(*args))) or calls[-1][1])
+            table = face_orbit_census(L, base, spec, None, depth, search_bound=bound)
+        ((facets, labels),) = calls
+        states = {(i,): (orbits._sign_min(f.vector),) for i, f in enumerate(facets)}
+        for i, j in permutations(range(len(facets)), 2):
+            try:
+                flag = encode_flag(L, [facets[i], facets[j]], spec)
+            except FlagChainError:
+                continue
+            states[(i, j)] = tuple(orbits._sign_min(e.vector) for e in flag.entries)
+        # the diagram labels exactly the facets and the flags encode_flag accepts
+        assert set(labels) == set(states)
+        return table, _classes({states[index]: label for index, label in labels.items()})
+
+    @pytest.mark.parametrize("summand, base, spec", DIAGRAM_CASES.values(), ids=DIAGRAM_CASES.keys())
+    def test_diagram_classes_are_descent_classes(self, summand, base, spec):
+        L = make_lattice(core.direct_sum(core.U_GRAM, summand))
+        gens = facet_reflection_generators(L, base, spec)
+        with _recorded_descents() as (_, reps):
+            want = face_orbit_census(L, base, spec, gens, 0)
+        table, classes = self._diagram_census(L, base, spec, 0, 24)
+        assert table == want
+        assert classes == _classes(reps)
+
+    def test_diagram_classes_are_descent_classes_on_r4(self, UAA, r4):
+        table, classes = self._diagram_census(UAA, R4_BASE, SPEC2, 2, 20)
+        assert table == r4[0]
+        # the explicit census descended the base states and nothing else
+        assert classes == _classes(r4[4])
+
+    def test_obtuse_pair_raises(self, UA):
+        # q((0,0,1), (0,1,1)) = -2 < 0: no Coxeter chamber has both as facets
+        with pytest.raises(ReductionInvariantError, match="obtuse"):
+            orbits._coxeter_classes(UA, [Wall(vector=(0, 0, 1), square=-2), Wall(vector=(0, 1, 1), square=-2)])
