@@ -268,6 +268,76 @@ def _column_reduce(row: Sequence[int]) -> tuple[int, list[list[int]]]:
     return (r[0] if r[0] else 0), cols
 
 
+def _lll(gram: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
+    """Integral LLL reduction of a positive definite Gram matrix G.
+
+    Cohen, A Course in Computational Algebraic Number Theory (GTM 138),
+    Alg. 2.6.7 with delta = 3/4.  The Gram-Schmidt data are kept as the
+    integers d_i (the Gram determinant of the first i vectors) and
+    lambda_kj = d_{j+1} mu_kj, so every division is exact; they are
+    computed for all n vectors first (step 2 of the algorithm, run
+    eagerly) and kept current by every size reduction and swap.  Returns
+    ``(H, A)``: the rows of the unimodular H are the reduced basis in the
+    input coordinates and A = H G H^T is its Gram matrix, with
+    |mu_kj| <= 1/2 and the Lovasz condition
+    d_{k+1} d_{k-1} >= (3/4) d_k^2 - lambda_{k,k-1}^2 for every k >= 1.
+    """
+    n = len(gram)
+    a = [[int(x) for x in row] for row in gram]
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = a[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+
+    def reduce(k, l):
+        # b_k -= q b_l for the integer q nearest mu_kl
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+        a[k] = [x - q * y for x, y in zip(a[k], a[l])]
+        for row in a:
+            row[k] -= q * row[l]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        h[k], h[k - 1] = h[k - 1], h[k]
+        a[k], a[k - 1] = a[k - 1], a[k]
+        for row in a:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        lk, lk1 = lam[k], lam[k - 1]
+        lk[:k - 1], lk1[:k - 1] = lk1[:k - 1], lk[:k - 1]
+        m = lk[k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for li in lam[k + 1:]:
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
+            li[k - 1] = (b * t + m * li[k]) // d[k + 1]
+        d[k] = b
+
+    k = 1
+    while k < n:
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return tuple(map(tuple, h)), tuple(map(tuple, a))
+
+
 def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[Vector]:
     """Integral basis of the joint kernel of the given integer rows."""
     basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]

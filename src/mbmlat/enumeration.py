@@ -20,7 +20,12 @@ enumerated exactly in ``v0^perp`` around an integer center over one
 denominator and reconstructed in the ambient lattice, discarding
 imprimitive reconstructions.  The half-space ``q(s, v1) < 0`` is a
 linear cut of that enumeration, which prunes by it on every level, so
-only the far-side cap of each t-ellipsoid is visited.
+only the far-side cap of each t-ellipsoid is visited.  The basis of
+``v0^perp`` is LLL-reduced once per base point (:func:`core._lll`), which
+shrinks the Fincke-Pohst tree.  The set of walls does not depend on the
+basis, only the order in which they are found: the public searches sort
+or set-normalize their output, and ``has_other_separating_wall`` only
+asks whether one exists.
 
 All functions are pure; per-basepoint data is memoized on immutable keys.
 """
@@ -45,6 +50,7 @@ from .core import (
     sign_normalize,
     square,
     _bareiss,
+    _lll,
     _symmetric_bareiss,
 )
 from .errors import (
@@ -294,7 +300,7 @@ class _BaseData:
     norm: int                      # N = q(v0, v0)
     g0: int                        # gcd of gram . v0
     x0: Vector                     # integral solution of q(x, v0) = g0
-    basis: tuple                   # integral basis of v0^perp (columns)
+    basis: tuple                   # integral basis of v0^perp, LLL-reduced (the walls do not depend on it)
     form: _PosDefForm              # positive definite form on v0^perp
     c1: tuple                      # |det Gw| Gw^{-1} (B^T G x0): center numerator per unit t/g0
     det: int                       # |det Gw| > 0, the center's denominator
@@ -302,18 +308,15 @@ class _BaseData:
 
 @lru_cache(maxsize=256)
 def _base_data(L: Lattice, v0: Vector) -> _BaseData:
-    n = L.rank
     g0, x0, basis = hyperplane_basis(L, v0)
-    sub_gram = induced_gram(L, basis)
     # negative definiteness of v0^perp is equivalent to v0 being positive
-    form = _PosDefForm(tuple(tuple(-x for x in r) for r in sub_gram))
+    h, form_gram = _lll(tuple(tuple(-x for x in r) for r in induced_gram(L, basis)))
+    basis = tuple(tuple(sum(map(mul, row, col)) for col in zip(*basis)) for row in h)
     gx0 = gram_apply(L, x0)
-    h1 = tuple(sum(b[i] * gx0[i] for i in range(n)) for b in basis)
-    det, (x,) = _bareiss(sub_gram, (h1,))
-    sign = 1 if det > 0 else -1
+    # Gw = -form_gram, so |det Gw| Gw^{-1} h1 = det(form_gram) form_gram^{-1} (-h1)
+    det, (c1,) = _bareiss(form_gram, (tuple(-sum(map(mul, b, gx0)) for b in basis),))
     return _BaseData(
-        norm=int(square(L, v0)), g0=int(g0), x0=x0, basis=basis, form=form,
-        c1=tuple(sign * xi for xi in x), det=sign * det,
+        norm=int(square(L, v0)), g0=int(g0), x0=x0, basis=basis, form=_PosDefForm(form_gram), c1=c1, det=det,
     )
 
 

@@ -498,7 +498,7 @@ def face_orbit_census(
     labels that :func:`_coxeter_classes` reads off its Coxeter diagram.
     Explicit generators key them by descent, which is exact only where
     keys agree.  A chamber gC reached by crossing facets whose base-frame
-    reflections are all generators (see :func:`_path_inverse`) has g in
+    reflections are all generators (see :func:`_path_inverses`) has g in
     the group, so each of its states shares the key of its g^{-1} image,
     a state of the base chamber: when every base-facet reflection is a
     generator, the rows of depth >= 1 have no new orbits by
@@ -520,13 +520,14 @@ def face_orbit_census(
     seen: dict = {c: set() for c in codims}
     keys: dict = {}
     rows: list[CensusRow] = []
+    ginvs = _path_inverses(L, [n.path for n in graph.nodes], mats)
     for d in range(depth + 1):
         faces = dict.fromkeys(codims, 0)
         new = dict.fromkeys(codims, 0)
         for n in graph.nodes:
             if n.depth != d:
                 continue
-            ginv = _path_inverse(L, n.path, mats)
+            ginv = ginvs[n.path]
             # each state with the indices of the facets it is built from
             states = [(1, (_sign_min(s.vector),), (i,)) for i, s in enumerate(n.facets)]
             if max_codim >= 2:
@@ -638,27 +639,30 @@ def _components(nodes, edges) -> dict:
     return {x: find(x) for x in nodes}
 
 
-def _path_inverse(L: Lattice, path, mats) -> Matrix | None:
-    """g^{-1} for g = r_{s_k} ... r_{s_1}, the product of the reflections in
-    the facets s_1, ..., s_k crossed on a BFS path, or None unless g is a
-    word in the generator matrices ``mats``.
+def _path_inverses(L: Lattice, paths, mats) -> dict:
+    """g^{-1} for each BFS path, keyed by the path: g = r_{s_k} ... r_{s_1}
+    is the product of the reflections in the facets s_1, ..., s_k crossed,
+    and the value is None unless g is a word in the generator matrices
+    ``mats``.
 
     Step i crosses a facet of g_{i-1}C, so s_i = g_{i-1} t_i for the
     base-frame wall t_i = g_{i-1}^{-1} s_i; then r_{s_i} = g_{i-1} r_{t_i}
     g_{i-1}^{-1} and g = r_{t_1} ... r_{t_k}, which lies in the group when
     every r_{t_i} is a generator.  A crossing whose reflection is not
-    integral is taken as not in the group.
+    integral is taken as not in the group.  The paths come in BFS order,
+    so a path's parent (all but its last step) is done before it and each
+    path costs one reflection.
     """
-    ginv = identity_matrix(L.rank)
-    for s in path:
-        try:
-            r = reflection(L, mat_vec(ginv, s.vector)).matrix
-        except NonIntegralReflectionError:
-            return None
-        if r not in mats:
-            return None
-        ginv = mat_mul(r, ginv)
-    return ginv
+    ginvs: dict = {(): identity_matrix(L.rank)}
+    for path in filter(None, paths):
+        parent, r = ginvs[path[:-1]], None
+        if parent is not None:
+            try:
+                r = reflection(L, mat_vec(parent, path[-1].vector)).matrix
+            except NonIntegralReflectionError:
+                pass
+        ginvs[path] = mat_mul(r, parent) if r in mats else None
+    return ginvs
 
 
 def facet_reflection_generators(L: Lattice, base, spec: WallSpec, search_bound: int = 24) -> tuple[Isometry, ...]:

@@ -21,6 +21,16 @@ def floor_sqrt(x: Fraction) -> int:
     return isqrt(x.numerator // x.denominator)
 
 
+def ellipsoid_box(L, v0, R) -> int:
+    """Coordinate bound for every s with M(s) <= R: |s_i|^2 <= R (M^-1)_ii."""
+    N = core.square(L, v0)
+    n = L.rank
+    gv0 = gram_apply(L, v0)
+    M = [[Fraction(2 * gv0[i] * gv0[j], N) - L.gram[i][j] for j in range(n)] for i in range(n)]
+    Minv = rational_inverse(M)
+    return max(floor_sqrt(R * Minv[i][i]) for i in range(n)) + 1
+
+
 def wall_box_bound(L, v0, v1, squares) -> int:
     """Rigorous coordinate bound for any wall with q(s,v0) > 0 > q(s,v1)."""
     N = core.square(L, v0)
@@ -29,13 +39,15 @@ def wall_box_bound(L, v0, v1, squares) -> int:
     gap = mu * mu - N * q1
     if gap <= 0:
         return 1
-    n = L.rank
-    gv0 = gram_apply(L, v0)
-    M = [[Fraction(2 * gv0[i] * gv0[j], N) - L.gram[i][j] for j in range(n)] for i in range(n)]
-    Minv = rational_inverse(M)
     # t^2 < |d| * gap / q1, so M(s) = 2 t^2 / N + |d| is bounded by R
-    R = max(Fraction(2 * abs(d) * gap, q1 * N) + abs(d) for d in squares)
-    return max(floor_sqrt(R * Minv[i][i]) for i in range(n)) + 1
+    return ellipsoid_box(L, v0, max(Fraction(2 * abs(d) * gap, q1 * N) + abs(d) for d in squares))
+
+
+def near_box_bound(L, v, squares, max_pairing) -> int:
+    """Rigorous coordinate bound for any wall with 0 <= t = q(s, v) <= T =
+    max_pairing: M(s) = 2 t^2 / N + |d| <= 2 T^2 / N + |d|."""
+    N = core.square(L, v)
+    return ellipsoid_box(L, v, max(Fraction(2 * max_pairing ** 2, N) + abs(d) for d in squares))
 
 
 def posdef_box_scan(G, center, lo, hi) -> list:
@@ -72,6 +84,19 @@ def brute_force_separating(L, v0, v1, spec, box) -> set:
                 continue
             if core.pairing(L, s, v0) > 0 > core.pairing(L, s, v1):
                 out.add((d, s))
+    return out
+
+
+def brute_force_walls_near(L, v, spec, max_pairing, box) -> set:
+    """All primitive spec walls in the box with 1 <= q(s, v) <= max_pairing."""
+    out = set()
+    for d in spec.squares:
+        for s in vectors_of_square(L, d, box):
+            if core.content(s) != 1 or not 1 <= core.pairing(L, s, v) <= max_pairing:
+                continue
+            if spec.require_reflective and not is_reflective(L, s):
+                continue
+            out.add((d, s))
     return out
 
 
@@ -242,6 +267,26 @@ def rational_det_inverse(a):
                 f = m[i][k]
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     return det, [row[n:] for row in m]
+
+
+def check_lll(G, H, A) -> None:
+    """Assert that (H, A) is an LLL reduction of the positive definite G
+    with delta = 3/4, by plain Fraction Gram-Schmidt on A: H is unimodular,
+    A = H G H^T, |mu_ij| <= 1/2 and B_k >= (3/4 - mu_{k,k-1}^2) B_{k-1}."""
+    n = len(G)
+    assert len(H) == len(A) == n
+    assert abs(rational_det_inverse(H)[0]) == 1
+    assert [list(r) for r in A] == [[form(G, H[i], H[j]) for j in range(n)] for i in range(n)]
+    B: list = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (A[i][j] - sum(mu[j][k] * mu[i][k] * B[k] for k in range(j))) / B[j]
+            assert abs(mu[i][j]) <= Fraction(1, 2), (i, j, mu[i][j])
+        B.append(A[i][i] - sum(mu[i][k] ** 2 * B[k] for k in range(i)))
+        assert B[i] > 0
+    for k in range(1, n):
+        assert B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1], k
 
 
 def rational_inverse(a):

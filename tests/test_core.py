@@ -24,7 +24,7 @@ from mbmlat.errors import (
     SignatureError,
     ValidationError,
 )
-from oracles import form, rational_det_inverse, rational_projection, signature_by_diagonalization
+from oracles import check_lll, form, rational_det_inverse, rational_projection, signature_by_diagonalization
 
 
 class TestMakeLattice:
@@ -269,6 +269,35 @@ def test_symmetric_bareiss_signature_and_determinant(g):
     assert L.signature == signature_by_diagonalization(g)
     assert L.discriminant == abs(minors[-1])
     assert sum(1 for d in minors[1:] if d != 0) == sum(L.signature)
+
+
+@st.composite
+def lll_grams(draw):
+    """A positive definite Gram matrix of rank 0-6: A^T A + diag(1..3),
+    diagonal, or that form skewed by b_i += c b_j congruences."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["diagonal", "posdef", "skewed"]))
+    a = [[0 if kind == "diagonal" else draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)]
+    diag = [draw(st.integers(1, 3)) for _ in range(n)]
+    g = [[sum(a[k][i] * a[k][j] for k in range(n)) + (diag[i] if i == j else 0) for j in range(n)]
+         for i in range(n)]
+    for _ in range(draw(st.integers(1, 6)) if kind == "skewed" and n >= 2 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+        g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+        for row in g:
+            row[i] += c * row[j]
+    return tuple(map(tuple, g))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(lll_grams())
+def test_lll_reduces_by_a_unimodular_congruence(g):
+    h, a = core._lll(g)
+    check_lll(g, h, a)
+    assert all(type(x) is int for row in (*h, *a) for x in row)
+    # a reduced form is left as it is
+    assert core._lll(a) == (core.identity_matrix(len(g)), a)
 
 
 def restrict(L, x):

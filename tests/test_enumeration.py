@@ -25,7 +25,9 @@ from mbmlat.errors import (
 )
 from oracles import (
     brute_force_separating,
+    brute_force_walls_near,
     brute_force_walls_through,
+    near_box_bound,
     posdef_box_scan,
     random_positive_pair,
     rational_inverse,
@@ -391,3 +393,17 @@ def test_separating_walls_match_brute_force_on_skewed_bases(case, squares, refle
     box = wall_box_bound(L, v0, v1, spec.squares)
     got = {(w.square, w.vector) for w in separating_walls(L, v0, v1, spec)}
     assert got == brute_force_separating(L, v0, v1, spec, box)
+
+
+@PROPERTY
+@given(skewed_hyperbolic(), st.lists(st.sampled_from([-1, -2, -4]), min_size=1, unique=True), st.booleans(),
+       st.integers(1, 3))
+def test_walls_near_and_containing_match_brute_force_on_skewed_bases(case, squares, reflective, max_pairing):
+    L, v, _ = case
+    v = core.primitive_part(v)
+    spec = wall_spec(squares, require_reflective=reflective)
+    box = near_box_bound(L, v, spec.squares, max_pairing)
+    got = {(w.square, w.vector) for w in walls_near(L, v, spec, max_pairing)}
+    assert got == brute_force_walls_near(L, v, spec, max_pairing, box)
+    through = {(w.square, w.vector) for w in walls_containing(L, v, spec)}
+    assert through == brute_force_walls_through(L, v, spec, box)

@@ -20,7 +20,7 @@ from mbmlat.errors import (
 from mbmlat.orbits import (
     Isometry,
     _generator_matrices,
-    _path_inverse,
+    _path_inverses,
     canonical_orbit_rep,
     check_square_bound_reflective,
     degenerate_split,
@@ -368,8 +368,9 @@ class TestCensusByBaseReduction:
 
     def _path_isometries(self, UAA, r4):
         _, _, graph, mats, _ = r4
+        ginvs = _path_inverses(UAA, [node.path for node in graph.nodes], mats)
         for node in graph.nodes:
-            ginv = _path_inverse(UAA, node.path, mats)
+            ginv = ginvs[node.path]
             assert ginv is not None, node.path
             assert len(node.path) == node.depth
             yield node, isometry(UAA, ginv).inverse().matrix
@@ -393,13 +394,29 @@ class TestCensusByBaseReduction:
     def test_path_outside_the_group_has_no_inverse(self, UAA, r4):
         mats = r4[3]
         # q(e_1, s) = -1 is not divisible by q(s, s)/2 = -2: no integral reflection
-        assert _path_inverse(UAA, (Wall(vector=(1, -1, 0, 1), square=-4),), mats) is None
+        odd = (Wall(vector=(1, -1, 0, 1), square=-4),)
+        assert _path_inverses(UAA, [odd], mats)[odd] is None
         # the reflection in e_3 alone reaches across that base facet only;
-        # nodes 1-5 are the chambers across the five base facets
+        # nodes 1-5 are the chambers across the five base facets, and no
+        # path through a chamber outside the group comes back into it
         only_e3 = _generator_matrices(UAA, [reflection(UAA, (0, 0, 1, 0))])
-        for node in r4[2].nodes[1:6]:
+        ginvs = _path_inverses(UAA, [node.path for node in r4[2].nodes], only_e3)
+        for node in r4[2].nodes[1:]:
             across_e3 = core.sign_normalize(node.path[0].vector) == (0, 0, 1, 0)
-            assert (_path_inverse(UAA, node.path, only_e3) is not None) == across_e3
+            if node.depth == 1:
+                assert (ginvs[node.path] is not None) == across_e3
+            elif not across_e3:
+                assert ginvs[node.path] is None
+
+    def test_one_reflection_per_path_step(self, UAA, r4, monkeypatch):
+        # each chamber's g^{-1} is its BFS parent's times one reflection
+        gens = facet_reflection_generators(UAA, R4_BASE, SPEC2, 20)
+        calls = []
+        real = orbits.reflection
+        monkeypatch.setattr(orbits, "reflection", lambda *args: calls.append(args) or real(*args))
+        table = face_orbit_census(UAA, R4_BASE, SPEC2, gens, 2, search_bound=20)
+        assert table == r4[0]
+        assert len(calls) == len(r4[2].nodes) - 1 == 19
 
     def test_facet_orbits_are_odd_coxeter_classes(self, UA, UAA, r4):
         ua_base = (5, 3, 2)
