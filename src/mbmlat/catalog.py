@@ -1,11 +1,12 @@
 """Shipped lattice data for the named deformation types and toy models.
 
-Every entry is validated at load time: the recorded signature and
+An entry is validated when it is loaded: the recorded signature and
 discriminant must equal exact recomputation, and the named entries carry
 extra invariants (K3 has signature (3,19) and discriminant 1; the
-K3n<n> entries have rank 23 and discriminant 2(n-1)).  The Fujiki
-constant and the wall-square bound are metadata only -- no operation
-derives them.
+K3n<n> entries have rank 23 and discriminant 2(n-1)).  A lookup by name
+loads only its own entry, so a malformed other entry does not stop it.
+The Fujiki constant and the wall-square bound are metadata only -- no
+operation derives them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class CatalogEntry:
     lattice: Lattice
     fujiki_constant: int | str      # positive integer or "unknown"
     wall_square_bound: int | str    # integer or "conjectural:<value>"
-    notes: str
 
 
 def _validate_entry(raw: dict) -> CatalogEntry:
@@ -73,7 +73,6 @@ def _validate_entry(raw: dict) -> CatalogEntry:
         lattice=lattice,
         fujiki_constant=fujiki,
         wall_square_bound=bound,
-        notes=str(raw.get("notes", "")),
     )
 
 
@@ -84,8 +83,8 @@ def default_catalog_path() -> str:
     return str(resources.files("mbmlat").joinpath("data/catalog.json"))
 
 
-def load_catalog(path: str | None = None) -> list[CatalogEntry]:
-    """Load and validate all entries; any violation names entry and invariant."""
+def _read_catalog(path: str | None) -> list:
+    """The catalog file's raw entry list, unvalidated."""
     target = path or default_catalog_path()
     try:
         with open(target, "r", encoding="utf-8") as fh:
@@ -96,7 +95,12 @@ def load_catalog(path: str | None = None) -> list[CatalogEntry]:
         raise CatalogError(f"catalog {target!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise CatalogError(f"catalog {target!r} must be a JSON list of entries")
-    entries = [_validate_entry(item) for item in raw]
+    return raw
+
+
+def load_catalog(path: str | None = None) -> list[CatalogEntry]:
+    """Load and validate all entries; any violation names entry and invariant."""
+    entries = [_validate_entry(item) for item in _read_catalog(path)]
     names = [e.name for e in entries]
     if len(set(names)) != len(names):
         raise CatalogError("catalog contains duplicate entry names")
@@ -104,10 +108,11 @@ def load_catalog(path: str | None = None) -> list[CatalogEntry]:
 
 
 def get_entry(name: str, path: str | None = None) -> CatalogEntry:
-    for entry in load_catalog(path):
-        if entry.name == name:
-            return entry
-    raise CatalogError(f"no catalog entry named {name!r}")
+    """The entry named ``name``, validated; no other entry is."""
+    matches = [item for item in _read_catalog(path) if isinstance(item, dict) and item.get("name") == name]
+    if len(matches) != 1:
+        raise CatalogError(f"need exactly one catalog entry named {name!r}, found {len(matches)}")
+    return _validate_entry(matches[0])
 
 
 def read_json_file(path: str, what: str):

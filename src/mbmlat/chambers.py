@@ -64,14 +64,12 @@ _REPAIR_BUDGET = 64
 class Chamber:
     """An explored chamber: interior witness plus crossing data.
 
-    ``crossing_set`` is exactly ``separating_walls(base_witness, witness)``
-    and doubles as the canonical chamber key relative to the base.
+    ``crossing_set`` is exactly ``separating_walls(base, witness)`` for the
+    base it was built from, and doubles as the chamber key relative to it.
     """
 
-    lattice: Lattice
     spec: WallSpec
     witness: Vector
-    base_witness: Vector
     crossing_set: tuple[Wall, ...]
 
     @property
@@ -94,7 +92,7 @@ def chamber_at(L: Lattice, witness, base=None, spec: WallSpec = None) -> Chamber
     ensure_wall_free(L, wi, spec)
     ensure_wall_free(L, bi, spec)
     crossing = tuple(separating_walls(L, bi, wi, spec))
-    return Chamber(lattice=L, spec=spec, witness=wi, base_witness=bi, crossing_set=crossing)
+    return Chamber(spec=spec, witness=wi, crossing_set=crossing)
 
 
 def same_chamber(L: Lattice, v, w, spec: WallSpec) -> bool:
@@ -127,7 +125,7 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     word: list[Wall] = []
     sep = separating_walls(L, base_p, cur, spec)
     while sep:
-        s = min(sep, key=lambda w: w.sort_key)
+        s = sep[0]
         cur = reflect_vector(L, cur, s.vector)
         word.append(s)
         nxt = separating_walls(L, base_p, cur, spec)
@@ -156,7 +154,6 @@ class Face:
 
     supporting_wall: Wall
     witness_on_wall: Vector
-    chamber_witness: Vector
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ class FacetResult:
 
 
 def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH_BOUND) -> FacetResult:
-    """Facets of a chamber among walls with q(s, witness) <= search_bound.
+    """Facets of a chamber among walls with q(s, witness) <= search_bound, by ``sort_key``.
 
     Reflective walls are decided exactly via the mirror criterion;
     non-reflective ones fall back to projection witness, separation
@@ -204,15 +201,13 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
             # separates the witness from its reflection
             mirror = reflect_vector(L, w, s.vector)
             if not has_other_separating_wall(L, w, mirror, spec, {s.vector}):
-                faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y),
-                                  chamber_witness=w))
+                faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y)))
             continue
         status, on_wall = _decide_nonreflective(L, s, y, candidates)
         if status == "facet":
-            faces.append(Face(supporting_wall=s, witness_on_wall=on_wall, chamber_witness=w))
+            faces.append(Face(supporting_wall=s, witness_on_wall=on_wall))
         elif status == "unknown":
             undecided.append(s)
-    faces.sort(key=lambda f: f.supporting_wall.sort_key)
     return FacetResult(faces=tuple(faces), undecided=tuple(undecided), search_bound=search_bound)
 
 
@@ -438,7 +433,7 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
     # (depth, key) node order; each is built from the walls found on entry,
     # and its facets are those transported to it, or else searched for
     seen = {()}
-    frontier = [(Chamber(lattice=L, spec=spec, witness=base_p, base_witness=base_p, crossing_set=()), (), None)]
+    frontier = [(Chamber(spec=spec, witness=base_p, crossing_set=()), (), None)]
     nodes: list[ChamberNode] = []
     edges: set[tuple] = set()
     for layer in range(depth + 1):
@@ -454,8 +449,7 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
                 continue
             for s in facets:
                 w2 = primitive_integral(reflect_vector(L, ch.witness, s.vector))
-                ch2 = Chamber(lattice=L, spec=spec, witness=w2, base_witness=base_p,
-                              crossing_set=tuple(separating_walls(L, base_p, w2, spec)))
+                ch2 = Chamber(spec=spec, witness=w2, crossing_set=tuple(separating_walls(L, base_p, w2, spec)))
                 crossed = {sign_normalize(k[1]) for k in set(ch.key) ^ set(ch2.key)}
                 if crossed != {sign_normalize(s.vector)}:
                     raise ReductionInvariantError(

@@ -117,10 +117,6 @@ def is_reflective(L: Lattice, s) -> bool:
     return all((2 * x) % d == 0 for x in gram_apply(L, s))
 
 
-def _passes(L: Lattice, s, spec: WallSpec) -> bool:
-    return (not spec.require_reflective) or is_reflective(L, s)
-
-
 # ---------------------------------------------------------------------------
 # exact Fincke-Pohst enumeration
 
@@ -242,18 +238,17 @@ def _posdef_of_negdef(gram: tuple) -> _PosDefForm:
 def definite_short_vectors(L: Lattice, min_square: int) -> list[Vector]:
     """All v with min_square <= q(v, v) < 0, one per +-pair, lex order.
 
-    The lattice must be negative definite; the canonical representative
-    has its first nonzero coordinate positive.
+    The lattice must be negative definite.  Imprimitive vectors are
+    included; the representative of each pair has its first nonzero
+    coordinate positive.
     """
     if L.signature != (0, L.rank) or L.rank == 0:
         raise SignatureError(f"lattice is not negative-definite: signature {L.signature}")
     if not isinstance(min_square, int) or min_square >= 0:
         raise ValidationError(f"min_square must be a negative integer, got {min_square}")
-    form = _posdef_of_negdef(L.gram)
-    found = set()
-    for v in form.enumerate((0,) * L.rank, 1, 1, -min_square):
-        found.add(sign_normalize(v))
-    return sorted(found)
+    # the ball is symmetric, so v > -v keeps exactly one of each pair
+    return sorted(v for v in _posdef_of_negdef(L.gram).enumerate((0,) * L.rank, 1, 1, -min_square)
+                  if v > tuple(-c for c in v))
 
 
 @lru_cache(maxsize=32)
@@ -366,7 +361,7 @@ def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, ranges, gv1=None):
             cut = None if linear is None else (linear, k * per_k)
             for y in data.form.enumerate(center, D, target, target, cut):
                 s = _embed(data.basis, data.x0, k, y)
-                if content(s) == 1 and _passes(L, s, spec):
+                if content(s) == 1 and (not spec.require_reflective or is_reflective(L, s)):
                     yield Wall(vector=s, square=d)
 
 

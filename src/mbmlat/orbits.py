@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .chambers import chamber_at, encode_flag, explore_tessellation, facet_walls
+from .chambers import encode_flag, explore_tessellation
 from .core import (
     Lattice,
     Matrix,
@@ -175,20 +175,13 @@ def degenerate_split(L: Lattice) -> DegenerateSplit:
     if len(kern) != 1:
         raise KernelRankError(f"kernel has dimension {len(kern)}, need exactly 1")
     l = sign_normalize(kern[0])
-    # dual vector y with y . l = 1 (standard dot product)
-    g, cols = _column_reduce(l)
-    if g != 1:
-        raise KernelRankError(f"kernel generator {l} is not primitive")
-    y = tuple(cols[0])
-    _, ycols = _column_reduce(y)
-    basis = tuple(tuple(c) for c in ycols[1:])
+    # l . U = (1, 0, ..., 0) for a unimodular U (l is primitive): the rows of
+    # U^{-1} are l, then a complement basis B0, and v has coordinates u_j . v
+    _, cols = _column_reduce(l)
+    det, rows = _bareiss(cols, identity_matrix(L.rank))
+    basis = tuple(vec_scale(det, r) for r in rows[1:])
     induced = make_lattice(induced_gram(L, basis), name=f"{L.name}/ker" if L.name else "")
-    if induced.is_degenerate:
-        raise KernelRankError("complement form is degenerate; kernel was not fully split")
-    change = tuple(tuple(list(b[i] for b in basis) + [l[i]]) for i in range(L.rank))
-    # [B0 | l] is unimodular (y . l = 1, B0 spans ker y), so det = +-1
-    det, cols = _bareiss(change, identity_matrix(L.rank))
-    coord = mat_transpose([vec_scale(det, c) for c in cols])
+    coord = tuple(map(tuple, cols[1:] + cols[:1]))
     return DegenerateSplit(
         lattice=L, kernel_gen=l, complement_basis=basis, induced=induced, coord_matrix=coord
     )
@@ -671,6 +664,5 @@ def facet_reflection_generators(L: Lattice, base, spec: WallSpec, search_bound: 
     For a reflective wall system these generate the full chamber-transitive
     reflection group, making them the natural census generator set.
     """
-    ch = chamber_at(L, base, spec=spec)
-    res = facet_walls(L, ch, search_bound)
-    return tuple(reflection(L, f.supporting_wall) for f in res.faces)
+    facets = explore_tessellation(L, base, spec, 0, search_bound).nodes[0].facets
+    return tuple(reflection(L, s) for s in facets)

@@ -225,6 +225,33 @@ def test_catalog_env_override(tmp_path, monkeypatch):
     assert [e["name"] for e in json.loads(out)] == ["ONLY"]
 
 
+def _catalog_entry(name, discriminant=2):
+    return {"name": name, "gram": [[2]], "signature": [1, 0], "discriminant": discriminant,
+            "fujiki_constant": "unknown", "mbm_square_bound": -2, "notes": ""}
+
+
+def test_lookup_validates_only_the_named_entry(tmp_path, monkeypatch):
+    p = tmp_path / "cat.json"
+    p.write_text(json.dumps([_catalog_entry("GOOD"), _catalog_entry("BAD", discriminant=7)]))
+    monkeypatch.setenv("MBM_CATALOG_PATH", str(p))
+    code, out, _ = invoke(["info", "--lattice", "GOOD"])
+    assert code == 0
+    assert json.loads(out)["discriminant"] == 2
+    for argv in (["info", "--lattice", "BAD"], ["validate-catalog"]):
+        code, _, err = invoke(argv)
+        error = json.loads(err)
+        assert code == 1 and error["error"] == "CatalogError" and "BAD" in error["message"]
+
+
+def test_lookup_rejects_a_duplicated_name(tmp_path, monkeypatch):
+    p = tmp_path / "cat.json"
+    p.write_text(json.dumps([_catalog_entry("GOOD"), _catalog_entry("GOOD")]))
+    monkeypatch.setenv("MBM_CATALOG_PATH", str(p))
+    code, _, err = invoke(["info", "--lattice", "GOOD"])
+    assert code == 1
+    assert json.loads(err)["error"] == "CatalogError"
+
+
 def test_generator_file_input(tmp_path):
     gens = [[[1, 0, 0], [0, 1, 0], [0, 0, -1]]]
     p = tmp_path / "gens.json"

@@ -62,6 +62,17 @@ class TestDefiniteShortVectors:
             first = next(c for c in v if c != 0)
             assert first > 0
 
+    def test_imprimitive_vectors_included(self):
+        assert definite_short_vectors(make_lattice([[-2]]), -8) == [(1,), (2,)]
+        L = make_lattice(core.direct_sum([[-2]], [[-2]]))
+        got = definite_short_vectors(L, -8)
+        assert got == [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 0)]
+        # the box oracle only fixes the sign of each +-pair
+        L = make_lattice(core.direct_sum([[-2]], [[-4]]))
+        box = {max(v, tuple(-c for c in v)) for d in range(-12, 0) for v in vectors_of_square(L, d, 4)}
+        assert any(content(v) > 1 for v in box)
+        assert definite_short_vectors(L, -12) == sorted(box)
+
     def test_indefinite_rejected(self, U):
         with pytest.raises(SignatureError):
             definite_short_vectors(U, -2)

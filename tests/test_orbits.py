@@ -359,8 +359,7 @@ class TestCensusByBaseReduction:
         # transport across a reflective wall: one facet search in all
         calls = []
         real = chambers.facet_walls
-        for module in (chambers, orbits):
-            monkeypatch.setattr(module, "facet_walls", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(chambers, "facet_walls", lambda *args: calls.append(args) or real(*args))
         table = face_orbit_census(UAA, R4_BASE, SPEC2, None, 2, search_bound=20)
         assert table == r4[0]
         assert len(r4[2].nodes) == 20
