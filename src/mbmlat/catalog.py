@@ -30,7 +30,9 @@ class CatalogEntry:
     wall_square_bound: int | str    # integer or "conjectural:<value>"
 
 
-def _validate_entry(raw: dict) -> CatalogEntry:
+def _validate_entry(raw) -> CatalogEntry:
+    if not isinstance(raw, dict):
+        raise CatalogError(f"catalog entry {raw!r} is not a JSON object")
     name = raw.get("name")
     if not name:
         raise CatalogError("catalog entry without a name")

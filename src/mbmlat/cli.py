@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .catalog import load_catalog, read_json_file, resolve_lattice
 from .chambers import (
+    DEFAULT_SEARCH_BOUND,
     chamber_at,
     encode_flag,
     explore_tessellation,
@@ -43,6 +44,7 @@ from .enumeration import (
 )
 from .errors import MbmlatError, ValidationError
 from .orbits import (
+    DEFAULT_WORD_BUDGET,
     Isometry,
     canonical_orbit_rep,
     face_orbit_census,
@@ -274,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     walls.add_argument("--squares", required=True)
     walls.add_argument("--reflective", action="store_true")
     bound = argparse.ArgumentParser(add_help=False)
-    bound.add_argument("--search-bound", type=int, default=24, dest="search_bound")
+    bound.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND, dest="search_bound")
     gens = argparse.ArgumentParser(add_help=False)
     gens.add_argument("--generators", help="JSON file with a list of matrices")
     gens.add_argument("--reflections", help="semicolon-separated reflection classes")
-    gens.add_argument("--word-budget", type=int, default=8, dest="word_budget")
+    gens.add_argument("--word-budget", type=int, default=DEFAULT_WORD_BUDGET, dest="word_budget")
 
     def add(name, fn, help_text, *groups, formats=("json", "text")):
         sp = sub.add_parser(name, help=help_text, parents=groups)

@@ -268,34 +268,26 @@ def _column_reduce(row: Sequence[int]) -> tuple[int, list[list[int]]]:
     return (r[0] if r[0] else 0), cols
 
 
-def _lll(gram: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
+def _lll(gram: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, tuple]:
     """Integral LLL reduction of a positive definite Gram matrix G.
 
     Cohen, A Course in Computational Algebraic Number Theory (GTM 138),
-    Alg. 2.6.7 with delta = 3/4.  The Gram-Schmidt data are kept as the
-    integers d_i (the Gram determinant of the first i vectors) and
-    lambda_kj = d_{j+1} mu_kj, so every division is exact; they are
-    computed for all n vectors first (step 2 of the algorithm, run
-    eagerly) and kept current by every size reduction and swap.  Returns
-    ``(H, A)``: the rows of the unimodular H are the reduced basis in the
-    input coordinates and A = H G H^T is its Gram matrix, with
-    |mu_kj| <= 1/2 and the Lovasz condition
-    d_{k+1} d_{k-1} >= (3/4) d_k^2 - lambda_{k,k-1}^2 for every k >= 1.
+    Alg. 2.6.7 with delta = 3/4.  The Gram-Schmidt data are the integers
+    d_i (the Gram determinant of the first i vectors) and lambda_kj =
+    d_{j+1} mu_kj; step 2 takes them from :func:`_symmetric_bareiss` (d_i =
+    Delta_i, lambda_kj = R_jk), and every size reduction and swap keeps
+    them current by exact divisions.  Returns ``(H, A, (rows, minors))``:
+    the rows of the unimodular H are the reduced basis in the input
+    coordinates, A = H G H^T has |mu_kj| <= 1/2 and the Lovasz condition
+    d_{k+1} d_{k-1} >= (3/4) d_k^2 - lambda_{k,k-1}^2 for every k >= 1,
+    and ``(rows, minors)`` is ``_symmetric_bareiss(A)``.
     """
     n = len(gram)
     a = [[int(x) for x in row] for row in gram]
     h = [[int(i == j) for j in range(n)] for i in range(n)]
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for k in range(n):
-        for j in range(k + 1):
-            u = a[k][j]
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-            else:
-                d[k + 1] = u
+    rows, minors = _symmetric_bareiss(a)
+    d = list(minors)
+    lam = [[rows[j][k - j] for j in range(k)] for k in range(n)]
 
     def reduce(k, l):
         # b_k -= q b_l for the integer q nearest mu_kl
@@ -335,7 +327,8 @@ def _lll(gram: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return tuple(map(tuple, h)), tuple(map(tuple, a))
+    rows = tuple((d[j + 1], *(lam[k][j] for k in range(j + 1, n))) for j in range(n))
+    return tuple(map(tuple, h)), tuple(map(tuple, a)), (rows, tuple(d))
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[Vector]:
@@ -523,7 +516,8 @@ def hyperplane_basis(L: Lattice, x: Sequence) -> tuple[int, Vector, tuple[Vector
 
 def induced_gram(L: Lattice, basis: Sequence[Vector]) -> Matrix:
     """Gram matrix of the form restricted to the span of ``basis``."""
-    return tuple(tuple(int(pairing(L, a, b)) for b in basis) for a in basis)
+    images = [gram_apply(L, b) for b in basis]
+    return tuple(tuple(sum(map(mul, a, gb)) for gb in images) for a in basis)
 
 
 def is_positive(L: Lattice, v: Sequence, reference: Sequence) -> bool:

@@ -124,24 +124,21 @@ def is_reflective(L: Lattice, s) -> bool:
 class _PosDefForm:
     """Fraction-free Cholesky data of a positive definite integer form.
 
-    The shared kernel :func:`core._symmetric_bareiss` leaves an integer
-    upper triangle R whose diagonal holds the leading principal minors
-    R_ii = Delta_{i+1} (Delta_0 = 1), and
+    It is built from the integer upper triangle R of
+    :func:`core._symmetric_bareiss` and eliminates nothing itself.  R's
+    diagonal holds the leading principal minors R_ii = Delta_{i+1}
+    (Delta_0 = 1), all positive (Sylvester), and
 
         Q(x) = sum_i (sum_{j>=i} R_ij x_j)^2 / (Delta_i Delta_{i+1}).
 
     With ``scale`` = lcm_i(Delta_i Delta_{i+1}) and integer weights
     W_i = scale / (Delta_i Delta_{i+1}), scale * Q(x) is the weighted sum
-    of integer squares sum_i W_i (sum_{j>=i} R_ij x_j)^2.  The form is
-    positive definite iff every leading minor is positive (Sylvester), and
-    then the kernel eliminates it without a repair, in its own basis.
+    of integer squares sum_i W_i (sum_{j>=i} R_ij x_j)^2.
     """
 
-    def __init__(self, gram):
-        self.rows, minors = _symmetric_bareiss(gram)
-        if any(d <= 0 for d in minors):
-            raise SignatureError("form is not positive definite")
-        self.n = n = len(gram)
+    def __init__(self, rows, minors):
+        self.rows = rows
+        self.n = n = len(rows)
         self.dens = dens = tuple(minors[i] * minors[i + 1] for i in range(n))
         self.scale = lcm(*dens)
         self.weights = tuple(self.scale // den for den in dens)
@@ -228,7 +225,7 @@ class _PosDefForm:
 
 @lru_cache(maxsize=256)
 def _posdef_of_negdef(gram: tuple) -> _PosDefForm:
-    return _PosDefForm(tuple(tuple(-x for x in row) for row in gram))
+    return _PosDefForm(*_symmetric_bareiss(tuple(tuple(-x for x in row) for row in gram)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +302,13 @@ class _BaseData:
 def _base_data(L: Lattice, v0: Vector) -> _BaseData:
     g0, x0, basis = hyperplane_basis(L, v0)
     # negative definiteness of v0^perp is equivalent to v0 being positive
-    h, form_gram = _lll(tuple(tuple(-x for x in r) for r in induced_gram(L, basis)))
+    h, form_gram, triangle = _lll(tuple(tuple(-x for x in r) for r in induced_gram(L, basis)))
     basis = tuple(tuple(sum(map(mul, row, col)) for col in zip(*basis)) for row in h)
     gx0 = gram_apply(L, x0)
     # Gw = -form_gram, so |det Gw| Gw^{-1} h1 = det(form_gram) form_gram^{-1} (-h1)
     det, (c1,) = _bareiss(form_gram, (tuple(-sum(map(mul, b, gx0)) for b in basis),))
     return _BaseData(
-        norm=int(square(L, v0)), g0=int(g0), x0=x0, basis=basis, form=_PosDefForm(form_gram), c1=c1, det=det,
+        norm=int(square(L, v0)), g0=int(g0), x0=x0, basis=basis, form=_PosDefForm(*triangle), c1=c1, det=det,
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .chambers import encode_flag, explore_tessellation
+from .chambers import DEFAULT_SEARCH_BOUND, encode_flag, explore_tessellation
 from .core import (
     Lattice,
     Matrix,
@@ -55,6 +55,8 @@ from .errors import (
     SquareBoundViolationError,
     ValidationError,
 )
+
+DEFAULT_WORD_BUDGET = 8
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +387,7 @@ def _sign_image(m, state):
     return tuple(_sign_min(mat_vec(m, v)) for v in state)
 
 
-def canonical_orbit_rep(L: Lattice, v, generators, word_budget: int = 8) -> OrbitRepResult:
+def canonical_orbit_rep(L: Lattice, v, generators, word_budget: int = DEFAULT_WORD_BUDGET) -> OrbitRepResult:
     """BFS the orbit of v under generator words, return the minimal element
     found under the (sup-norm, lexicographic) canonical order.
 
@@ -399,7 +401,7 @@ def canonical_orbit_rep(L: Lattice, v, generators, word_budget: int = 8) -> Orbi
     return OrbitRepResult(vector=rep, complete=complete, visited=visited)
 
 
-def orbit_key_mod_sign(L: Lattice, vectors, mats, word_budget: int = 8) -> tuple[Vector, ...]:
+def orbit_key_mod_sign(L: Lattice, vectors, mats, word_budget: int = DEFAULT_WORD_BUDGET) -> tuple[Vector, ...]:
     """Canonical key of the orbit of a tuple of classes under the diagonal
     action, each class taken up to sign: the (sup-norm, lex) minimum of a
     sign-quotiented BFS."""
@@ -474,8 +476,8 @@ def face_orbit_census(
     spec: WallSpec,
     generators,
     depth: int,
-    word_budget: int = 8,
-    search_bound: int = 24,
+    word_budget: int = DEFAULT_WORD_BUDGET,
+    search_bound: int = DEFAULT_SEARCH_BOUND,
     max_codim: int = 2,
 ) -> CensusTable:
     """Tabulate face orbits per codimension and BFS depth.
@@ -658,7 +660,8 @@ def _path_inverses(L: Lattice, paths, mats) -> dict:
     return ginvs
 
 
-def facet_reflection_generators(L: Lattice, base, spec: WallSpec, search_bound: int = 24) -> tuple[Isometry, ...]:
+def facet_reflection_generators(L: Lattice, base, spec: WallSpec,
+                                search_bound: int = DEFAULT_SEARCH_BOUND) -> tuple[Isometry, ...]:
     """Reflections in the facet walls of the base chamber.
 
     For a reflective wall system these generate the full chamber-transitive

@@ -122,6 +122,10 @@ class TestValidation:
         with pytest.raises(CatalogError, match="duplicate"):
             load_catalog(self._write(tmp_path, [item, dict(item)]))
 
+    def test_entry_that_is_not_an_object_rejected(self, tmp_path):
+        with pytest.raises(CatalogError, match="entry 5 is not a JSON object"):
+            load_catalog(self._write(tmp_path, [5]))
+
     def test_parse_error(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

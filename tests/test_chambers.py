@@ -315,6 +315,15 @@ class TestExploreTessellation:
                 assert node.facets == tuple(f.supporting_wall for f in direct.faces)
             assert node.undecided == (direct.undecided if fallback else ())
 
+    @pytest.mark.xfail(strict=True, raises=ReductionInvariantError,
+                       reason="the crossing of the non-reflective facet (2, -1, 0, 0) out of the "
+                              "chamber of (18, 14, 1, 3) changes its key by two walls")
+    def test_crossing_a_nonreflective_facet(self):
+        L, spec = make_lattice(core.direct_sum(core.U_GRAM, [[-2]], [[-4]])), wall_spec([-2, -4])
+        g = explore_tessellation(L, (19, 14, 1, 4), spec, 1)
+        assert len(g.nodes) == 6 and any(n.undecided for n in g.nodes)
+        explore_tessellation(L, (19, 14, 1, 4), spec, 2)
+
     def test_base_on_wall_rejected(self, UA):
         with pytest.raises(WallIncidenceError):
             explore_tessellation(UA, (1, 1, 0), SPEC2, 1)

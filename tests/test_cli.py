@@ -252,6 +252,15 @@ def test_lookup_rejects_a_duplicated_name(tmp_path, monkeypatch):
     assert json.loads(err)["error"] == "CatalogError"
 
 
+def test_catalog_item_that_is_not_an_object(tmp_path, monkeypatch):
+    p = tmp_path / "cat.json"
+    p.write_text("[5]")
+    monkeypatch.setenv("MBM_CATALOG_PATH", str(p))
+    code, out, err = invoke(["validate-catalog"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "CatalogError", "message": "catalog entry 5 is not a JSON object"}
+
+
 def test_generator_file_input(tmp_path):
     gens = [[[1, 0, 0], [0, 1, 0], [0, 0, -1]]]
     p = tmp_path / "gens.json"

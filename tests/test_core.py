@@ -293,11 +293,40 @@ def lll_grams(draw):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(lll_grams())
 def test_lll_reduces_by_a_unimodular_congruence(g):
-    h, a = core._lll(g)
+    h, a, triangle = core._lll(g)
     check_lll(g, h, a)
     assert all(type(x) is int for row in (*h, *a) for x in row)
+    # the Gram-Schmidt data it ends with are the elimination of A
+    assert triangle == core._symmetric_bareiss(a)
     # a reduced form is left as it is
-    assert core._lll(a) == (core.identity_matrix(len(g)), a)
+    assert core._lll(a) == (core.identity_matrix(len(g)), a, triangle)
+
+
+@st.composite
+def induced_gram_cases(draw):
+    """A symmetric Gram matrix, drawn of rank 1-4 or U + E8(-1) of rank 10,
+    and 0-4 drawn vectors to restrict its form to."""
+    if draw(st.booleans()):
+        g = direct_sum(core.U_GRAM, core.E8_MINUS_GRAM)
+    else:
+        n = draw(st.integers(1, 4))
+        upper = {(i, j): draw(st.integers(-4, 4)) for i in range(n) for j in range(i, n)}
+        g = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    basis = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * len(g)), max_size=4))
+    return g, basis
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(induced_gram_cases())
+def test_induced_gram_is_the_congruent_product(case):
+    g, basis = case
+    L = make_lattice(g)
+    got = core.induced_gram(L, basis)
+    # B G B^T by the plain double sum
+    assert got == tuple(tuple(form(g, a, b) for b in basis) for a in basis)
+    assert all(type(x) is int for row in got for x in row)
+    with pytest.raises(RankMismatchError):
+        core.induced_gram(L, [*basis, (1,) * (L.rank + 1)])
 
 
 def restrict(L, x):

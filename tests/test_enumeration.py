@@ -325,7 +325,7 @@ def test_posdef_enumeration_matches_box_scan(data):
     center = tuple(data.draw(st.fractions(-2, 2, max_denominator=4)) for _ in range(n))
     lo = data.draw(st.fractions(-2, 8, max_denominator=3))
     hi = lo + data.draw(st.fractions(0, 6, max_denominator=3))
-    form = _PosDefForm(G)
+    form = _PosDefForm(*core._symmetric_bareiss(G))
     # center = C/D over one denominator; D^2 Q(x + C/D) is an integer
     D = lcm(*(c.denominator for c in center))
     C = tuple(int(c * D) for c in center)
@@ -360,7 +360,7 @@ def test_posdef_enumeration_with_a_cut_matches_box_scan(data):
         y = [x[i] + center[i] for i in range(n)]
         lo = hi = sum(y[i] * G[i][j] * y[j] for i in range(n) for j in range(n))
         box = posdef_box_scan(G, center, lo, hi)
-    form = _PosDefForm(G)
+    form = _PosDefForm(*core._symmetric_bareiss(G))
     for h in ((0,) * n, data.draw(st.tuples(*[st.integers(-3, 3)] * n))):
         sides = {x: sum(h[i] * (D * x[i] + C[i]) for i in range(n)) for x in box}
         values = sorted(set(sides.values())) or [0]
