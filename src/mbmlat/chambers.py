@@ -6,6 +6,16 @@ identified by the set of walls crossed from a fixed base witness -- the
 true chamber set is infinite, so every identity claim is scoped to the
 finite explored wall universe.
 
+Reduction to the base chamber b searches for one separating set only.
+A reflection r in a reflective wall is an isometry of the lattice that
+maps the wall set onto itself, so every wall separating b from r c lies
+in r(sep(b, c)), in sep(b, r b) or in r(walls through b); the last two
+depend on (b, r) alone.  This is the inversion-set identity
+N(xy) = N(x) (symmetric difference) x N(y) x^-1 of Humphreys,
+*Reflection Groups and Coxeter Groups*, 5.6.  The next set is read off
+that superset exactly; only a step across a non-reflective wall
+searches again.
+
 Facet decisions are exact for reflective walls: s supports a facet of
 the chamber of w if and only if no other wall separates w from its
 mirror image r_s(w); the midpoint of that segment is the orthogonal
@@ -20,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -43,7 +54,9 @@ from .enumeration import (
     ensure_wall_free,
     has_other_separating_wall,
     is_reflective,
+    iter_separating_walls,
     separating_walls,
+    walls_containing,
     walls_near,
 )
 from .errors import (
@@ -96,8 +109,9 @@ def chamber_at(L: Lattice, witness, base=None, spec: WallSpec = None) -> Chamber
 
 
 def same_chamber(L: Lattice, v, w, spec: WallSpec) -> bool:
-    """True iff no spec wall strictly separates v from w."""
-    return not separating_walls(L, v, w, spec)
+    """True iff no spec wall strictly separates v from w; stops at the
+    first separating wall found."""
+    return next(iter_separating_walls(L, v, w, spec), None) is None
 
 
 @dataclass(frozen=True)
@@ -119,6 +133,22 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     Each step reflects across the minimal (square, lex) separating wall
     and must strictly decrease the separating count -- a failure to do so
     would falsify the algorithm and raises ReductionInvariantError.
+
+    Only the first separating set is searched for.  A step across a
+    reflective wall s maps c to r c, r = r_s, an integral isometry that
+    maps the wall set onto itself.  Split the walls u of sep(b, r c) by the
+    sign of q(u, r b): if it is positive, r u is in sep(b, c); if it is
+    negative, u is in sep(b, r b); if it is zero, r u passes through b.
+    So, exactly,
+
+        sep(b, r c) = {r w : w in sep(b, c), q(w, r b) > 0}
+                      | {u in M(b, s) : q(u, r c) < 0},
+
+    where M(b, s) holds sep(b, r b) and the images r z of the walls z
+    through b with q(r z, b) != 0, oriented so q(u, b) > 0.  M depends on
+    (L, b, s, spec) only and is cached (:func:`_mirror`); the union,
+    sorted by ``sort_key``, is what ``separating_walls`` returns.  A step
+    across a non-reflective wall searches again.
     """
     base_p = primitive_integral(base)
     cur = tuple(v)
@@ -128,7 +158,8 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
         s = sep[0]
         cur = reflect_vector(L, cur, s.vector)
         word.append(s)
-        nxt = separating_walls(L, base_p, cur, spec)
+        mirror = _mirror(L, base_p, s, spec)
+        nxt = separating_walls(L, base_p, cur, spec) if mirror is None else _reflected_sep(L, cur, sep, *mirror)
         if len(nxt) >= len(sep):
             raise ReductionInvariantError(
                 f"reflection in {s.vector} did not decrease the separating count "
@@ -136,6 +167,40 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
             )
         sep = nxt
     return ReductionResult(word=tuple(word), image=cur)
+
+
+def _reflect_wall(u: Wall, s: Wall, gs) -> Wall:
+    """r_s(u) in integers, from gs = G s, for a reflective s."""
+    c = 2 * sum(map(mul, u.vector, gs)) // s.square
+    return Wall(vector=tuple(a - c * b for a, b in zip(u.vector, s.vector)), square=u.square)
+
+
+@lru_cache(maxsize=256)
+def _mirror(L: Lattice, base: Vector, s: Wall, spec: WallSpec):
+    """None when s is not reflective; else (G s, G r_s(base), M(base, s))
+    as :func:`reduce_to_base` defines them."""
+    if not is_reflective(L, s.vector):
+        return None
+    gs = gram_apply(L, s.vector)
+    rb = reflect_vector(L, base, s.vector)
+    grb = gram_apply(L, rb)
+    walls = separating_walls(L, base, rb, spec)
+    for z in walls_containing(L, base, spec):
+        qb = sum(map(mul, z.vector, grb))  # q(r_s z, base) = q(z, r_s base)
+        if qb:
+            u = _reflect_wall(z, s, gs)
+            walls.append(u if qb > 0 else Wall(vector=tuple(-a for a in u.vector), square=u.square))
+    return gs, grb, tuple(walls)
+
+
+def _reflected_sep(L: Lattice, cur, sep, gs, grb, mirror) -> list[Wall]:
+    """separating_walls(L, b, cur, spec) for cur = r_s(c), s = sep[0] and
+    sep = separating_walls(L, b, c, spec), from :func:`_mirror`'s data."""
+    s = sep[0]
+    gc = gram_apply(L, cur)
+    out = [_reflect_wall(w, s, gs) for w in sep if sum(map(mul, w.vector, grb)) > 0]
+    out += [u for u in mirror if sum(map(mul, u.vector, gc)) < 0]
+    return sorted(out, key=lambda w: w.sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ class _BaseData:
     det: int                       # |det Gw| > 0, the center's denominator
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def _base_data(L: Lattice, v0: Vector) -> _BaseData:
     g0, x0, basis = hyperplane_basis(L, v0)
     # negative definiteness of v0^perp is equivalent to v0 being positive

@@ -103,6 +103,111 @@ class TestReduceToBase:
             assert len(set(counts)) == len(counts)
             assert counts[-1] == 0
 
+    def test_derived_separating_sets_equal_fresh_searches(self, monkeypatch):
+        # each step's next separating set is derived, not searched for: it
+        # must equal a fresh search, and the word and image must equal those
+        # of the greedy reduction that searches before every step
+        seen = dict.fromkeys(("on-wall base", "wall-free base", "rational v", "derived set",
+                              "searched step", "rational image"), 0)
+        derived = []
+        real = chambers._reflected_sep
+
+        def spy(L, cur, *args):
+            derived.append((cur, real(L, cur, *args)))
+            return derived[-1][1]
+
+        monkeypatch.setattr(chambers, "_reflected_sep", spy)
+        rng = random.Random(59)
+        for name, (summands, wall_free) in REDUCTION_LATTICES.items():
+            L = make_lattice(core.direct_sum(core.U_GRAM, *summands))
+            for spec in REDUCTION_SPECS:
+                for base, v in _reduction_inputs(L, wall_free, spec, rng):
+                    derived.clear()
+                    try:
+                        res = reduce_to_base(L, v, base, spec)
+                        got = (res.word, res.image)
+                    except ReductionInvariantError:
+                        got = ReductionInvariantError
+                    assert got == _greedy_by_search(L, v, base, spec), (name, spec, base, v)
+                    for cur, out in derived:
+                        assert out == separating_walls(L, base, cur, spec), (name, spec, base, v, cur)
+                    on_wall = bool(walls_containing(L, base, spec))
+                    seen["on-wall base"] += on_wall
+                    seen["wall-free base"] += not on_wall
+                    seen["rational v"] += any(isinstance(c, Fraction) for c in v)
+                    seen["derived set"] += len(derived)
+                    if got is not ReductionInvariantError:
+                        seen["searched step"] += len(got[0]) > len(derived)
+                        seen["rational image"] += any(isinstance(c, Fraction) for c in got[1])
+        assert min(seen.values()) > 0, seen
+
+    def test_one_search_per_reduction_and_mirror(self, UAA, monkeypatch):
+        # a reduction searches once, plus once per reflecting wall not seen
+        # before from this base
+        base = BASE["U+A1m2+A1m2"]
+        chambers._mirror.cache_clear()
+        calls = []
+        real = chambers.separating_walls
+        monkeypatch.setattr(chambers, "separating_walls", lambda *args: calls.append(args) or real(*args))
+        rng = random.Random(61)
+        words = []
+        while len(words) < 12:
+            v, _ = random_positive_pair(UAA, rng)
+            if pairing(UAA, v, base) > 0:
+                words.append(reduce_to_base(UAA, v, base, SPEC2).word)
+        mirrors = {s for word in words for s in word}
+        assert len(calls) == len(words) + len(mirrors) < len(words) + sum(map(len, words))
+
+
+# lattices U + X for the reduction property test, by their summands X,
+# with a base point on no wall of square -2 or -4
+REDUCTION_LATTICES = {
+    "U+A1m2": ([[[-2]]], (3, 4, -1)),
+    "U+A1m2+A1m2": ([[[-2]], [[-2]]], (5, 8, -2, -1)),
+    "U+m2+m4": ([[[-2]], [[-4]]], (5, 6, -2, -2)),
+    "U+A2m1": ([[[-2, 1], [1, -2]]], (5, 6, -2, -2)),
+}
+# with {-4}, most lattices above have no reflective wall, so each step
+# searches again and images of integral v can be rational
+REDUCTION_SPECS = (wall_spec([-2]), wall_spec([-2, -4]), wall_spec([-2, -4], True), wall_spec([-4]))
+
+
+def _greedy_by_search(L, v, base, spec):
+    """(word, image) of the greedy reduction that searches for the separating
+    set before every step, or ReductionInvariantError if the count does not
+    drop."""
+    cur, word = tuple(v), []
+    sep = separating_walls(L, base, cur, spec)
+    while sep:
+        word.append(sep[0])
+        cur = core.reflect_vector(L, cur, sep[0].vector)
+        nxt = separating_walls(L, base, cur, spec)
+        if len(nxt) >= len(sep):
+            return ReductionInvariantError
+        sep = nxt
+    return tuple(word), cur
+
+
+def _reduction_inputs(L, base, spec, rng, count=10):
+    """Pairs (b, v) of positive classes in one component: b is the wall-free
+    base or, for every other pair, its projection onto a spec wall; every
+    third v is rational."""
+    pairs = []
+    while len(pairs) < count:
+        b = base
+        if len(pairs) % 2:
+            s = tuple(rng.randint(-2, 2) for _ in range(L.rank))
+            if square(L, s) not in spec.squares:
+                continue
+            # the projection of base onto s^perp, scaled by -q(s, s) > 0
+            b = core.primitive_part(tuple(-square(L, s) * x + pairing(L, base, s) * y for x, y in zip(base, s)))
+        v = random_positive_pair(L, rng)[0]
+        if len(pairs) % 3 == 2:
+            v = tuple(Fraction(c, 3) + Fraction(1, 2) for c in v)
+        if square(L, v) > 0 and pairing(L, b, v) != 0:
+            pairs.append((b, v if pairing(L, b, v) > 0 else tuple(-c for c in v)))
+    return pairs
+
 
 class TestReflectionProperties:
     def test_reflection_is_isometry_and_fixes_wall(self, UA):
