@@ -16,6 +16,13 @@ N(xy) = N(x) (symmetric difference) x N(y) x^-1 of Humphreys,
 that superset exactly; only a step across a non-reflective wall
 searches again.
 
+Once (L, spec) holds a certified base chamber, every search for
+separating walls is answered by root descent instead of Fincke-Pohst
+(see :mod:`enumeration`).  :func:`reduce_to_base` learns it once per
+(L, spec) whose walls all reflect integrally, from the facets that
+:func:`facet_walls` finds around its first wall-free base; if the
+certificate fails, Fincke-Pohst keeps answering.
+
 Facet decisions are exact for reflective walls: s supports a facet of
 the chamber of w if and only if no other wall separates w from its
 mirror image r_s(w); the midpoint of that segment is the orthogonal
@@ -55,9 +62,11 @@ from .enumeration import (
     has_other_separating_wall,
     is_reflective,
     iter_separating_walls,
+    learn_chamber,
     separating_walls,
     walls_containing,
     walls_near,
+    _chambers,
 )
 from .errors import (
     FlagChainError,
@@ -149,8 +158,14 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     (L, b, s, spec) only and is cached (:func:`_mirror`); the union,
     sorted by ``sort_key``, is what ``separating_walls`` returns.  A step
     across a non-reflective wall searches again.
+
+    The first call for (L, spec) with a wall-free base tries to certify
+    its chamber (:func:`_learn_chamber`); the word and image do not depend
+    on which backend answers the searches.
     """
     base_p = primitive_integral(base)
+    if (L, spec) not in _chambers:
+        _learn_chamber(L, base_p, spec)
     cur = tuple(v)
     word: list[Wall] = []
     sep = separating_walls(L, base_p, cur, spec)
@@ -167,6 +182,19 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
             )
         sep = nxt
     return ReductionResult(word=tuple(word), image=cur)
+
+
+def _learn_chamber(L: Lattice, base: Vector, spec: WallSpec) -> None:
+    """Certify the chamber of ``base`` for (L, spec) from its facets below
+    ``DEFAULT_SEARCH_BOUND``, or record None when some wall may not reflect
+    integrally.  A base on a wall makes no attempt.  The certificate fails,
+    and Fincke-Pohst keeps answering, when a facet lies beyond the bound or
+    the chamber has infinite volume."""
+    if not (spec.require_reflective or set(spec.squares) <= {-1, -2}):
+        learn_chamber(L, spec, base, ())
+    elif not walls_containing(L, base, spec):
+        res = facet_walls(L, Chamber(spec=spec, witness=base, crossing_set=()), DEFAULT_SEARCH_BOUND)
+        learn_chamber(L, spec, base, [f.supporting_wall for f in res.faces])
 
 
 def _reflect_wall(u: Wall, s: Wall, gs) -> Wall:

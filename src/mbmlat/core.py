@@ -106,6 +106,8 @@ def as_int_vector(v: Sequence) -> Vector:
 
 def integralize(v: Sequence) -> Vector:
     """Scale a rational vector by the lcm of denominators; keep direction."""
+    if all(type(a) is int for a in v):
+        return tuple(v)
     mult = 1
     for a in v:
         if isinstance(a, Fraction):
@@ -116,6 +118,9 @@ def integralize(v: Sequence) -> Vector:
 
 def primitive_integral(v: Sequence) -> Vector:
     """Primitive integer vector on the same ray (positive rescaling)."""
+    if all(type(a) is int for a in v):
+        g = gcd(*v)
+        return tuple(v) if g <= 1 else tuple([a // g for a in v])
     return primitive_part(integralize(v))
 
 

@@ -1,12 +1,14 @@
 """Finite enumeration kernels for wall-and-chamber geometry.
 
-Three engines live here:
+Four engines live here:
 
 * :func:`definite_short_vectors` -- all short vectors of a negative
   definite lattice, by exact Fincke-Pohst bound propagation;
 * :func:`vectors_of_square` -- the deliberately simple box-scan oracle;
 * :func:`separating_walls` -- the complete search for walls of
-  prescribed square crossed between two positive classes.
+  prescribed square crossed between two positive classes;
+* root descent in a certified base chamber, which answers the same
+  question without a search once (L, spec) has one.
 
 Completeness of the separating search rests on the decomposition
 ``s = (t/N) v0 + s_perp`` with ``t = q(s, v0)``, ``N = q(v0, v0)``:
@@ -27,16 +29,35 @@ basis, only the order in which they are found: the public searches sort
 or set-normalize their output, and ``has_other_separating_wall`` only
 asks whether one exists.
 
-All functions are pure; per-basepoint data is memoized on immutable keys.
+When every wall of the spec reflects integrally (squares -1 and -2, or
+``require_reflective``), the chambers are the translates of one Coxeter
+chamber C under the group W the reflections generate.  A list of facets
+t_i of C (oriented inward) is certified complete when every t_i is
+reflective, q(t_i, t_j) >= 0 for i != j, the cone K = {x : q(t_i, x) >= 0}
+is pointed and its extreme rays lie in the closed positive component of
+C.  Proof: a missing facet u would have q(u, t_i) >= 0 for all i, so u
+would lie in K, inside the closed positive cone, against q(u, u) < 0.
+``chambers.reduce_to_base`` learns C (:func:`learn_chamber`) once per
+(L, spec), from the facets of its first wall-free base.  Then
+``separating_walls(a, b)`` descends b into the closure of C; the roots
+beta_j = r_{i_1} ... r_{i_{j-1}} t_{i_j} met on the way are exactly the
+positive roots with q(beta, b) < 0 (Humphreys, *Reflection Groups and
+Coxeter Groups*, 5.6), and those with q(beta, a) > 0 separate; so do the
+negatives of the roots of a's descent with q(beta, b) > 0.  Without a
+certified chamber, Fincke-Pohst answers; it is also the tests' reference.
+
+All functions are pure apart from that record of certified chambers;
+per-basepoint data is memoized on immutable keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from math import isqrt, lcm, prod
+from itertools import accumulate, combinations
+from math import comb, isqrt, lcm, prod
 from operator import mul
+from threading import Lock
 
 from .core import (
     Lattice,
@@ -45,6 +66,7 @@ from .core import (
     gram_apply,
     hyperplane_basis,
     induced_gram,
+    integer_kernel,
     pairing,
     primitive_integral,
     sign_normalize,
@@ -55,6 +77,7 @@ from .core import (
 )
 from .errors import (
     NonPositiveVectorError,
+    ReductionInvariantError,
     SignatureError,
     ValidationError,
     WallIncidenceError,
@@ -368,7 +391,8 @@ def separating_walls(L: Lattice, v0, v1, spec: WallSpec) -> list[Wall]:
     Output is sign-normalized so q(s, v0) > 0 and sorted by
     (square, coordinates).  The search is complete: the bound
     t^2 < |d| (mu^2 - N q1)/q1 derived from Cauchy-Schwarz in the
-    negative definite v0^perp caps the admissible pairings.
+    negative definite v0^perp caps the admissible pairings.  Root descent
+    in a certified chamber, when (L, spec) has one, finds the same set.
 
     The output is the exact strict-inequality set whether or not v0
     touches some wall; chamber-level callers validate wall-freeness
@@ -379,7 +403,8 @@ def separating_walls(L: Lattice, v0, v1, spec: WallSpec) -> list[Wall]:
 
 def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
     """Generator behind :func:`separating_walls`; order not guaranteed.
-    Only the far-side cap q(s, v1) < 0 of each t-ellipsoid is enumerated."""
+    Root descent answers when (L, spec) has a certified chamber; otherwise
+    only the far-side cap q(s, v1) < 0 of each t-ellipsoid is enumerated."""
     v0p, N = _positive(L, v0)
     V1, q1 = _positive(L, v1)
     mu = pairing(L, v0p, V1)
@@ -388,9 +413,120 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
     gap = mu * mu - N * q1  # zero iff v0, v1 are proportional
     if gap <= 0:
         return
+    chamber = _chambers.get((L, spec))
+    if chamber is not None:
+        # -1 maps the walls onto themselves and swaps the two components, so
+        # with a, b = sign (v0, v1) in the base's component, a wall s with
+        # q(s, a) > 0 > q(s, b) is a positive root or the negative of one
+        sign = 1 if sum(map(mul, v0p, chamber.gbase)) > 0 else -1
+        a, b = tuple([sign * c for c in v0p]), tuple([sign * c for c in V1])
+        for t, x, y in ((sign, b, a), (-sign, a, b)):
+            for beta, d in chamber.inversions(x, y):
+                yield Wall(vector=beta if t > 0 else tuple([-c for c in beta]), square=d)
+        return
     # the largest t with t^2 q1 < |d| gap, per square
     ranges = [(d, 1, isqrt((-d * gap - 1) // q1)) for d in sorted(spec.squares)]
     yield from _iter_walls_for_t(L, v0p, spec, ranges, gram_apply(L, V1))
+
+
+# ---------------------------------------------------------------------------
+# separating walls by root descent in a certified chamber
+
+
+class _Chamber:
+    """A certified chamber of a reflective spec: its facets t_i, oriented
+    so q(t_i, base) > 0, with G t_i and G base.  A plain class, since a
+    dataclass would add its generation time to every import."""
+
+    __slots__ = ("facets", "grams", "gbase")
+
+    def __init__(self, facets: tuple[Wall, ...], grams: tuple[Vector, ...], gbase: Vector):
+        self.facets, self.grams, self.gbase = facets, grams, gbase
+
+    def reflect(self, i: int, x) -> Vector:
+        """r_{t_i}(x) in integers: t_i is reflective."""
+        t = self.facets[i]
+        c = 2 * sum(map(mul, x, self.grams[i])) // t.square
+        return tuple([a - c * b for a, b in zip(x, t.vector)])
+
+    def descent(self, x):
+        """Reflect the integral x, positive in the base's component, into the
+        closed chamber, each time in the first t_i with q(t_i, x) < 0, and
+        yield each i.  A step must lower the integer q(x, base) and keep it
+        positive, which bounds the steps, or ReductionInvariantError."""
+        height = sum(map(mul, x, self.gbase))
+        while True:
+            for i, g in enumerate(self.grams):
+                if sum(map(mul, x, g)) < 0:
+                    break
+            else:
+                return
+            x = self.reflect(i, x)
+            lower = sum(map(mul, x, self.gbase))
+            if not 0 < lower < height:
+                raise ReductionInvariantError(
+                    f"reflection in the facet {self.facets[i].vector} took q(x, base) from {height} to {lower}"
+                )
+            height = lower
+            yield i
+
+    def inversions(self, x: Vector, y: Vector):
+        """(beta, square) for the positive roots with q(beta, x) < 0 <
+        q(beta, y), x and y as for :meth:`descent`: the roots beta_j =
+        r_{i_1} ... r_{i_{j-1}} t_{i_j} of x's descent with
+        q(beta_j, y) = q(t_{i_j}, r_{i_{j-1}} ... r_{i_1} y) > 0."""
+        word = []
+        for i in self.descent(x):
+            if sum(map(mul, y, self.grams[i])) > 0:
+                beta = self.facets[i].vector
+                for j in reversed(word):
+                    beta = self.reflect(j, beta)
+                yield beta, self.facets[i].square
+            word.append(i)
+            y = self.reflect(i, y)
+
+
+# (L, spec) -> its certified _Chamber, or None after a failed attempt;
+# bounded, oldest first out.  Tests that pin Fincke-Pohst clear it.
+_chambers: dict = {}
+_chambers_lock = Lock()
+_CHAMBERS_MAX = 64
+# the certificate checks one candidate ray per rank - 1 facets
+_RAY_BUDGET = 4096
+
+
+def learn_chamber(L: Lattice, spec: WallSpec, base: Vector, facets) -> None:
+    """Record for (L, spec) the chamber of the wall-free integral ``base``
+    if ``facets``, the facets a bounded search found, pass the certificate
+    of the module docstring, and None otherwise.  An extreme ray of K is
+    one on which rank - 1 independent facets vanish."""
+    chamber = None
+    if comb(len(facets), L.rank - 1) <= _RAY_BUDGET:
+        grams = tuple(gram_apply(L, t.vector) for t in facets)
+        gbase = gram_apply(L, base)
+        if (all(is_reflective(L, t.vector) and sum(map(mul, t.vector, gbase)) > 0 for t in facets)
+                and all(sum(map(mul, s.vector, g)) >= 0 for (s, _), (_, g) in combinations(zip(facets, grams), 2))
+                and not integer_kernel(grams, L.rank)
+                and all(_ray_is_positive(L, gbase, grams, rows) for rows in combinations(grams, L.rank - 1))):
+            chamber = _Chamber(facets=tuple(facets), grams=grams, gbase=gbase)
+    with _chambers_lock:
+        if (L, spec) not in _chambers and len(_chambers) >= _CHAMBERS_MAX:
+            del _chambers[next(iter(_chambers))]
+        _chambers[L, spec] = chamber
+
+
+def _ray_is_positive(L: Lattice, gbase, grams, rows) -> bool:
+    """False iff the facets ``rows`` (covectors G t_i) cut out an extreme ray
+    of K outside the closed positive component of the base."""
+    kernel = integer_kernel(rows, L.rank)
+    if len(kernel) != 1:
+        return True
+    x = kernel[0]
+    sides = [sum(map(mul, x, g)) for g in grams]
+    if min(sides) < 0 < max(sides):
+        return True
+    # K is pointed, so x lies in K if max(sides) > 0, and -x otherwise
+    return square(L, x) >= 0 and (sum(map(mul, x, gbase)) > 0) == (max(sides) > 0)
 
 
 def walls_near(L: Lattice, v, spec: WallSpec, max_pairing: int) -> list[Wall]:

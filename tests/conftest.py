@@ -1,6 +1,6 @@
 import pytest
 
-from mbmlat import core
+from mbmlat import core, enumeration
 
 _acceptance_lines: dict[str, str] = {}
 
@@ -31,6 +31,13 @@ def K3():
         core.direct_sum(core.U_GRAM, core.U_GRAM, core.U_GRAM, core.E8_MINUS_GRAM, core.E8_MINUS_GRAM),
         "K3",
     )
+
+
+@pytest.fixture
+def fincke_pohst():
+    """Forget every certified chamber, so that each wall search in the test
+    runs the Fincke-Pohst kernel, whatever earlier tests certified."""
+    enumeration._chambers.clear()
 
 
 def record_acceptance(name: str, line: str) -> None:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mbmlat import chambers, core
+from mbmlat import chambers, core, enumeration
 from mbmlat.chambers import (
     DEFAULT_SEARCH_BOUND,
     chamber_at,
@@ -14,7 +14,7 @@ from mbmlat.chambers import (
     same_chamber,
 )
 from mbmlat.core import make_lattice, pairing, square
-from mbmlat.enumeration import separating_walls, wall_spec, walls_containing, walls_near
+from mbmlat.enumeration import Wall, learn_chamber, separating_walls, wall_spec, walls_containing, walls_near
 from mbmlat.errors import (
     FlagChainError,
     ReductionInvariantError,
@@ -207,6 +207,82 @@ def _reduction_inputs(L, base, spec, rng, count=10):
         if square(L, v) > 0 and pairing(L, b, v) != 0:
             pairs.append((b, v if pairing(L, b, v) > 0 else tuple(-c for c in v)))
     return pairs
+
+
+def _reduces_as_by_search(L, base, spec, rng, count=10):
+    """reduce_to_base from ``base`` answers count random positive classes
+    of its component as the reduction that searches before every step, with
+    ReductionInvariantError where that one finds the count not dropping."""
+    done = 0
+    while done < count:
+        v = random_positive_pair(L, rng)[0]
+        if pairing(L, v, base) < 0:
+            v = tuple(-c for c in v)
+        if pairing(L, v, base) > 0:
+            try:
+                res = reduce_to_base(L, v, base, spec)
+                got = (res.word, res.image)
+            except ReductionInvariantError:
+                got = ReductionInvariantError
+            assert got == _greedy_by_search(L, v, base, spec), v
+            done += 1
+
+
+class TestChamberCertificate:
+    """reduce_to_base certifies the chamber of its first wall-free base for a
+    reflective spec, once per (L, spec).  Where no certificate is made, none
+    is recorded and the reduction answers as before."""
+
+    def test_certified_once(self, UAA, fincke_pohst, monkeypatch):
+        calls = []
+        real = chambers.facet_walls
+        monkeypatch.setattr(chambers, "facet_walls", lambda *args: calls.append(args) or real(*args))
+        _reduces_as_by_search(UAA, BASE["U+A1m2+A1m2"], SPEC2, random.Random(67))
+        _reduces_as_by_search(UAA, (5, 8, -2, -1), SPEC2, random.Random(67))
+        assert len(calls) == 1
+        assert [t.vector for t in enumeration._chambers[UAA, SPEC2].facets] == [
+            (0, 0, -1, 0), (0, 0, 0, -1), (0, 1, 0, 1), (0, 1, 1, 0), (1, -1, 0, 0)]
+
+    def test_non_reflective_spec_is_not_tried(self, UAA, fincke_pohst, monkeypatch):
+        # the facets-mixed spec: walls of square -4 need not reflect integrally
+        spec = wall_spec([-2, -4])
+        monkeypatch.setattr(chambers, "facet_walls", None)
+        _reduces_as_by_search(UAA, (5, 8, -2, -1), spec, random.Random(71))
+        assert enumeration._chambers[UAA, spec] is None
+
+    def test_base_on_a_wall_is_not_used(self, UAA, fincke_pohst):
+        base = (1, 1, 0, 0)
+        assert walls_containing(UAA, base, SPEC2)
+        _reduces_as_by_search(UAA, base, SPEC2, random.Random(73))
+        assert (UAA, SPEC2) not in enumeration._chambers
+        # a later wall-free base makes the one attempt
+        reduce_to_base(UAA, BASE["U+A1m2+A1m2"], BASE["U+A1m2+A1m2"], SPEC2)
+        assert enumeration._chambers[UAA, SPEC2] is not None
+
+    def test_a_dropped_facet_fails_the_cone_test(self, UA, UAA, fincke_pohst):
+        for L, name in ((UA, "U+A1m2"), (UAA, "U+A1m2+A1m2")):
+            base = BASE[name]
+            facets = [f.supporting_wall for f in facet_walls(L, chamber_at(L, base, spec=SPEC2)).faces]
+            for i in range(len(facets)):
+                learn_chamber(L, SPEC2, base, facets[:i] + facets[i + 1:])
+                assert enumeration._chambers[L, SPEC2] is None, (name, facets[i])
+            learn_chamber(L, SPEC2, base, facets)
+            assert enumeration._chambers[L, SPEC2] is not None
+
+    def test_a_single_wall_is_not_pointed(self, P22, fincke_pohst):
+        _reduces_as_by_search(P22, BASE["A1p2+A1m2"], SPEC2, random.Random(79))
+        assert enumeration._chambers[P22, SPEC2] is None
+
+    def test_a_descent_step_must_lower_the_height(self, UA, fincke_pohst):
+        base = BASE["U+A1m2"]
+        chambers._learn_chamber(UA, base, SPEC2)
+        ch = enumeration._chambers[UA, SPEC2]
+        # the same mirror with the outward orientation: base itself violates it
+        t, g = ch.facets[0], ch.grams[0]
+        bad = type(ch)((Wall(vector=tuple(-c for c in t.vector), square=t.square),) + ch.facets[1:],
+                       (tuple(-c for c in g),) + ch.grams[1:], ch.gbase)
+        with pytest.raises(ReductionInvariantError):
+            list(bad.descent(base))
 
 
 class TestReflectionProperties:

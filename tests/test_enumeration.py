@@ -1,16 +1,19 @@
 import random
+from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbmlat import core
-from mbmlat.core import content, make_lattice, pairing, sign_normalize, square
+from mbmlat import chambers, core, enumeration
+from mbmlat.chambers import same_chamber
+from mbmlat.core import content, make_lattice, pairing, project_off, sign_normalize, square
 from mbmlat.enumeration import (
     Wall,
     _PosDefForm,
     definite_short_vectors,
+    has_other_separating_wall,
     is_reflective,
     separating_walls,
     vectors_of_square,
@@ -199,7 +202,7 @@ class TestSeparatingWalls:
         ((3, 4, 1, 1), (11, 11, 6, -6)),
         ((4, 5, 1, 2), (13, 2, 0, -4)),
     ])
-    def test_search_visits_only_the_far_side(self, UAA, v0, v1, monkeypatch):
+    def test_search_visits_only_the_far_side(self, UAA, v0, v1, monkeypatch, fincke_pohst):
         # every point the enumeration yields is a separating wall: none is
         # on the near side q(s, v1) >= 0, so none is embedded and dropped
         yielded = []
@@ -231,6 +234,68 @@ class TestSeparatingWalls:
                 assert w.vector in all_walls
                 d = w.square
                 assert all((2 * x) % d == 0 for x in core.gram_apply(L, w.vector))
+
+
+# per lattice fixture: a wall-free base, the coordinate bound of the
+# random pairs and the oracle's box, which every kept pair's walls fit in
+DESCENT_CASES = {"UA": ((5, 3, 2), 5, 50), "UAA": ((3, 4, 1, 1), 3, 10)}
+
+
+def _descent_pairs(L, rng, coord_bound, box, count=48):
+    """Positive pairs in one component, (kind, a, b, a', b') with integral
+    a', b' on the rays of a, b, cycling through plain pairs, a on a random
+    wall, rational endpoints and proportional pairs; every other block of
+    four is negated, so both components occur."""
+    pairs = []
+    while len(pairs) < count:
+        a, b = random_positive_pair(L, rng, coord_bound)
+        kind = ("plain", "on a wall", "rational", "proportional")[len(pairs) % 4]
+        if kind == "on a wall":
+            s = tuple(rng.randint(-2, 2) for _ in range(L.rank))
+            if square(L, s) != -2:
+                continue
+            # a positive multiple of a's projection onto s^perp, in a's component
+            a = tuple(-c for c in project_off(L, a, s))
+        elif kind == "proportional":
+            b = tuple(3 * c for c in a)
+        if wall_box_bound(L, a, b, SPEC2.squares) > box:
+            continue
+        if len(pairs) % 8 >= 4:
+            a, b = tuple(-c for c in a), tuple(-c for c in b)
+        if kind == "rational":
+            pairs.append((kind, tuple(Fraction(c, 3) for c in a), tuple(Fraction(c, 2) for c in b), a, b))
+        else:
+            pairs.append((kind, a, b, a, b))
+    return pairs
+
+
+class TestDescent:
+    @pytest.mark.parametrize("name", sorted(DESCENT_CASES))
+    def test_descent_matches_fincke_pohst_and_the_oracle(self, name, request, fincke_pohst):
+        L = request.getfixturevalue(name)
+        base, coord_bound, box = DESCENT_CASES[name]
+        pairs = _descent_pairs(L, random.Random(71), coord_bound, box)
+
+        def answers():
+            out = []
+            for _, a, b, _, _ in pairs:
+                walls = separating_walls(L, a, b, SPEC2)
+                others = [has_other_separating_wall(L, a, b, SPEC2, [w.vector for w in ex])
+                          for ex in ((), walls[:1], walls)]
+                out.append((walls, same_chamber(L, a, b, SPEC2), others))
+            return out
+
+        searched = answers()
+        chambers._learn_chamber(L, base, SPEC2)
+        assert enumeration._chambers[L, SPEC2] is not None
+        assert answers() == searched
+        seen = dict.fromkeys(("other component", "on a wall", "rational", "proportional", "separated"), 0)
+        for (kind, _, _, a, b), (walls, _, _) in zip(pairs, searched):
+            assert {(w.square, w.vector) for w in walls} == brute_force_separating(L, a, b, SPEC2, box)
+            seen[kind] = seen.get(kind, 0) + 1
+            seen["other component"] += pairing(L, a, base) < 0
+            seen["separated"] += len(walls) > 1
+        assert min(seen.values()) > 0, seen
 
 
 class TestWallsContaining:
