@@ -8,9 +8,9 @@ oriented-flag encodings of faces with bounded-square projections,
 degenerate-kernel orbit representatives, and desk-scale face-orbit
 censuses.
 
-The names imported here are the public API.  Everything else in the
-package needs a caller in the package, the benchmark or the test
-oracles; ``tests/test_layering.py`` checks this.
+The names imported here, with the methods of the classes among them,
+are the public API.  Everything else in the package needs a caller in
+the package or the benchmark; ``tests/test_layering.py`` checks this.
 """
 
 from .catalog import CatalogEntry, get_entry, load_catalog, resolve_lattice

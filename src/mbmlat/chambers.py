@@ -6,15 +6,14 @@ identified by the set of walls crossed from a fixed base witness -- the
 true chamber set is infinite, so every identity claim is scoped to the
 finite explored wall universe.
 
-Reduction to the base chamber b searches for one separating set only.
+Reduction to a wall-free base b searches for one separating set only.
 A reflection r in a reflective wall is an isometry of the lattice that
 maps the wall set onto itself, so every wall separating b from r c lies
-in r(sep(b, c)), in sep(b, r b) or in r(walls through b); the last two
-depend on (b, r) alone.  This is the inversion-set identity
-N(xy) = N(x) (symmetric difference) x N(y) x^-1 of Humphreys,
-*Reflection Groups and Coxeter Groups*, 5.6.  The next set is read off
-that superset exactly; only a step across a non-reflective wall
-searches again.
+in r(sep(b, c)) or in sep(b, r b), which depends on (b, r) alone.  This
+is the inversion-set identity N(xy) = N(x) (symmetric difference)
+x N(y) x^-1 of Humphreys, *Reflection Groups and Coxeter Groups*, 5.6.
+The next set is read off that superset exactly; a step across a
+non-reflective wall, or from a base on a wall, searches again.
 
 Once (L, spec) holds a certified base chamber, every search for
 separating walls is answered by root descent instead of Fincke-Pohst
@@ -143,21 +142,20 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     and must strictly decrease the separating count -- a failure to do so
     would falsify the algorithm and raises ReductionInvariantError.
 
-    Only the first separating set is searched for.  A step across a
-    reflective wall s maps c to r c, r = r_s, an integral isometry that
-    maps the wall set onto itself.  Split the walls u of sep(b, r c) by the
-    sign of q(u, r b): if it is positive, r u is in sep(b, c); if it is
-    negative, u is in sep(b, r b); if it is zero, r u passes through b.
-    So, exactly,
+    From a base b on no wall, only the first separating set is searched
+    for.  A step across a reflective wall s maps c to r c, r = r_s, an
+    integral isometry that maps the wall set onto itself.  Split the walls
+    u of sep(b, r c) by the sign of q(u, r b) = q(r u, b), which is not
+    zero: if it is positive, r u is in sep(b, c); if it is negative, u is
+    in sep(b, r b).  So, exactly,
 
         sep(b, r c) = {r w : w in sep(b, c), q(w, r b) > 0}
-                      | {u in M(b, s) : q(u, r c) < 0},
+                      | {u in sep(b, r b) : q(u, r c) < 0}.
 
-    where M(b, s) holds sep(b, r b) and the images r z of the walls z
-    through b with q(r z, b) != 0, oriented so q(u, b) > 0.  M depends on
-    (L, b, s, spec) only and is cached (:func:`_mirror`); the union,
-    sorted by ``sort_key``, is what ``separating_walls`` returns.  A step
-    across a non-reflective wall searches again.
+    sep(b, r b) depends on (L, b, s, spec) only and is cached
+    (:func:`_mirror`); the union, sorted by ``sort_key``, is what
+    ``separating_walls`` returns.  A step across a non-reflective wall, or
+    from a base on a wall, searches again.
 
     The first call for (L, spec) with a wall-free base tries to certify
     its chamber (:func:`_learn_chamber`); the word and image do not depend
@@ -205,20 +203,12 @@ def _reflect_wall(u: Wall, s: Wall, gs) -> Wall:
 
 @lru_cache(maxsize=256)
 def _mirror(L: Lattice, base: Vector, s: Wall, spec: WallSpec):
-    """None when s is not reflective; else (G s, G r_s(base), M(base, s))
-    as :func:`reduce_to_base` defines them."""
-    if not is_reflective(L, s.vector):
+    """None when s is not reflective or base lies on a wall; else
+    (G s, G r_s(base), sep(base, r_s base))."""
+    if not is_reflective(L, s.vector) or walls_containing(L, base, spec):
         return None
-    gs = gram_apply(L, s.vector)
     rb = reflect_vector(L, base, s.vector)
-    grb = gram_apply(L, rb)
-    walls = separating_walls(L, base, rb, spec)
-    for z in walls_containing(L, base, spec):
-        qb = sum(map(mul, z.vector, grb))  # q(r_s z, base) = q(z, r_s base)
-        if qb:
-            u = _reflect_wall(z, s, gs)
-            walls.append(u if qb > 0 else Wall(vector=tuple(-a for a in u.vector), square=u.square))
-    return gs, grb, tuple(walls)
+    return gram_apply(L, s.vector), gram_apply(L, rb), tuple(separating_walls(L, base, rb, spec))
 
 
 def _reflected_sep(L: Lattice, cur, sep, gs, grb, mirror) -> list[Wall]:

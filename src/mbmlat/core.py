@@ -106,8 +106,6 @@ def as_int_vector(v: Sequence) -> Vector:
 
 def integralize(v: Sequence) -> Vector:
     """Scale a rational vector by the lcm of denominators; keep direction."""
-    if all(type(a) is int for a in v):
-        return tuple(v)
     mult = 1
     for a in v:
         if isinstance(a, Fraction):

@@ -15,7 +15,7 @@ Coxeter diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from .chambers import DEFAULT_SEARCH_BOUND, encode_flag, explore_tessellation
 from .core import (
@@ -33,7 +33,6 @@ from .core import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    pairing,
     primitive_part,
     sign_normalize,
     square,
@@ -219,65 +218,6 @@ def kneser_degenerate_reps(L: Lattice, r: int, base_reps) -> list[Vector]:
                 seen.add(vec)
                 out.append(vec)
     return out
-
-
-def kernel_sign_flip(split: DegenerateSplit) -> Isometry:
-    """The isometry fixing the complement and negating the kernel generator."""
-    L = split.lattice
-    n = L.rank
-    l = split.kernel_gen
-    # the kernel-coordinate functional is the last row of the coordinate matrix
-    phi = split.coord_matrix[n - 1]
-    m = tuple(tuple((1 if rr == cc else 0) - 2 * l[rr] * phi[cc] for cc in range(n)) for rr in range(n))
-    return isometry(L, m)
-
-
-def lift_complement_isometry(split: DegenerateSplit, mat0) -> Isometry:
-    """Lift an isometry of the complement to the full lattice (kernel fixed)."""
-    L = split.lattice
-    n = L.rank
-    m0 = int_matrix(mat0, "complement isometry")
-    if len(m0) != n - 1 or any(len(r) != n - 1 for r in m0):
-        raise ValidationError(f"complement isometry must be {n-1}x{n-1}")
-    # columns: images of the complement basis, then l
-    new_cols = []
-    for j in range(n - 1):
-        img = tuple(
-            sum(split.complement_basis[t][i] * m0[t][j] for t in range(n - 1)) for i in range(n)
-        )
-        new_cols.append(img)
-    new_cols.append(split.kernel_gen)
-    change = tuple(tuple(new_cols[j][i] for j in range(n)) for i in range(n))
-    return isometry(L, mat_mul(change, split.coord_matrix))
-
-
-def isometries_in_box(L: Lattice, bound: int) -> tuple[Isometry, ...]:
-    """All isometries with matrix entries in [-bound, bound], by column search.
-
-    Desk-scale helper (rank <= 3): columns are drawn from the coordinate
-    box and pruned by Gram pairings as they are chosen.
-    """
-    if L.rank > 3:
-        raise ValidationError("isometries_in_box is a desk-scale helper for rank <= 3")
-    box = [v for v in product(range(-bound, bound + 1), repeat=L.rank)]
-    out = []
-
-    def rec(cols):
-        j = len(cols)
-        if j == L.rank:
-            m = tuple(tuple(cols[c][r] for c in range(L.rank)) for r in range(L.rank))
-            if _bareiss(m)[0] in (1, -1):
-                out.append(Isometry(lattice=L, matrix=m))
-            return
-        for v in box:
-            if square(L, v) != L.gram[j][j]:
-                continue
-            if any(pairing(L, cols[i], v) != L.gram[i][j] for i in range(j)):
-                continue
-            rec(cols + [v])
-
-    rec([])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ separating v0 from v1.
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt, lcm
+from math import ceil, floor, gcd, isqrt, lcm
+from operator import mul
 
 from mbmlat import core
 from mbmlat.core import gram_apply
@@ -113,47 +114,115 @@ def brute_force_walls_through(L, v, spec, box) -> set:
     return out
 
 
-def degenerate_generator_set(L, split, complement_box=1, max_shift=8):
-    """Generators for the degenerate-kernel closure oracle: lifts of the
-    (brute-forced) complement isometries, kernel transvections and the
-    kernel sign flip.
+def _ext_gcd(a, b):
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s0, s1, t0, t1 = b, a - q * b, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
-    A kernel transvection for any hom of the complement into the kernel
-    is a single generator, so multiples m*phi_i up to max_shift are
-    included directly rather than as words.
+
+def kernel_functional(gram) -> tuple:
+    """(l, phi) for a Gram matrix with a rank-1 kernel: l is the primitive
+    integral kernel generator, read off plain Fraction Gauss-Jordan, and
+    phi an integral functional with phi(l) = 1, by extended gcd."""
+    n = len(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        p = next((i for i in range(row, n) if m[i][col] != 0), None)
+        if p is None:
+            continue
+        m[row], m[p] = m[p], m[row]
+        m[row] = [x / m[row][col] for x in m[row]]
+        for i in range(n):
+            if i != row and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[row])]
+        pivots.append(col)
+    free = [c for c in range(n) if c not in pivots]
+    assert len(free) == 1, f"kernel has dimension {len(free)}"
+    x = [Fraction(int(c == free[0])) for c in range(n)]
+    for row, col in enumerate(pivots):
+        x[col] = -m[row][free[0]]
+    den = lcm(*(c.denominator for c in x))
+    scaled = [int(c * den) for c in x]
+    l = tuple(c // gcd(*scaled) for c in scaled)
+    g, phi = 0, [0] * n
+    for i, a in enumerate(l):
+        g, s, t = _ext_gcd(g, a)
+        phi = [s * c for c in phi]
+        phi[i] = t
+    return l, tuple(phi)
+
+
+def complement_part(v, l, phi) -> tuple:
+    """v - phi(v) l, the part of v in ker phi."""
+    k = sum(map(mul, phi, v))
+    return tuple(a - k * b for a, b in zip(v, l))
+
+
+def isometries_in_box(gram, bound) -> list:
+    """Every matrix with entries in [-bound, bound], determinant +-1 and
+    M^T G M = G, by a column search pruned by Gram pairings."""
+    n = len(gram)
+    box = list(product(range(-bound, bound + 1), repeat=n))
+    out = []
+
+    def rec(cols):
+        j = len(cols)
+        if j == n:
+            m = tuple(tuple(c[r] for c in cols) for r in range(n))
+            if abs(rational_det_inverse(m)[0]) == 1:
+                out.append(m)
+            return
+        for v in box:
+            if form(gram, v, v) == gram[j][j] and all(form(gram, cols[i], v) == gram[i][j] for i in range(j)):
+                rec(cols + [v])
+
+    rec([])
+    return out
+
+
+def _kernel_shear(l, psi, c) -> tuple:
+    """The matrix of x -> x + c psi(x) l."""
+    n = len(l)
+    return tuple(tuple(int(r == k) + c * l[r] * psi[k] for k in range(n)) for r in range(n))
+
+
+def degenerate_generator_set(gram, l, phi, box=1, max_shift=8) -> list:
+    """Generators for the degenerate-kernel closure oracle, as matrices
+    closed under inverses (the shears and the flip fix the form because l
+    spans its kernel):
+
+    - kernel shears x -> x + m psi_i(x) l for 0 < |m| <= max_shift, where
+      psi_i(x) = x_i - l_i phi(x) span the functionals vanishing on l (a
+      shear by any multiple is a single generator, not a word);
+    - the kernel sign flip x -> x - 2 phi(x) l;
+    - every isometry with entries in [-box, box].
     """
-    from mbmlat.orbits import (
-        isometries_in_box,
-        isometry,
-        kernel_sign_flip,
-        lift_complement_isometry,
-    )
-
-    n = L.rank
-    l = split.kernel_gen
-    gens = []
-    for i in range(n - 1):
-        phi = split.coord_matrix[i]
-        for m in range(1, max_shift + 1):
-            for sgn in (m, -m):
-                mat = tuple(
-                    tuple((1 if rr == cc else 0) + sgn * l[rr] * phi[cc] for cc in range(n))
-                    for rr in range(n)
-                )
-                gens.append(isometry(L, mat))
-    gens.append(kernel_sign_flip(split))
-    for iso in isometries_in_box(split.induced, complement_box):
-        gens.append(lift_complement_isometry(split, iso.matrix))
-    return gens
+    n = len(gram)
+    psis = [tuple(int(i == k) - l[i] * phi[k] for k in range(n)) for i in range(n)]
+    gens = [_kernel_shear(l, psi, m) for psi in psis if any(psi)
+            for m in range(-max_shift, max_shift + 1) if m]
+    gens.append(_kernel_shear(l, phi, -2))
+    gens += isometries_in_box(gram, box)
+    mats = {}
+    for g in gens:
+        mats[g] = None
+        mats[tuple(tuple(int(x) for x in row) for row in rational_inverse(g))] = None
+    return list(mats)
 
 
-def closure_classes(L, reps, gens, word_len, state_box):
+def closure_classes(reps, gens, word_len, state_box) -> list:
     """BFS ball (words up to word_len, coordinates confined to state_box)
     around each representative."""
-    from mbmlat.orbits import _generator_matrices
-    from mbmlat.core import mat_vec
-
-    mats = _generator_matrices(L, gens)
+    n = len(gens[0])
+    # every generator's rows, stacked and transposed: the images of x are
+    # the consecutive n-blocks of sum_k x_k columns[k]
+    columns = list(zip(*(row for m in gens for row in m)))
     balls = []
     for rep in reps:
         seen = {tuple(rep)}
@@ -161,9 +230,12 @@ def closure_classes(L, reps, gens, word_len, state_box):
         for _ in range(word_len):
             nxt = []
             for x in frontier:
-                for m in mats:
-                    y = mat_vec(m, x)
-                    if max(abs(c) for c in y) > state_box or y in seen:
+                images = [0] * len(columns[0])
+                for c, col in zip(x, columns):
+                    if c:
+                        images = [a + c * b for a, b in zip(images, col)]
+                for y in zip(*[iter(images)] * n):
+                    if y in seen or max(map(abs, y)) > state_box:
                         continue
                     seen.add(y)
                     nxt.append(y)
@@ -174,25 +246,18 @@ def closure_classes(L, reps, gens, word_len, state_box):
     return balls
 
 
-def complement_orbit_reps(L, split, r, box, complement_box=1, word_len=10):
-    """Brute-force orbit representatives of square r in the complement:
-    complement parts of all box vectors, partitioned by closure under the
-    lifted complement isometries."""
-    gens = [g for g in degenerate_generator_set(L, split, complement_box)]
-    parts = set()
-    for v in vectors_of_square(L, r, box):
-        coords, k = split.decompose(v)
-        if all(c == 0 for c in coords):
-            continue
-        part = tuple(v[i] - k * split.kernel_gen[i] for i in range(L.rank))
-        parts.add(part)
+def complement_orbit_reps(L, l, phi, gens, r, box, word_len=10) -> list:
+    """Brute-force orbit representatives of square r in the complement
+    ker phi: the non-zero complement parts of all box vectors, partitioned
+    by closure under the generators."""
+    parts = {complement_part(v, l, phi) for v in vectors_of_square(L, r, box)}
+    parts.discard((0,) * L.rank)
     reps = []
     assigned = set()
     for part in sorted(parts):
         if part in assigned:
             continue
-        ball = closure_classes(L, [part], gens, word_len, 4 * box)[0]
-        assigned |= ball & parts
+        assigned |= closure_classes([part], gens, word_len, 4 * box)[0] & parts
         reps.append(part)
     return reps
 

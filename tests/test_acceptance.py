@@ -25,7 +25,6 @@ from mbmlat.enumeration import (
 )
 from mbmlat.errors import FlagChainError
 from mbmlat.orbits import (
-    degenerate_split,
     face_orbit_census,
     facet_reflection_generators,
     kneser_degenerate_reps,
@@ -34,7 +33,9 @@ from oracles import (
     brute_force_separating,
     closure_classes,
     complement_orbit_reps,
+    complement_part,
     degenerate_generator_set,
+    kernel_functional,
     random_positive_pair,
     wall_box_bound,
 )
@@ -202,18 +203,21 @@ def test_criterion_4_reduction():
 
 def test_criterion_5_kneser_degenerate():
     """Emitted representatives are pairwise non-equivalent and complete
-    over box 8 under generator words of length <= 8 (closure oracle)."""
+    over box 8 under generator words of length <= 8 (closure oracle, built
+    from the Gram matrix alone).  The squares -8 and 8 give families of
+    complement content 2, whose kernel shifts k = 0, 1 lie in two orbits;
+    content 3 and more is not checked, since k and d - k share an orbit."""
     checked_lattices = 0
     details = []
-    for gram, name in (
-        (core.direct_sum([[0]], [[-2]]), "Z0+A1m2"),
-        (core.direct_sum([[0]], core.U_GRAM), "Z0+U"),
+    for gram, name, squares in (
+        (core.direct_sum([[0]], [[-2]]), "Z0+A1m2", (-2, 0, 2, -8)),
+        (core.direct_sum([[0]], core.U_GRAM), "Z0+U", (-2, 0, 2, 8)),
     ):
         L = make_lattice(gram, name)
-        split = degenerate_split(L)
-        gens = degenerate_generator_set(L, split)
-        for r in (-2, 0, 2):
-            base_parts = complement_orbit_reps(L, split, r, box=8)
+        l, phi = kernel_functional(L.gram)
+        gens = degenerate_generator_set(L.gram, l, phi)
+        for r in squares:
+            base_parts = complement_orbit_reps(L, l, phi, gens, r, box=8)
             if r == 0:
                 # zero-square families: primitive isotropic anchors (the
                 # pure-kernel classes are excluded -- the finiteness
@@ -226,7 +230,7 @@ def test_criterion_5_kneser_degenerate():
                 assert reps == []
                 details.append(f"{name} r={r}: empty")
                 continue
-            balls = closure_classes(L, reps, gens, word_len=8, state_box=32)
+            balls = closure_classes(reps, gens, word_len=8, state_box=32)
             # pairwise non-equivalent: no representative reaches another
             for i, rep in enumerate(reps):
                 for j, ball in enumerate(balls):
@@ -234,20 +238,17 @@ def test_criterion_5_kneser_degenerate():
             # jointly complete: every in-scope box-8 vector reaches exactly one
             family_parts = set()
             for p in base_parts:
-                family_parts |= closure_classes(L, [p], gens, 10, 64)[0]
+                family_parts |= closure_classes([p], gens, 10, 64)[0]
             covered = 0
             for v in vectors_of_square(L, r, 8):
-                coords, k = split.decompose(v)
-                if all(c == 0 for c in coords):
-                    continue
-                part = tuple(v[i] - k * split.kernel_gen[i] for i in range(L.rank))
-                if part not in family_parts:
+                part = complement_part(v, l, phi)
+                if not any(part) or part not in family_parts:
                     continue
                 hits = sum(v in ball for ball in balls)
                 assert hits == 1, (name, r, v)
                 covered += 1
             details.append(f"{name} r={r}: {len(reps)} reps cover {covered}")
-    assert checked_lattices == 6
+    assert checked_lattices == 8
     record_acceptance("test_criterion_5_kneser_degenerate", "; ".join(details[:3]) + "; ...")
 
 

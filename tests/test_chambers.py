@@ -14,7 +14,15 @@ from mbmlat.chambers import (
     same_chamber,
 )
 from mbmlat.core import make_lattice, pairing, square
-from mbmlat.enumeration import Wall, learn_chamber, separating_walls, wall_spec, walls_containing, walls_near
+from mbmlat.enumeration import (
+    Wall,
+    is_reflective,
+    learn_chamber,
+    separating_walls,
+    wall_spec,
+    walls_containing,
+    walls_near,
+)
 from mbmlat.errors import (
     FlagChainError,
     ReductionInvariantError,
@@ -104,9 +112,10 @@ class TestReduceToBase:
             assert counts[-1] == 0
 
     def test_derived_separating_sets_equal_fresh_searches(self, monkeypatch):
-        # each step's next separating set is derived, not searched for: it
-        # must equal a fresh search, and the word and image must equal those
-        # of the greedy reduction that searches before every step
+        # from a wall-free base, each step's next separating set is derived,
+        # not searched for, and must equal a fresh search; from a base on a
+        # wall every step searches.  Either way the word and image must
+        # equal those of the greedy reduction that searches before every step
         seen = dict.fromkeys(("on-wall base", "wall-free base", "rational v", "derived set",
                               "searched step", "rational image"), 0)
         derived = []
@@ -132,6 +141,7 @@ class TestReduceToBase:
                     for cur, out in derived:
                         assert out == separating_walls(L, base, cur, spec), (name, spec, base, v, cur)
                     on_wall = bool(walls_containing(L, base, spec))
+                    assert not (on_wall and derived), (name, spec, base, v)
                     seen["on-wall base"] += on_wall
                     seen["wall-free base"] += not on_wall
                     seen["rational v"] += any(isinstance(c, Fraction) for c in v)
@@ -495,6 +505,19 @@ class TestExploreTessellation:
             if not direct.undecided:
                 assert node.facets == tuple(f.supporting_wall for f in direct.faces)
             assert node.undecided == (direct.undecided if fallback else ())
+
+    def test_nonreflective_facets_are_not_transported(self):
+        # every facet of the base chamber is a wall of square -4 whose
+        # reflection is not integral, so each depth-1 chamber, reached
+        # across one, searches for its own facets
+        L, spec = make_lattice(core.direct_sum(core.U_GRAM, [[-4]])), wall_spec([-2, -4])
+        base, *children = explore_tessellation(L, (5, 3, 1), spec, 1).nodes
+        assert base.undecided == () and len(base.facets) == len(children) == 3
+        assert not any(is_reflective(L, s.vector) for s in base.facets)
+        for node in children:
+            direct = facet_walls(L, chamber_at(L, node.witness, spec=spec))
+            assert node.facets == tuple(f.supporting_wall for f in direct.faces)
+            assert node.undecided == direct.undecided
 
     @pytest.mark.xfail(strict=True, raises=ReductionInvariantError,
                        reason="the crossing of the non-reflective facet (2, -1, 0, 0) out of the "

@@ -1,6 +1,7 @@
 import random
 from contextlib import contextmanager
 from itertools import permutations
+from operator import mul
 
 import pytest
 
@@ -26,15 +27,20 @@ from mbmlat.orbits import (
     degenerate_split,
     face_orbit_census,
     facet_reflection_generators,
-    isometries_in_box,
     isometry,
-    kernel_sign_flip,
     kneser_degenerate_reps,
-    lift_complement_isometry,
     orbit_key_mod_sign,
     reflection,
 )
-from oracles import closure_classes, complement_orbit_reps, degenerate_generator_set, form, odd_coxeter_classes
+from oracles import (
+    closure_classes,
+    complement_part,
+    degenerate_generator_set,
+    form,
+    isometries_in_box,
+    kernel_functional,
+    odd_coxeter_classes,
+)
 
 SPEC2 = wall_spec([-2])
 
@@ -199,36 +205,43 @@ class TestKneserReps:
     def test_closure_partition_small(self, Z0A):
         # desk-scale exactness: emitted reps partition the box-6 vectors
         # of square -2 whose complement part is in the supplied family
-        sp = degenerate_split(Z0A)
+        l, phi = kernel_functional(Z0A.gram)
         reps = kneser_degenerate_reps(Z0A, -2, [(0, 1)])
-        gens = degenerate_generator_set(Z0A, sp)
-        balls = closure_classes(Z0A, reps, gens, word_len=8, state_box=24)
-        targets = [v for v in vectors_of_square(Z0A, -2, 6) if sp.complement_content(v) != 0]
+        balls = closure_classes(reps, degenerate_generator_set(Z0A.gram, l, phi), word_len=8, state_box=24)
+        targets = [v for v in vectors_of_square(Z0A, -2, 6) if any(complement_part(v, l, phi))]
         for v in targets:
             hits = sum(v in ball for ball in balls)
             assert hits == 1, v
 
 
-class TestTransvectionsAndLifts:
-    def test_kernel_sign_flip(self, Z0U):
-        sp = degenerate_split(Z0U)
-        f = kernel_sign_flip(sp)
-        assert f.apply(sp.kernel_gen) == tuple(-c for c in sp.kernel_gen)
-        for b in sp.complement_basis:
-            assert f.apply(b) == b
+class TestDegenerateOracle:
+    """The closure oracle's generators, built from the Gram matrix alone."""
 
-    def test_lift_acts_as_complement_isometry(self, Z0U):
-        sp = degenerate_split(Z0U)
-        for iso in isometries_in_box(sp.induced, 1):
-            lifted = lift_complement_isometry(sp, iso.matrix)
-            for j, b in enumerate(sp.complement_basis):
-                img = lifted.apply(b)
-                coords, k = sp.decompose(img)
-                assert k == 0
-                assert coords == tuple(iso.matrix[i][j] for i in range(2))
+    def test_kernel_functional(self, Z0A, Z0U):
+        for L in (Z0A, Z0U, make_lattice([[2, 1, 3], [1, -2, -1], [3, -1, 2]])):
+            l, phi = kernel_functional(L.gram)
+            assert core.content(l) == 1 and sum(map(mul, phi, l)) == 1
+            assert core.gram_apply(L, l) == (0,) * L.rank
+
+    def test_every_generator_is_an_isometry(self, Z0A, Z0U):
+        for L in (Z0A, Z0U):
+            l, phi = kernel_functional(L.gram)
+            gens = degenerate_generator_set(L.gram, l, phi)
+            # isometry() raises unless M^T G M = G and det = +-1
+            assert set(gens) == {isometry(L, m).inverse().matrix for m in gens}
+
+    def test_sign_flip_negates_the_kernel_and_fixes_ker_phi(self, Z0U):
+        l, phi = kernel_functional(Z0U.gram)
+        flip = isometry(Z0U, [[int(r == k) - 2 * l[r] * phi[k] for k in range(3)] for r in range(3)])
+        assert flip.matrix in degenerate_generator_set(Z0U.gram, l, phi)
+        assert flip.apply(l) == tuple(-c for c in l)
+        rng = random.Random(71)
+        for _ in range(20):
+            part = complement_part(tuple(rng.randint(-9, 9) for _ in range(3)), l, phi)
+            assert sum(map(mul, phi, part)) == 0 and flip.apply(part) == part
 
     def test_o_u_has_four_elements(self, U):
-        assert len(isometries_in_box(U, 1)) == 4
+        assert len(isometries_in_box(U.gram, 1)) == 4
 
 
 class TestCanonicalOrbitRep:
