@@ -45,7 +45,6 @@ from .core import (
     Vector,
     as_int_vector,
     gram_apply,
-    pairing,
     primitive_integral,
     primitive_part,
     project_off,
@@ -62,6 +61,7 @@ from .enumeration import (
     is_reflective,
     iter_separating_walls,
     learn_chamber,
+    _reflect_integral,
     separating_walls,
     walls_containing,
     walls_near,
@@ -195,12 +195,6 @@ def _learn_chamber(L: Lattice, base: Vector, spec: WallSpec) -> None:
         learn_chamber(L, spec, base, [f.supporting_wall for f in res.faces])
 
 
-def _reflect_wall(u: Wall, s: Wall, gs) -> Wall:
-    """r_s(u) in integers, from gs = G s, for a reflective s."""
-    c = 2 * sum(map(mul, u.vector, gs)) // s.square
-    return Wall(vector=tuple(a - c * b for a, b in zip(u.vector, s.vector)), square=u.square)
-
-
 @lru_cache(maxsize=256)
 def _mirror(L: Lattice, base: Vector, s: Wall, spec: WallSpec):
     """None when s is not reflective or base lies on a wall; else
@@ -216,7 +210,8 @@ def _reflected_sep(L: Lattice, cur, sep, gs, grb, mirror) -> list[Wall]:
     sep = separating_walls(L, b, c, spec), from :func:`_mirror`'s data."""
     s = sep[0]
     gc = gram_apply(L, cur)
-    out = [_reflect_wall(w, s, gs) for w in sep if sum(map(mul, w.vector, grb)) > 0]
+    out = [Wall(vector=_reflect_integral(w.vector, s, gs), square=w.square)
+           for w in sep if sum(map(mul, w.vector, grb)) > 0]
     out += [u for u in mirror if sum(map(mul, u.vector, gc)) < 0]
     return sorted(out, key=lambda w: w.sort_key)
 
@@ -275,21 +270,29 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
         # every candidate pairs positively with w, so -s is never one
         # q(s,s) < 0: y is a positive multiple of w's projection onto the wall
         y = vec_scale(-1, project_off(L, w, s.vector))
+        vio = _violated(L, y, candidates, s)
         if is_reflective(L, s.vector):
-            # cheap kill: a facet's midpoint witness must be strictly
-            # feasible for every other wall, candidates included
-            if _violated(L, y, candidates, s):
-                continue
-            # exact mirror criterion: s is a facet iff nothing else
-            # separates the witness from its reflection
-            mirror = reflect_vector(L, w, s.vector)
-            if not has_other_separating_wall(L, w, mirror, spec, {s.vector}):
+            # a facet's midpoint witness y is strictly feasible for every other
+            # wall, and then s is a facet iff nothing else separates w from r_s(w)
+            if not vio and not has_other_separating_wall(L, w, reflect_vector(L, w, s.vector), spec, {s.vector}):
                 faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y)))
             continue
-        status, on_wall = _decide_nonreflective(L, s, y, candidates)
-        if status == "facet":
-            faces.append(Face(supporting_wall=s, witness_on_wall=on_wall))
-        elif status == "unknown":
+        # y is positive in s^perp, of signature (1, m - 1), and a violated u has
+        # p = project_off(u, s) != 0 with q(p, y) = q(s,s) q(u, y) >= 0.  If q(p, p) >= 0,
+        # then q(p, .) > 0 > q(u, .) on the wall's whole positive component: no facet.
+        if any(square(L, project_off(L, u.vector, s.vector)) >= 0 for _, u in vio):
+            continue
+        # repair: reflect y across the p of the most violated u.  Such a reflection
+        # keeps y's positive component, on which q(u, .) has one sign if q(p, p) >= 0,
+        # so that u was violated at the first y already: every p here is negative.
+        for _ in range(_REPAIR_BUDGET):
+            if not vio:
+                faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y)))
+                break
+            u = min(vio, key=lambda qu: (qu[0], qu[1].sort_key))[1]
+            y = primitive_integral(reflect_vector(L, y, project_off(L, u.vector, s.vector)))
+            vio = _violated(L, y, candidates, s)
+        else:
             undecided.append(s)
     return FacetResult(faces=tuple(faces), undecided=tuple(undecided), search_bound=search_bound)
 
@@ -299,33 +302,6 @@ def _violated(L: Lattice, y, walls, s: Wall) -> list[tuple[int, Wall]]:
     s itself, from one gram_apply of y."""
     gy = gram_apply(L, y)
     return [(q, u) for u in walls if u is not s and (q := sum(map(mul, u.vector, gy))) <= 0]
-
-
-def _decide_nonreflective(L: Lattice, s: Wall, y, candidates) -> tuple[str, Vector | None]:
-    """Decide s from y, a positive point on the wall, against the other
-    ``candidates``; every candidate pairs positively with the chamber
-    witness, so none is parallel to s."""
-    vio = _violated(L, y, candidates, s)
-    # certificate: a wall whose projection into s^perp has non-negative
-    # square keeps one sign on the whole positive component of the wall
-    for _, u in vio:
-        ut = vec_scale(-1, project_off(L, u.vector, s.vector))
-        if pairing(L, ut, ut) >= 0 and pairing(L, ut, y) < 0:
-            return "non-facet", None
-    # bounded repair: reflect the witness inside the wall across violated
-    # projections of strictly negative square
-    for _ in range(_REPAIR_BUDGET):
-        if not vio:
-            return "facet", primitive_part(y)
-        u = min(vio, key=lambda qu: (qu[0], qu[1].sort_key))[1]
-        ut = vec_scale(-1, project_off(L, u.vector, s.vector))
-        if pairing(L, ut, ut) >= 0:
-            if pairing(L, ut, y) < 0:
-                return "non-facet", None
-            return "unknown", None
-        y = primitive_integral(reflect_vector(L, y, ut))
-        vio = _violated(L, y, candidates, s)
-    return "unknown", None
 
 
 # ---------------------------------------------------------------------------

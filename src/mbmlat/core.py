@@ -497,10 +497,11 @@ def project_off(L: Lattice, v: Sequence, x: Sequence) -> Vector:
     projection's when q(x,x) > 0 and the opposite one when q(x,x) < 0.
     Requires q(x,x) != 0 (IsotropicVectorError otherwise).
     """
-    qxx = pairing(L, x, x)
+    _require_rank(L, v)
+    gx = gram_apply(L, x)
+    qxx, qvx = sum(map(mul, x, gx)), sum(map(mul, v, gx))
     if qxx == 0:
         raise IsotropicVectorError(f"cannot project along isotropic vector {tuple(x)}")
-    qvx = pairing(L, v, x)
     return tuple(qxx * v[i] - qvx * x[i] for i in range(L.rank))
 
 
@@ -538,10 +539,11 @@ def is_positive(L: Lattice, v: Sequence, reference: Sequence) -> bool:
 
 def reflect_vector(L: Lattice, v: Sequence, s: Sequence) -> Vector:
     """r_s(v) = v - 2 (q(v,s)/q(s,s)) s, exact; integral when it happens to be."""
-    qss = pairing(L, s, s)
+    _require_rank(L, v)
+    gs = gram_apply(L, s)
+    qss, qvs2 = sum(map(mul, s, gs)), 2 * sum(map(mul, v, gs))
     if qss == 0:
         raise IsotropicVectorError(f"cannot reflect in isotropic vector {tuple(s)}")
-    qvs2 = 2 * pairing(L, v, s)
     if qvs2 % qss == 0 and all(isinstance(x, int) for x in (*v, *s)):
         c = qvs2 // qss
         return tuple(v[i] - c * s[i] for i in range(L.rank))

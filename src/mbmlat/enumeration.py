@@ -76,6 +76,7 @@ from .core import (
     _symmetric_bareiss,
 )
 from .errors import (
+    DegenerateLatticeError,
     NonPositiveVectorError,
     ReductionInvariantError,
     SignatureError,
@@ -342,9 +343,11 @@ def _embed(basis, x0, k, y) -> Vector:
 
 def _positive(L: Lattice, v) -> tuple[Vector, int]:
     """The primitive integral ray of v and its square, after checking that
-    L has signature (1, m) and that v is positive."""
+    L is non-degenerate of signature (1, m) and that v is positive."""
     if L.signature[0] != 1:
         raise SignatureError(f"wall search needs signature (1, m), lattice has {L.signature}")
+    if L.is_degenerate:
+        raise DegenerateLatticeError("wall search needs a non-degenerate lattice; the discriminant is 0")
     vi = primitive_integral(v)
     qv = square(L, vi)
     if qv <= 0:
@@ -359,10 +362,11 @@ def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, ranges, gv1=None):
 
     Every pairing t = q(s, v) is a multiple k g0.  The orthogonal part
     of s has D^2 Q(y + k c1/D) = D^2 (t^2/N - d), an integer for every
-    integral s, so a t where it is not has no wall.  With s = k x0 + B y
-    and z = D y + k c1, q(s, v1) = k q(x0, v1) + h.y for h_j = q(b_j, v1),
-    so q(s, v1) < 0 is the enumeration's cut h.z < k (h.c1 - D q(x0, v1)),
-    whose form data does not depend on d or t.
+    such t: N divides D^2 t^2, as D = |det v^perp| = |N disc| / g0^2 and
+    g0 divides N and disc (adj(G) G v = disc v, v primitive).  With
+    s = k x0 + B y and z = D y + k c1, q(s, v1) = k q(x0, v1) + h.y for
+    h_j = q(b_j, v1), so q(s, v1) < 0 is the enumeration's cut
+    h.z < k (h.c1 - D q(x0, v1)), whose form data does not depend on d or t.
     """
     data = _base_data(L, v)
     N, g0, D, c1 = data.norm, data.g0, data.det, data.c1
@@ -374,9 +378,7 @@ def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, ranges, gv1=None):
     for d, t_lo, t_hi in ranges:
         for k in range(-(-t_lo // g0), t_hi // g0 + 1):
             t = k * g0
-            target, rmod = divmod(D * D * (t * t - d * N), N)
-            if rmod:
-                continue
+            target = D * D * (t * t - d * N) // N
             center = tuple(k * ci for ci in c1)
             cut = None if linear is None else (linear, k * per_k)
             for y in data.form.enumerate(center, D, target, target, cut):
@@ -433,6 +435,12 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
 # separating walls by root descent in a certified chamber
 
 
+def _reflect_integral(x, t: Wall, gt) -> Vector:
+    """r_t(x) in integers, from gt = G t, for a reflective t."""
+    c = 2 * sum(map(mul, x, gt)) // t.square
+    return tuple([a - c * b for a, b in zip(x, t.vector)])
+
+
 class _Chamber:
     """A certified chamber of a reflective spec: its facets t_i, oriented
     so q(t_i, base) > 0, with G t_i and G base.  A plain class, since a
@@ -442,12 +450,6 @@ class _Chamber:
 
     def __init__(self, facets: tuple[Wall, ...], grams: tuple[Vector, ...], gbase: Vector):
         self.facets, self.grams, self.gbase = facets, grams, gbase
-
-    def reflect(self, i: int, x) -> Vector:
-        """r_{t_i}(x) in integers: t_i is reflective."""
-        t = self.facets[i]
-        c = 2 * sum(map(mul, x, self.grams[i])) // t.square
-        return tuple([a - c * b for a, b in zip(x, t.vector)])
 
     def descent(self, x):
         """Reflect the integral x, positive in the base's component, into the
@@ -461,7 +463,7 @@ class _Chamber:
                     break
             else:
                 return
-            x = self.reflect(i, x)
+            x = _reflect_integral(x, self.facets[i], self.grams[i])
             lower = sum(map(mul, x, self.gbase))
             if not 0 < lower < height:
                 raise ReductionInvariantError(
@@ -480,10 +482,10 @@ class _Chamber:
             if sum(map(mul, y, self.grams[i])) > 0:
                 beta = self.facets[i].vector
                 for j in reversed(word):
-                    beta = self.reflect(j, beta)
+                    beta = _reflect_integral(beta, self.facets[j], self.grams[j])
                 yield beta, self.facets[i].square
             word.append(i)
-            y = self.reflect(i, y)
+            y = _reflect_integral(y, self.facets[i], self.grams[i])
 
 
 # (L, spec) -> its certified _Chamber, or None after a failed attempt;

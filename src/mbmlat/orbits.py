@@ -428,28 +428,31 @@ def face_orbit_census(
     counts per depth give the saturation profile.
 
     The base chamber's states are keyed first.  ``generators=None`` takes
-    the reflections in the base node's facets; the base chamber is then a
-    fundamental domain of their group, and its states take the exact
-    labels that :func:`_coxeter_classes` reads off its Coxeter diagram.
-    Explicit generators key them by descent, which is exact only where
-    keys agree.  A chamber gC reached by crossing facets whose base-frame
-    reflections are all generators (see :func:`_path_inverses`) has g in
-    the group, so each of its states shares the key of its g^{-1} image,
-    a state of the base chamber: when every base-facet reflection is a
-    generator, the rows of depth >= 1 have no new orbits by
-    construction.  A state falls back to its own descent when its
-    chamber's g is not known to be in the group (custom generators
-    without the base-facet reflections, or a crossing whose reflection is
-    not integral) or when its image is not a keyed base state (a base
-    facet cut off at ``search_bound``, or one left undecided).
+    the reflections in the reflective facets of the base node.  If every
+    base facet is reflective, the base chamber is a fundamental domain of
+    their group, and its states take the exact labels that
+    :func:`_coxeter_classes` reads off its Coxeter diagram.  Otherwise,
+    and with explicit generators, they are keyed by descent, which is
+    exact only where keys agree.  A chamber gC reached by crossing facets
+    whose base-frame reflections are all generators (see
+    :func:`_path_inverses`) has g in the group, so each of its states
+    shares the key of its g^{-1} image, a state of the base chamber: when
+    every base-facet reflection is a generator, the rows of depth >= 1
+    have no new orbits by construction.  A state falls back to its own
+    descent when its chamber's g is not known to be in the group (custom
+    generators without the base-facet reflections, or a crossing whose
+    reflection is not integral) or when its image is not a keyed base
+    state (a base facet cut off at ``search_bound``, or one left
+    undecided).
     """
     if word_budget < 1:
         raise ValidationError(f"word_budget must be >= 1, got {word_budget}")
     graph = explore_tessellation(L, base, spec, depth, search_bound)
     diagram = None
     if generators is None:
-        generators = [reflection(L, s) for s in graph.nodes[0].facets]
-        diagram = _coxeter_classes(L, graph.nodes[0].facets)
+        facets = graph.nodes[0].facets
+        generators = [reflection(L, s) for s in facets if is_reflective(L, s.vector)]
+        diagram = _coxeter_classes(L, facets) if len(generators) == len(facets) else None
     mats = _generator_matrices(L, generators)
     codims = (1, 2) if max_codim >= 2 else (1,)
     seen: dict = {c: set() for c in codims}
@@ -602,10 +605,10 @@ def _path_inverses(L: Lattice, paths, mats) -> dict:
 
 def facet_reflection_generators(L: Lattice, base, spec: WallSpec,
                                 search_bound: int = DEFAULT_SEARCH_BOUND) -> tuple[Isometry, ...]:
-    """Reflections in the facet walls of the base chamber.
+    """Reflections in the reflective facet walls of the base chamber.
 
     For a reflective wall system these generate the full chamber-transitive
     reflection group, making them the natural census generator set.
     """
     facets = explore_tessellation(L, base, spec, 0, search_bound).nodes[0].facets
-    return tuple(reflection(L, s) for s in facets)
+    return tuple(reflection(L, s) for s in facets if is_reflective(L, s.vector))

@@ -190,6 +190,30 @@ def test_wall_search_names_the_signature(argv):
     assert "(1, m)" in payload["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["separate", "--v0", "0,1,1", "--v1", "0,2,1"],
+    ["reduce", "--v", "0,2,1", "--base", "0,1,1"],
+    ["facets", "--witness", "0,1,1"],
+    ["explore", "--base", "0,1,1", "--depth", "1"],
+    ["census", "--base", "0,1,1", "--depth", "1"],
+], ids=["separate", "reduce", "facets", "explore", "census"])
+def test_wall_search_rejects_a_degenerate_lattice(argv):
+    # Z0+U has signature (1, 1) and a kernel: v^perp is not definite
+    code, _, err = invoke(argv + ["--lattice", "Z0+U", "--squares", "-2"])
+    assert code == 1
+    assert json.loads(err)["error"] == "DegenerateLatticeError"
+
+
+def test_default_census_with_a_nonreflective_base_facet():
+    # three of the four base facets have square -4 and no integral
+    # reflection: the default generators are the one reflective facet's
+    code, out, _ = invoke(["census", "--lattice", "U+A1m2+A1m2", "--base", "5,8,-2,-1", "--squares=-2,-4",
+                           "--depth", "1", "--format", "text"])
+    assert code == 0
+    assert out.splitlines()[1:3] == ["    0      1      4           4             4",
+                                     "    0      2     12          12            12"]
+
+
 def test_usage_error_exit_code():
     code, _, _ = invoke(["no-such-command"])
     assert code == 2

@@ -312,6 +312,14 @@ class TestCensus:
         sat2 = table.saturation(2)
         assert sat2[2] == 0 and sat2[3] == 0
 
+    def test_nonreflective_base_facets_are_not_generators(self, UAA):
+        # three of the four base facets have no integral reflection: the
+        # default census keys every state by descent under the fourth's
+        spec, base = wall_spec([-2, -4]), (5, 8, -2, -1)
+        gens = facet_reflection_generators(UAA, base, spec)
+        assert [g.matrix for g in gens] == [reflection(UAA, (0, 1, -1, 0)).matrix]
+        assert face_orbit_census(UAA, base, spec, None, 1) == face_orbit_census(UAA, base, spec, gens, 1)
+
     def test_text_rendering_aligned(self, UA):
         gens = facet_reflection_generators(UA, (5, 3, 2), SPEC2)
         table = face_orbit_census(UA, (5, 3, 2), SPEC2, gens, depth=1)
