@@ -257,12 +257,14 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
 
     Reflective walls are decided exactly via the mirror criterion;
     non-reflective ones fall back to projection witness, separation
-    certificate, then a bounded reflection-repair search.
+    certificate, then a bounded reflection-repair search.  A chamber
+    witness on a wall raises WallIncidenceError.
     """
     if search_bound < 1:
         raise ValidationError(f"search_bound must be >= 1, got {search_bound}")
     spec = chamber.spec
     w = chamber.witness
+    ensure_wall_free(L, w, spec)
     candidates = walls_near(L, w, spec, search_bound)
     faces: list[Face] = []
     undecided: list[Wall] = []
@@ -290,7 +292,11 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
                 faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y)))
                 break
             u = min(vio, key=lambda qu: (qu[0], qu[1].sort_key))[1]
-            y = primitive_integral(reflect_vector(L, y, project_off(L, u.vector, s.vector)))
+            # -q(p,p) > 0 times r_p(y), in integers
+            p = project_off(L, u.vector, s.vector)
+            gp = gram_apply(L, p)
+            qpp, qyp2 = sum(map(mul, p, gp)), 2 * sum(map(mul, y, gp))
+            y = primitive_part(tuple(qyp2 * b - qpp * a for a, b in zip(y, p)))
             vio = _violated(L, y, candidates, s)
         else:
             undecided.append(s)

@@ -9,9 +9,7 @@ document for each format it offers; ``run`` writes the one selected.
 Domain errors exit 1 with a structured JSON object on stderr; usage
 errors exit 2.  ``--threads`` is accepted for interface compatibility
 and validated, but execution is sequential, which makes the byte-level
-determinism across thread counts trivial.  ``--seed`` is reserved for
-randomized property subcommands; the fixed default keeps every
-invocation reproducible.
+determinism across thread counts trivial.
 
 Vectors on the command line are comma-separated integers (rationals as
 p/q); lists of vectors are separated by semicolons.  A value that starts
@@ -76,10 +74,6 @@ def _parse_squares(text: str):
         return [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad squares list {text!r}") from exc
-
-
-def _emit_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _vec_text(v) -> str:
@@ -263,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mbmlat",
         description="Exact wall-and-chamber geometry over integral quadratic lattices.",
     )
-    p.add_argument("--seed", type=int, default=1,
-                   help="seed for randomized property subcommands (reserved; fixed default)")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads; output bytes are identical for any value")
     sub = p.add_subparsers(dest="command", required=True)
@@ -352,7 +344,7 @@ def run(argv=None) -> int:
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
         )
         return 1
-    sys.stdout.write(_emit_json(doc) if args.format == "json" else doc)
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n" if args.format == "json" else doc)
     return 0
 
 

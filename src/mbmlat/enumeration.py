@@ -67,7 +67,6 @@ from .core import (
     hyperplane_basis,
     induced_gram,
     integer_kernel,
-    pairing,
     primitive_integral,
     sign_normalize,
     square,
@@ -309,21 +308,13 @@ def vectors_of_square(L: Lattice, target: int, box: int) -> list[Vector]:
 # separating walls
 
 
-@dataclass(frozen=True)
-class _BaseData:
-    """Cached per-basepoint machinery for wall searches around v0."""
-
-    norm: int                      # N = q(v0, v0)
-    g0: int                        # gcd of gram . v0
-    x0: Vector                     # integral solution of q(x, v0) = g0
-    basis: tuple                   # integral basis of v0^perp, LLL-reduced (the walls do not depend on it)
-    form: _PosDefForm              # positive definite form on v0^perp
-    c1: tuple                      # |det Gw| Gw^{-1} (B^T G x0): center numerator per unit t/g0
-    det: int                       # |det Gw| > 0, the center's denominator
-
-
 @lru_cache(maxsize=1024)
-def _base_data(L: Lattice, v0: Vector) -> _BaseData:
+def _base_data(L: Lattice, v0: Vector) -> tuple:
+    """(N, g0, x0, basis, form, c1, D) for wall searches around v0: N = q(v0, v0),
+    g0 = gcd(G v0), x0 an integral solution of q(x, v0) = g0, an integral
+    basis B of v0^perp, LLL-reduced (the walls do not depend on it), the
+    positive definite form -Gw on v0^perp (Gw = B^T G B), and the center
+    numerator per unit t/g0, c1 = D Gw^{-1} (B^T G x0), over D = |det Gw|."""
     g0, x0, basis = hyperplane_basis(L, v0)
     # negative definiteness of v0^perp is equivalent to v0 being positive
     h, form_gram, triangle = _lll(tuple(tuple(-x for x in r) for r in induced_gram(L, basis)))
@@ -331,9 +322,7 @@ def _base_data(L: Lattice, v0: Vector) -> _BaseData:
     gx0 = gram_apply(L, x0)
     # Gw = -form_gram, so |det Gw| Gw^{-1} h1 = det(form_gram) form_gram^{-1} (-h1)
     det, (c1,) = _bareiss(form_gram, (tuple(-sum(map(mul, b, gx0)) for b in basis),))
-    return _BaseData(
-        norm=int(square(L, v0)), g0=int(g0), x0=x0, basis=basis, form=_PosDefForm(*triangle), c1=c1, det=det,
-    )
+    return int(square(L, v0)), int(g0), x0, basis, _PosDefForm(*triangle), c1, det
 
 
 def _embed(basis, x0, k, y) -> Vector:
@@ -341,18 +330,20 @@ def _embed(basis, x0, k, y) -> Vector:
     return tuple(k * x0[i] + sum(y[j] * basis[j][i] for j in range(len(basis))) for i in range(n))
 
 
-def _positive(L: Lattice, v) -> tuple[Vector, int]:
-    """The primitive integral ray of v and its square, after checking that
-    L is non-degenerate of signature (1, m) and that v is positive."""
+def _positive(L: Lattice, v) -> tuple[Vector, int, Vector]:
+    """The primitive integral ray of v, its square and its covector G ray,
+    after checking that L is non-degenerate of signature (1, m) and that v
+    is positive."""
     if L.signature[0] != 1:
         raise SignatureError(f"wall search needs signature (1, m), lattice has {L.signature}")
     if L.is_degenerate:
         raise DegenerateLatticeError("wall search needs a non-degenerate lattice; the discriminant is 0")
     vi = primitive_integral(v)
-    qv = square(L, vi)
+    gv = gram_apply(L, vi)
+    qv = sum(map(mul, vi, gv))
     if qv <= 0:
         raise NonPositiveVectorError(f"{tuple(v)} is not positive")
-    return vi, qv
+    return vi, qv, gv
 
 
 def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, ranges, gv1=None):
@@ -368,21 +359,20 @@ def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, ranges, gv1=None):
     h_j = q(b_j, v1), so q(s, v1) < 0 is the enumeration's cut
     h.z < k (h.c1 - D q(x0, v1)), whose form data does not depend on d or t.
     """
-    data = _base_data(L, v)
-    N, g0, D, c1 = data.norm, data.g0, data.det, data.c1
+    N, g0, x0, basis, form, c1, D = _base_data(L, v)
     linear = per_k = None
     if gv1 is not None:
-        h = tuple(sum(map(mul, b, gv1)) for b in data.basis)
-        linear = data.form.linear(h)
-        per_k = sum(map(mul, h, c1)) - D * sum(map(mul, data.x0, gv1))
+        h = tuple(sum(map(mul, b, gv1)) for b in basis)
+        linear = form.linear(h)
+        per_k = sum(map(mul, h, c1)) - D * sum(map(mul, x0, gv1))
     for d, t_lo, t_hi in ranges:
         for k in range(-(-t_lo // g0), t_hi // g0 + 1):
             t = k * g0
             target = D * D * (t * t - d * N) // N
             center = tuple(k * ci for ci in c1)
             cut = None if linear is None else (linear, k * per_k)
-            for y in data.form.enumerate(center, D, target, target, cut):
-                s = _embed(data.basis, data.x0, k, y)
+            for y in form.enumerate(center, D, target, target, cut):
+                s = _embed(basis, x0, k, y)
                 if content(s) == 1 and (not spec.require_reflective or is_reflective(L, s)):
                     yield Wall(vector=s, square=d)
 
@@ -407,9 +397,9 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
     """Generator behind :func:`separating_walls`; order not guaranteed.
     Root descent answers when (L, spec) has a certified chamber; otherwise
     only the far-side cap q(s, v1) < 0 of each t-ellipsoid is enumerated."""
-    v0p, N = _positive(L, v0)
-    V1, q1 = _positive(L, v1)
-    mu = pairing(L, v0p, V1)
+    v0p, N, _ = _positive(L, v0)
+    V1, q1, gv1 = _positive(L, v1)
+    mu = sum(map(mul, v0p, gv1))
     if mu <= 0:
         raise NonPositiveVectorError("v0 and v1 do not lie in the same positive component")
     gap = mu * mu - N * q1  # zero iff v0, v1 are proportional
@@ -428,7 +418,7 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
         return
     # the largest t with t^2 q1 < |d| gap, per square
     ranges = [(d, 1, isqrt((-d * gap - 1) // q1)) for d in sorted(spec.squares)]
-    yield from _iter_walls_for_t(L, v0p, spec, ranges, gram_apply(L, V1))
+    yield from _iter_walls_for_t(L, v0p, spec, ranges, gv1)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +525,7 @@ def walls_near(L: Lattice, v, spec: WallSpec, max_pairing: int) -> list[Wall]:
     """Walls s with q(s,s) in spec and 1 <= q(s, v~) <= max_pairing, where
     v~ is the primitive integral rescaling of v.  Candidate universe for
     facet detection; completeness is relative to the pairing bound."""
-    vi, _ = _positive(L, v)
+    vi = _positive(L, v)[0]
     ranges = [(d, 1, max_pairing) for d in spec.squares]
     return sorted(_iter_walls_for_t(L, vi, spec, ranges), key=lambda w: w.sort_key)
 
@@ -552,7 +542,7 @@ def has_other_separating_wall(L: Lattice, v0, v1, spec: WallSpec, excluded) -> b
 def walls_containing(L: Lattice, v, spec: WallSpec) -> list[Wall]:
     """All walls through the positive class v (q(s, v) = 0), sign-normalized
     and sorted; complete, since v^perp is negative definite."""
-    vi, _ = _positive(L, v)
+    vi = _positive(L, v)[0]
     found = {(w.square, sign_normalize(w.vector))
              for w in _iter_walls_for_t(L, vi, spec, [(d, 0, 0) for d in spec.squares])}
     return [Wall(vector=vec, square=d) for d, vec in sorted(found)]

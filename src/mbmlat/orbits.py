@@ -47,7 +47,6 @@ from .core import (
 from .enumeration import Wall, WallSpec, is_reflective
 from .errors import (
     BaseRepsError,
-    FlagChainError,
     KernelRankError,
     NonIntegralReflectionError,
     ReductionInvariantError,
@@ -469,12 +468,12 @@ def face_orbit_census(
             # each state with the indices of the facets it is built from
             states = [(1, (_sign_min(s.vector),), (i,)) for i, s in enumerate(n.facets)]
             if max_codim >= 2:
-                for i, j in permutations(range(len(n.facets)), 2):
-                    try:
+                # (i, j) is a flag iff q_ij^2 < q_ii q_jj, the pairs encode_flag accepts
+                g = induced_gram(L, [s.vector for s in n.facets])
+                for i, j in permutations(range(len(g)), 2):
+                    if g[i][j] ** 2 < g[i][i] * g[j][j]:
                         flag = encode_flag(L, [n.facets[i], n.facets[j]], spec)
-                    except FlagChainError:
-                        continue
-                    states.append((2, tuple(_sign_min(e.vector) for e in flag.entries), (i, j)))
+                        states.append((2, tuple(_sign_min(e.vector) for e in flag.entries), (i, j)))
             for codim, state, index in states:
                 faces[codim] += 1
                 if state not in keys:
@@ -594,11 +593,8 @@ def _path_inverses(L: Lattice, paths, mats) -> dict:
     ginvs: dict = {(): identity_matrix(L.rank)}
     for path in filter(None, paths):
         parent, r = ginvs[path[:-1]], None
-        if parent is not None:
-            try:
-                r = reflection(L, mat_vec(parent, path[-1].vector)).matrix
-            except NonIntegralReflectionError:
-                pass
+        if parent is not None and is_reflective(L, t := mat_vec(parent, path[-1].vector)):
+            r = reflection(L, t).matrix
         ginvs[path] = mat_mul(r, parent) if r in mats else None
     return ginvs
 

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from mbmlat import chambers, core, enumeration
 from mbmlat.chambers import (
     DEFAULT_SEARCH_BOUND,
+    Chamber,
     chamber_at,
     encode_flag,
     explore_tessellation,
@@ -352,6 +354,12 @@ class TestFacetWalls:
         with pytest.raises(WallIncidenceError):
             chamber_at(UA, (1, 1, 0), spec=SPEC2)
 
+    def test_witness_on_a_wall_rejected(self, UA):
+        # (1, 1, 0) lies on the walls (0, 0, 1) and (1, -1, 0): a chamber built
+        # without chamber_at's checks gets no facets from it
+        with pytest.raises(WallIncidenceError):
+            facet_walls(UA, Chamber(spec=SPEC2, witness=(1, 1, 0), crossing_set=()))
+
     def test_nonreflective_walls_in_mixed_spec(self, UAA):
         # the -4 walls of U+A1m2+A1m2 are not reflective, so their facet
         # decisions take the projection/certificate/repair path
@@ -445,6 +453,26 @@ class TestEncodeFlag:
             assert entry.unscaled_square == form(UAA.gram, entry.unscaled, entry.unscaled) < 0
             scale *= entry.square
         assert [e.unscaled for e in f.entries] == [(1, -1, 0, 0), (-1, -1, -2, 0), (8, 8, 4, 12)]
+
+    @pytest.mark.parametrize("gram, base, squares", [
+        (core.direct_sum(core.U_GRAM, [[-2]], [[-2]]), (3, 4, 1, 1), [-2]),
+        (core.direct_sum(core.U_GRAM, [[-2]], [[-4]]), (3, 7, 1, 1), [-2, -4]),
+    ], ids=["U+A1m2+A1m2", "U+<-2>+<-4>"])
+    def test_pair_is_a_flag_iff_its_gram_matrix_is_definite(self, gram, base, squares):
+        # the second entry of (s_i, s_j) is p = q_ii s_j - q_ij s_i, with
+        # q(p, p) = q_ii (q_ii q_jj - q_ij^2), so the pair is rejected iff
+        # q_ij^2 >= q_ii q_jj: the rule the census applies without encoding
+        L, spec = make_lattice(gram), wall_spec(squares)
+        facets = [f.supporting_wall.vector for f in facet_walls(L, chamber_at(L, base, spec=spec)).faces]
+        rejected = 0
+        for s, t in permutations(facets, 2):
+            if pairing(L, s, t) ** 2 >= square(L, s) * square(L, t):
+                rejected += 1
+                with pytest.raises(FlagChainError):
+                    encode_flag(L, [s, t], spec)
+            else:
+                assert encode_flag(L, [s, t], spec).depth == 2
+        assert 0 < rejected < len(facets) * (len(facets) - 1)
 
     def test_non_spec_square_rejected(self, UA):
         with pytest.raises(ValidationError):

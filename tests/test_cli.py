@@ -214,6 +214,17 @@ def test_default_census_with_a_nonreflective_base_facet():
                                      "    0      2     12          12            12"]
 
 
+def test_census_max_codim_one_keeps_the_codim_one_rows():
+    argv = ["census", "--lattice", "U+A1m2+A1m2", "--base", "3,4,1,1", "--squares", "-2",
+            "--depth", "2", "--search-bound", "20"]
+    code, full, _ = invoke(argv)
+    code_1, facets_only, _ = invoke(argv + ["--max-codim", "1"])
+    assert code == code_1 == 0
+    rows = json.loads(facets_only)["rows"]
+    assert rows == [r for r in json.loads(full)["rows"] if r["codim"] == 1]
+    assert [(r["faces"], r["new_orbits"]) for r in rows] == [(5, 3), (25, 0), (70, 0)]
+
+
 def test_usage_error_exit_code():
     code, _, _ = invoke(["no-such-command"])
     assert code == 2

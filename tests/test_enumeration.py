@@ -15,6 +15,7 @@ from mbmlat.enumeration import (
     definite_short_vectors,
     has_other_separating_wall,
     is_reflective,
+    learn_chamber,
     separating_walls,
     vectors_of_square,
     wall_spec,
@@ -296,6 +297,18 @@ class TestDescent:
             seen["other component"] += pairing(L, a, base) < 0
             seen["separated"] += len(walls) > 1
         assert min(seen.values()) > 0, seen
+
+    def test_the_chamber_record_drops_its_oldest_entry(self, UA, fincke_pohst):
+        # an empty facet list certifies nothing, so each (L, spec) records None
+        specs = [wall_spec([-k]) for k in range(1, enumeration._CHAMBERS_MAX + 2)]
+        try:
+            for spec in specs:
+                learn_chamber(UA, spec, (5, 3, 2), ())
+            assert len(enumeration._chambers) == enumeration._CHAMBERS_MAX == 64
+            assert (UA, specs[0]) not in enumeration._chambers
+            assert all(enumeration._chambers[UA, spec] is None for spec in specs[1:])
+        finally:
+            enumeration._chambers.clear()
 
 
 class TestWallsContaining:

@@ -4,9 +4,9 @@ Each module may import only from the modules below it in ``LAYERS``, at
 module level, and only names it uses.  A function-local import usually
 hides an import cycle between layers; an unused one, sibling or stdlib,
 hides a dependency that is not there.  No source holds a float literal
-or a ``float(...)`` call: every decision is exact.  The names the
-benchmark's tracer binds must also resolve, or its metrics read 0
-without an error.
+or a ``float(...)`` call: every decision is exact.  No ``except``
+swallows an error to learn a yes/no answer.  The names the benchmark's
+tracer binds must also resolve, or its metrics read 0 without an error.
 """
 
 import ast
@@ -136,3 +136,12 @@ def test_package_code_has_a_non_test_caller():
                              if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
                              and m.name not in used]
     assert uncalled == [], f"only tests call {uncalled}"
+
+
+def test_no_exception_is_swallowed():
+    """An ``except`` whose body is only ``pass`` or ``continue`` turns an
+    error into a yes/no answer, which a predicate should give directly."""
+    swallowed = [f"{module}.py:{node.lineno}" for module in LAYERS + ["__init__"]
+                 for node in ast.walk(_tree(module)) if isinstance(node, ast.ExceptHandler)
+                 and all(isinstance(stmt, (ast.Pass, ast.Continue)) for stmt in node.body)]
+    assert swallowed == [], f"exceptions swallowed at {swallowed}"
