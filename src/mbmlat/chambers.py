@@ -44,14 +44,15 @@ from .core import (
     Lattice,
     Vector,
     as_int_vector,
+    content,
     gram_apply,
+    induced_gram,
     primitive_integral,
     primitive_part,
     project_off,
     reflect_vector,
     sign_normalize,
     square,
-    vec_scale,
 )
 from .enumeration import (
     Wall,
@@ -239,7 +240,9 @@ class FacetResult:
     """Facets found within the candidate universe q(s, witness) <= search_bound.
 
     ``undecided`` lists candidate walls the bounded procedure could not
-    classify (possible only for non-reflective walls); completeness of
+    classify (possible only for non-reflective walls): their repair search
+    came back to an earlier witness or ran through ``_REPAIR_BUDGET``
+    witnesses, all violated.  Completeness of
     the candidate list itself is relative to ``search_bound``.
     """
 
@@ -257,8 +260,10 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
 
     Reflective walls are decided exactly via the mirror criterion;
     non-reflective ones fall back to projection witness, separation
-    certificate, then a bounded reflection-repair search.  A chamber
-    witness on a wall raises WallIncidenceError.
+    certificate, then a reflection-repair search that stops at a repeated
+    witness or after ``_REPAIR_BUDGET`` witnesses.  Every decision is
+    integer arithmetic on the Gram matrix of the candidates and the
+    witness.  A chamber witness on a wall raises WallIncidenceError.
     """
     if search_bound < 1:
         raise ValidationError(f"search_bound must be >= 1, got {search_bound}")
@@ -266,13 +271,18 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     w = chamber.witness
     ensure_wall_free(L, w, spec)
     candidates = walls_near(L, w, spec, search_bound)
+    n = len(candidates)
+    M = induced_gram(L, [u.vector for u in candidates] + [w])
     faces: list[Face] = []
     undecided: list[Wall] = []
-    for s in candidates:
-        # every candidate pairs positively with w, so -s is never one
-        # q(s,s) < 0: y is a positive multiple of w's projection onto the wall
-        y = vec_scale(-1, project_off(L, w, s.vector))
-        vio = _violated(L, y, candidates, s)
+    for i, s in enumerate(candidates):
+        # every candidate pairs positively with w, so -s is never one.
+        # q(s,s) < 0: y = q(w,s) s - q(s,s) w is a positive multiple of w's
+        # projection onto the wall, and P[u] = q(u, y) for the candidates u
+        qss, qws = M[i][i], M[n][i]
+        y = tuple(qws * a - qss * b for a, b in zip(s.vector, w))
+        P = [qws * M[u][i] - qss * M[u][n] for u in range(n)]
+        vio = [u for u in range(n) if u != i and P[u] <= 0]
         if is_reflective(L, s.vector):
             # a facet's midpoint witness y is strictly feasible for every other
             # wall, and then s is a facet iff nothing else separates w from r_s(w)
@@ -280,34 +290,35 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
                 faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y)))
             continue
         # y is positive in s^perp, of signature (1, m - 1), and a violated u has
-        # p = project_off(u, s) != 0 with q(p, y) = q(s,s) q(u, y) >= 0.  If q(p, p) >= 0,
-        # then q(p, .) > 0 > q(u, .) on the wall's whole positive component: no facet.
-        if any(square(L, project_off(L, u.vector, s.vector)) >= 0 for _, u in vio):
+        # p = project_off(u, s) = q(s,s) u - q(u,s) s != 0 with q(p, y) = q(s,s) q(u, y) >= 0
+        # and q(p, p) = q(s,s) (q(s,s) q(u,u) - q(u,s)^2).  If q(p, p) >= 0, then
+        # q(p, .) > 0 > q(u, .) on the wall's whole positive component: no facet.
+        if any(qss * (qss * M[u][u] - M[u][i] ** 2) >= 0 for u in vio):
             continue
         # repair: reflect y across the p of the most violated u.  Such a reflection
         # keeps y's positive component, on which q(u, .) has one sign if q(p, p) >= 0,
         # so that u was violated at the first y already: every p here is negative.
-        for _ in range(_REPAIR_BUDGET):
-            if not vio:
-                faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y)))
+        # With s and the candidates fixed, each step depends on y alone, so once a
+        # witness repeats, the walk cycles through witnesses found violated: undecided.
+        seen = {y}
+        while vio and len(seen) < _REPAIR_BUDGET:
+            u = min(vio, key=lambda v: (P[v], candidates[v].sort_key))
+            # -q(p,p) > 0 times r_p(y), in integers, with q(y, p) = q(s,s) q(u, y) as y is in s^perp
+            qus, qpp, qyp2 = M[u][i], qss * (qss * M[u][u] - M[u][i] ** 2), 2 * qss * P[u]
+            p = [qss * a - qus * b for a, b in zip(candidates[u].vector, s.vector)]
+            z = tuple(qyp2 * b - qpp * a for a, b in zip(y, p))
+            c = content(z)  # divides q(v, z) for every integral v
+            y = tuple(a // c for a in z)
+            P = [(qyp2 * (qss * M[v][u] - qus * M[v][i]) - qpp * P[v]) // c for v in range(n)]
+            vio = [v for v in range(n) if v != i and P[v] <= 0]
+            if y in seen:
                 break
-            u = min(vio, key=lambda qu: (qu[0], qu[1].sort_key))[1]
-            # -q(p,p) > 0 times r_p(y), in integers
-            p = project_off(L, u.vector, s.vector)
-            gp = gram_apply(L, p)
-            qpp, qyp2 = sum(map(mul, p, gp)), 2 * sum(map(mul, y, gp))
-            y = primitive_part(tuple(qyp2 * b - qpp * a for a, b in zip(y, p)))
-            vio = _violated(L, y, candidates, s)
-        else:
+            seen.add(y)
+        if vio:
             undecided.append(s)
+        else:
+            faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y)))
     return FacetResult(faces=tuple(faces), undecided=tuple(undecided), search_bound=search_bound)
-
-
-def _violated(L: Lattice, y, walls, s: Wall) -> list[tuple[int, Wall]]:
-    """The pairs (q(u, y), u) with q(u, y) <= 0 for the walls u other than
-    s itself, from one gram_apply of y."""
-    gy = gram_apply(L, y)
-    return [(q, u) for u in walls if u is not s and (q := sum(map(mul, u.vector, gy))) <= 0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .chambers import DEFAULT_SEARCH_BOUND, encode_flag, explore_tessellation
+from .chambers import DEFAULT_SEARCH_BOUND, explore_tessellation
 from .core import (
     Lattice,
     Matrix,
@@ -468,12 +468,14 @@ def face_orbit_census(
             # each state with the indices of the facets it is built from
             states = [(1, (_sign_min(s.vector),), (i,)) for i, s in enumerate(n.facets)]
             if max_codim >= 2:
-                # (i, j) is a flag iff q_ij^2 < q_ii q_jj, the pairs encode_flag accepts
-                g = induced_gram(L, [s.vector for s in n.facets])
+                # (i, j) is a flag iff q_ij^2 < q_ii q_jj, the pairs encode_flag accepts; its
+                # entries are ±f_i and ±project_off(f_j, ±f_i) = ±(q_ii f_j - q_ij f_i)
+                f = [s.vector for s in n.facets]
+                g = induced_gram(L, f)
                 for i, j in permutations(range(len(g)), 2):
                     if g[i][j] ** 2 < g[i][i] * g[j][j]:
-                        flag = encode_flag(L, [n.facets[i], n.facets[j]], spec)
-                        states.append((2, tuple(_sign_min(e.vector) for e in flag.entries), (i, j)))
+                        p = primitive_part(tuple(g[i][i] * b - g[i][j] * a for a, b in zip(f[i], f[j])))
+                        states.append((2, (_sign_min(f[i]), _sign_min(p)), (i, j)))
             for codim, state, index in states:
                 faces[codim] += 1
                 if state not in keys:

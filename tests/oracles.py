@@ -281,6 +281,50 @@ def form(gram, a, b):
     return sum(a[i] * gram[i][j] * b[j] for i in range(len(a)) for j in range(len(b)))
 
 
+def _primitive(v) -> tuple:
+    g = gcd(*v)
+    return tuple(a // g for a in v)
+
+
+def repair_decisions(gram, w, candidates, budget):
+    """Facet decisions for the candidate walls whose reflection is not
+    integral: projection witness, separation certificate, then ``budget``
+    full reflection-repair steps with no check for a repeated witness.
+
+    Plain integer arithmetic on ``form``.  ``candidates`` are the wall
+    vectors with 1 <= q(s, w) for the wall-free positive w; returns
+    ``(faces, undecided)``, faces as (wall, primitive witness) pairs.
+    """
+    faces, undecided = [], []
+    for s in candidates:
+        d = form(gram, s, s)
+        if all(2 * sum(g * b for g, b in zip(row, s)) % d == 0 for row in gram):
+            continue
+
+        def violated(y):
+            # (q(u, y), square, u) orders the violated walls as the repair picks them
+            return sorted((form(gram, u, y), form(gram, u, u), u)
+                          for u in candidates if u != s and form(gram, u, y) <= 0)
+
+        def off_s(u):
+            return tuple(d * a - form(gram, u, s) * b for a, b in zip(u, s))
+
+        y = tuple(form(gram, w, s) * a - d * b for a, b in zip(s, w))
+        vio = violated(y)
+        if any(form(gram, off_s(u), off_s(u)) >= 0 for _, _, u in vio):
+            continue
+        for _ in range(budget):
+            if not vio:
+                faces.append((s, _primitive(y)))
+                break
+            p = off_s(vio[0][2])
+            y = _primitive(tuple(2 * form(gram, y, p) * b - form(gram, p, p) * a for a, b in zip(y, p)))
+            vio = violated(y)
+        else:
+            undecided.append(s)
+    return faces, undecided
+
+
 def odd_coxeter_classes(gram, roots) -> int:
     """Components of the graph on simple roots of square -2 with an edge
     wherever |q(s_i, s_j)| = 1, i.e. the Coxeter label m_ij is 3.

@@ -32,7 +32,7 @@ from mbmlat.errors import (
     WallIncidenceError,
 )
 from mbmlat.orbits import reflection
-from oracles import form, random_positive_pair, rational_projection
+from oracles import form, random_positive_pair, rational_projection, repair_decisions
 
 SPEC2 = wall_spec([-2])
 
@@ -379,6 +379,42 @@ class TestFacetWalls:
             assert pairing(UAA, f.supporting_wall.vector, f.witness_on_wall) == 0
             assert all(pairing(UAA, u.vector, f.witness_on_wall) > 0
                        for u in candidates if u != f.supporting_wall)
+
+    def test_a_walk_that_never_repeats_ends_at_the_budget(self, UAA):
+        # the repair walk for (1, -1, 0, 1) never comes back to a witness, so
+        # that wall is undecided only because the walk runs out of budget
+        res = facet_walls(UAA, chamber_at(UAA, (7, 9, 2, -3), spec=wall_spec([-2, -4])), search_bound=16)
+        assert [s.vector for s in res.undecided] == [
+            (-1, 1, -1, 0), (-1, 1, 0, 1), (-1, 2, 0, 0), (0, -1, -1, 1),
+            (0, 1, -1, -1), (1, -1, -1, 0), (1, -1, 0, 1), (1, 0, -1, -1),
+        ]
+        assert len(res.faces) == 4
+
+    @pytest.mark.parametrize("gram", [
+        core.direct_sum(core.U_GRAM, [[-2]], [[-2]]),
+        core.direct_sum(core.U_GRAM, [[-4]]),
+        core.direct_sum(core.U_GRAM, [[-2]], [[-4]]),
+    ], ids=["U+A1m2+A1m2", "U+<-4>", "U+<-2>+<-4>"])
+    def test_repair_stop_keeps_every_decision(self, gram):
+        # facet_walls stops a repair walk at its first repeated witness; the
+        # oracle walks the whole budget, so their decisions must agree
+        L, spec = make_lattice(gram), wall_spec([-2, -4])
+        rng = random.Random(f"repair/{gram}")
+        decided = []
+        while len(decided) < 12:
+            v = random_positive_pair(L, rng, 12)[0]
+            if walls_containing(L, v, spec):
+                continue
+            ch = chamber_at(L, v, spec=spec)
+            res = facet_walls(L, ch, search_bound=16)
+            candidates = [u.vector for u in walls_near(L, ch.witness, spec, 16)]
+            faces, undecided = repair_decisions(L.gram, ch.witness, candidates, chambers._REPAIR_BUDGET)
+            assert [(f.supporting_wall.vector, f.witness_on_wall) for f in res.faces
+                    if not is_reflective(L, f.supporting_wall.vector)] == faces, v
+            assert [u.vector for u in res.undecided] == undecided, v
+            decided.append((len(faces), len(undecided)))
+        faces_total, undecided_total = map(sum, zip(*decided))
+        assert faces_total > 0 and undecided_total > 0
 
 
 class TestChamber:
