@@ -46,7 +46,6 @@ from .core import (
     as_int_vector,
     content,
     gram_apply,
-    induced_gram,
     primitive_integral,
     primitive_part,
     project_off,
@@ -62,7 +61,6 @@ from .enumeration import (
     is_reflective,
     iter_separating_walls,
     learn_chamber,
-    _reflect_integral,
     separating_walls,
     walls_containing,
     walls_near,
@@ -158,6 +156,10 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     ``separating_walls`` returns.  A step across a non-reflective wall, or
     from a base on a wall, searches again.
 
+    A step across a wall that ``_mirror`` holds reflects an integral point
+    in integers with its cached G s (``_reflect_integral``); a rational
+    point, or a wall it does not hold, takes ``reflect_vector``.
+
     The first call for (L, spec) with a wall-free base tries to certify
     its chamber (:func:`_learn_chamber`); the word and image do not depend
     on which backend answers the searches.
@@ -170,9 +172,12 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     sep = separating_walls(L, base_p, cur, spec)
     while sep:
         s = sep[0]
-        cur = reflect_vector(L, cur, s.vector)
-        word.append(s)
         mirror = _mirror(L, base_p, s, spec)
+        if mirror is not None and all(isinstance(c, int) for c in cur):
+            cur = _reflect_integral(cur, s, mirror[0])
+        else:
+            cur = reflect_vector(L, cur, s.vector)
+        word.append(s)
         nxt = separating_walls(L, base_p, cur, spec) if mirror is None else _reflected_sep(L, cur, sep, *mirror)
         if len(nxt) >= len(sep):
             raise ReductionInvariantError(
@@ -194,6 +199,12 @@ def _learn_chamber(L: Lattice, base: Vector, spec: WallSpec) -> None:
     elif not walls_containing(L, base, spec):
         res = facet_walls(L, Chamber(spec=spec, witness=base, crossing_set=()), DEFAULT_SEARCH_BOUND)
         learn_chamber(L, spec, base, [f.supporting_wall for f in res.faces])
+
+
+def _reflect_integral(x, t: Wall, gt) -> Vector:
+    """r_t(x) in integers, from gt = G t, for a reflective t."""
+    c = 2 * sum(map(mul, x, gt)) // t.square
+    return tuple([a - c * b for a, b in zip(x, t.vector)])
 
 
 @lru_cache(maxsize=256)
@@ -272,7 +283,9 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     ensure_wall_free(L, w, spec)
     candidates = walls_near(L, w, spec, search_bound)
     n = len(candidates)
-    M = induced_gram(L, [u.vector for u in candidates] + [w])
+    vectors = [u.vector for u in candidates] + [w]
+    covectors = [gram_apply(L, v) for v in vectors]
+    M = [[sum(map(mul, a, g)) for g in covectors] for a in vectors]
     faces: list[Face] = []
     undecided: list[Wall] = []
     for i, s in enumerate(candidates):
@@ -283,10 +296,11 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
         y = tuple(qws * a - qss * b for a, b in zip(s.vector, w))
         P = [qws * M[u][i] - qss * M[u][n] for u in range(n)]
         vio = [u for u in range(n) if u != i and P[u] <= 0]
-        if is_reflective(L, s.vector):
-            # a facet's midpoint witness y is strictly feasible for every other
-            # wall, and then s is a facet iff nothing else separates w from r_s(w)
-            if not vio and not has_other_separating_wall(L, w, reflect_vector(L, w, s.vector), spec, {s.vector}):
+        gs = covectors[i]
+        if all(2 * x % qss == 0 for x in gs):
+            # s reflects integrally.  A facet's midpoint witness y is strictly feasible
+            # for every other wall, and then s is a facet iff nothing else separates w from r_s(w)
+            if not vio and not has_other_separating_wall(L, w, _reflect_integral(w, s, gs), spec, {s.vector}):
                 faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y)))
             continue
         # y is positive in s^perp, of signature (1, m - 1), and a violated u has

@@ -43,8 +43,13 @@ would lie in K, inside the closed positive cone, against q(u, u) < 0.
 beta_j = r_{i_1} ... r_{i_{j-1}} t_{i_j} met on the way are exactly the
 positive roots with q(beta, b) < 0 (Humphreys, *Reflection Groups and
 Coxeter Groups*, 5.6), and those with q(beta, a) > 0 separate; so do the
-negatives of the roots of a's descent with q(beta, b) > 0.  Without a
-certified chamber, Fincke-Pohst answers; it is also the tests' reference.
+negatives of the roots of a's descent with q(beta, b) > 0.  A descent
+runs on the pairings c = (q(x, t_i)), taken once: r_j maps them to
+c - m q(t_j, .), m = 2 c_j / q(t_j, t_j).  A root is built once, as
+sum_l n_l t_l; a back-reflection in r_j takes n_j to n_j - sum_l n_l A_lj,
+A_lj = 2 q(t_l, t_j) / q(t_j, t_j).  m and A_lj are integers, as t_j
+reflects integrally.  Without a certified chamber, Fincke-Pohst answers;
+it is also the tests' reference.
 
 All functions are pure apart from that record of certified chambers;
 per-basepoint data is memoized on immutable keys.
@@ -411,9 +416,9 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
         # with a, b = sign (v0, v1) in the base's component, a wall s with
         # q(s, a) > 0 > q(s, b) is a positive root or the negative of one
         sign = 1 if sum(map(mul, v0p, chamber.gbase)) > 0 else -1
-        a, b = tuple([sign * c for c in v0p]), tuple([sign * c for c in V1])
-        for t, x, y in ((sign, b, a), (-sign, a, b)):
-            for beta, d in chamber.inversions(x, y):
+        (ha, ca), (hb, cb) = chamber.pairings(v0p, sign), chamber.pairings(V1, sign)
+        for t, cx, hx, cy in ((sign, cb, hb, ca), (-sign, ca, ha, cb)):
+            for beta, d in chamber.inversions(cx, hx, cy):
                 yield Wall(vector=beta if t > 0 else tuple([-c for c in beta]), square=d)
         return
     # the largest t with t^2 q1 < |d| gap, per square
@@ -425,57 +430,66 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
 # separating walls by root descent in a certified chamber
 
 
-def _reflect_integral(x, t: Wall, gt) -> Vector:
-    """r_t(x) in integers, from gt = G t, for a reflective t."""
-    c = 2 * sum(map(mul, x, gt)) // t.square
-    return tuple([a - c * b for a, b in zip(x, t.vector)])
-
-
 class _Chamber:
     """A certified chamber of a reflective spec: its facets t_i, oriented
-    so q(t_i, base) > 0, with G t_i and G base.  A plain class, since a
-    dataclass would add its generation time to every import."""
+    so q(t_i, base) > 0, G t_i, G base, the Gram rows q(t_i, t_j), the
+    heights q(t_i, base) and the Cartan matrix A_lj = 2 q(t_l, t_j) /
+    q(t_j, t_j) by columns (``cartan[j][l]`` = A_lj).  r_j maps x to
+    x - m t_j, m = 2 q(x, t_j) / q(t_j, t_j), so it maps x's pairings c and
+    height to c - m q(t_j, .) and height - m q(t_j, base).  m and A_lj are
+    integers: t_j reflects integrally, so q(t_j, t_j) divides 2 q(x, t_j)
+    for every integral x.  A plain class, since a dataclass would add its
+    generation time to every import."""
 
-    __slots__ = ("facets", "grams", "gbase")
+    __slots__ = ("facets", "grams", "gbase", "gram", "heights", "cartan", "coords")
 
     def __init__(self, facets: tuple[Wall, ...], grams: tuple[Vector, ...], gbase: Vector):
         self.facets, self.grams, self.gbase = facets, grams, gbase
+        self.gram = tuple(tuple(sum(map(mul, t.vector, g)) for g in grams) for t in facets)
+        self.heights = tuple(sum(map(mul, t.vector, gbase)) for t in facets)
+        self.cartan = tuple(tuple(2 * q // row[j] for q in row) for j, row in enumerate(self.gram))
+        self.coords = tuple(zip(*(t.vector for t in facets)))
 
-    def descent(self, x):
-        """Reflect the integral x, positive in the base's component, into the
-        closed chamber, each time in the first t_i with q(t_i, x) < 0, and
-        yield each i.  A step must lower the integer q(x, base) and keep it
-        positive, which bounds the steps, or ReductionInvariantError."""
-        height = sum(map(mul, x, self.gbase))
+    def pairings(self, x, sign: int) -> tuple[int, list[int]]:
+        """The height q(sign x, base) and the pairings (q(sign x, t_i)) of
+        the integral x."""
+        return sign * sum(map(mul, x, self.gbase)), [sign * sum(map(mul, x, g)) for g in self.grams]
+
+    def inversions(self, cx: list[int], height: int, cy: list[int]):
+        """(beta, square) for the positive roots with q(beta, x) < 0 < q(beta, y),
+        from the pairings cx, cy and the height q(x, base) of integral x, y
+        in the base's component.  x descends into the closed chamber, each
+        time by the first t_j with q(t_j, x) < 0; a step must lower the
+        height and keep it positive, which bounds the steps, or
+        ReductionInvariantError.  The roots are the beta_k = r_{j_1} ...
+        r_{j_{k-1}} t_{j_k} of the descent with q(beta_k, y) =
+        q(t_{j_k}, r_{j_{k-1}} ... r_{j_1} y) > 0."""
+        gram, heights, cartan, facets = self.gram, self.heights, self.cartan, self.facets
+        word = []
         while True:
-            for i, g in enumerate(self.grams):
-                if sum(map(mul, x, g)) < 0:
+            for j, c in enumerate(cx):
+                if c < 0:
                     break
             else:
                 return
-            x = _reflect_integral(x, self.facets[i], self.grams[i])
-            lower = sum(map(mul, x, self.gbase))
+            row = gram[j]
+            m = 2 * c // row[j]
+            lower = height - m * heights[j]
             if not 0 < lower < height:
                 raise ReductionInvariantError(
-                    f"reflection in the facet {self.facets[i].vector} took q(x, base) from {height} to {lower}"
+                    f"reflection in the facet {facets[j].vector} took q(x, base) from {height} to {lower}"
                 )
             height = lower
-            yield i
-
-    def inversions(self, x: Vector, y: Vector):
-        """(beta, square) for the positive roots with q(beta, x) < 0 <
-        q(beta, y), x and y as for :meth:`descent`: the roots beta_j =
-        r_{i_1} ... r_{i_{j-1}} t_{i_j} of x's descent with
-        q(beta_j, y) = q(t_{i_j}, r_{i_{j-1}} ... r_{i_1} y) > 0."""
-        word = []
-        for i in self.descent(x):
-            if sum(map(mul, y, self.grams[i])) > 0:
-                beta = self.facets[i].vector
-                for j in reversed(word):
-                    beta = _reflect_integral(beta, self.facets[j], self.grams[j])
-                yield beta, self.facets[i].square
-            word.append(i)
-            y = _reflect_integral(y, self.facets[i], self.grams[i])
+            cx = [a - m * b for a, b in zip(cx, row)]
+            if cy[j] > 0:
+                n = [0] * len(facets)
+                n[j] = 1
+                for i in reversed(word):
+                    n[i] -= sum(map(mul, n, cartan[i]))
+                yield tuple([sum(map(mul, n, col)) for col in self.coords]), facets[j].square
+            m = 2 * cy[j] // row[j]
+            cy = [a - m * b for a, b in zip(cy, row)]
+            word.append(j)
 
 
 # (L, spec) -> its certified _Chamber, or None after a failed attempt;

@@ -21,6 +21,11 @@ def UAA():
 
 
 @pytest.fixture(scope="session")
+def I12():
+    return core.make_lattice(core.direct_sum([[1]], [[-1]], [[-1]]), "I12")
+
+
+@pytest.fixture(scope="session")
 def P22():
     return core.make_lattice(core.direct_sum([[2]], [[-2]]), "A1p2+A1m2")
 

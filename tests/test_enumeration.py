@@ -237,12 +237,18 @@ class TestSeparatingWalls:
                 assert all((2 * x) % d == 0 for x in core.gram_apply(L, w.vector))
 
 
-# per lattice fixture: a wall-free base, the coordinate bound of the
-# random pairs and the oracle's box, which every kept pair's walls fit in
-DESCENT_CASES = {"UA": ((5, 3, 2), 5, 50), "UAA": ((3, 4, 1, 1), 3, 10)}
+# per lattice fixture: a wall-free base, the spec, the coordinate bound of
+# the random pairs and the oracle's box, which every kept pair's walls fit
+# in.  On I12 the facets have squares -2, -1 and -1, so its Cartan matrix
+# is not symmetric.
+DESCENT_CASES = {
+    "UA": ((5, 3, 2), SPEC2, 5, 50),
+    "UAA": ((3, 4, 1, 1), SPEC2, 3, 10),
+    "I12": ((5, 1, 2), wall_spec([-1, -2]), 5, 20),
+}
 
 
-def _descent_pairs(L, rng, coord_bound, box, count=48):
+def _descent_pairs(L, spec, rng, coord_bound, box, count=48):
     """Positive pairs in one component, (kind, a, b, a', b') with integral
     a', b' on the rays of a, b, cycling through plain pairs, a on a random
     wall, rational endpoints and proportional pairs; every other block of
@@ -253,13 +259,13 @@ def _descent_pairs(L, rng, coord_bound, box, count=48):
         kind = ("plain", "on a wall", "rational", "proportional")[len(pairs) % 4]
         if kind == "on a wall":
             s = tuple(rng.randint(-2, 2) for _ in range(L.rank))
-            if square(L, s) != -2:
+            if square(L, s) not in spec.squares:
                 continue
             # a positive multiple of a's projection onto s^perp, in a's component
             a = tuple(-c for c in project_off(L, a, s))
         elif kind == "proportional":
             b = tuple(3 * c for c in a)
-        if wall_box_bound(L, a, b, SPEC2.squares) > box:
+        if wall_box_bound(L, a, b, spec.squares) > box:
             continue
         if len(pairs) % 8 >= 4:
             a, b = tuple(-c for c in a), tuple(-c for c in b)
@@ -274,25 +280,25 @@ class TestDescent:
     @pytest.mark.parametrize("name", sorted(DESCENT_CASES))
     def test_descent_matches_fincke_pohst_and_the_oracle(self, name, request, fincke_pohst):
         L = request.getfixturevalue(name)
-        base, coord_bound, box = DESCENT_CASES[name]
-        pairs = _descent_pairs(L, random.Random(71), coord_bound, box)
+        base, spec, coord_bound, box = DESCENT_CASES[name]
+        pairs = _descent_pairs(L, spec, random.Random(71), coord_bound, box)
 
         def answers():
             out = []
             for _, a, b, _, _ in pairs:
-                walls = separating_walls(L, a, b, SPEC2)
-                others = [has_other_separating_wall(L, a, b, SPEC2, [w.vector for w in ex])
+                walls = separating_walls(L, a, b, spec)
+                others = [has_other_separating_wall(L, a, b, spec, [w.vector for w in ex])
                           for ex in ((), walls[:1], walls)]
-                out.append((walls, same_chamber(L, a, b, SPEC2), others))
+                out.append((walls, same_chamber(L, a, b, spec), others))
             return out
 
         searched = answers()
-        chambers._learn_chamber(L, base, SPEC2)
-        assert enumeration._chambers[L, SPEC2] is not None
+        chambers._learn_chamber(L, base, spec)
+        assert enumeration._chambers[L, spec] is not None
         assert answers() == searched
         seen = dict.fromkeys(("other component", "on a wall", "rational", "proportional", "separated"), 0)
         for (kind, _, _, a, b), (walls, _, _) in zip(pairs, searched):
-            assert {(w.square, w.vector) for w in walls} == brute_force_separating(L, a, b, SPEC2, box)
+            assert {(w.square, w.vector) for w in walls} == brute_force_separating(L, a, b, spec, box)
             seen[kind] = seen.get(kind, 0) + 1
             seen["other component"] += pairing(L, a, base) < 0
             seen["separated"] += len(walls) > 1
