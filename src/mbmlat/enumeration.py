@@ -3,7 +3,9 @@
 Four engines live here:
 
 * :func:`definite_short_vectors` -- all short vectors of a negative
-  definite lattice, by exact Fincke-Pohst bound propagation;
+  definite lattice, by exact Fincke-Pohst bound propagation in one flat
+  loop over the levels; a centred search without a cut walks half the
+  ball, one point of each +- pair;
 * :func:`vectors_of_square` -- the deliberately simple box-scan oracle;
 * :func:`separating_walls` -- the complete search for walls of
   prescribed square crossed between two positive classes;
@@ -22,7 +24,9 @@ enumerated exactly in ``v0^perp`` around an integer center over one
 denominator and reconstructed in the ambient lattice, discarding
 imprimitive reconstructions.  The half-space ``q(s, v1) < 0`` is a
 linear cut of that enumeration, which prunes by it on every level, so
-only the far-side cap of each t-ellipsoid is visited.  The basis of
+only the far-side cap of each t-ellipsoid is visited; at t = 0 (walls
+through v0) the search is centred and uncut, so it walks half the
+ellipsoid and yields one wall of each +- pair.  The basis of
 ``v0^perp`` is LLL-reduced once per base point (:func:`core._lll`), which
 shrinks the Fincke-Pohst tree.  The set of walls does not depend on the
 basis, only the order in which they are found: the public searches sort
@@ -167,6 +171,8 @@ class _PosDefForm:
     def __init__(self, rows, minors):
         self.rows = rows
         self.n = n = len(rows)
+        self.heads = tuple(row[0] for row in rows)
+        self.tails = tuple(row[1:] for row in rows)
         self.dens = dens = tuple(minors[i] * minors[i + 1] for i in range(n))
         self.scale = lcm(*dens)
         self.weights = tuple(self.scale // den for den in dens)
@@ -187,7 +193,7 @@ class _PosDefForm:
             mu.append((big * h[j] - sum(rows[i][j - i] * mu[i] for i in range(j))) // row[0])
         return big, tuple(mu), tuple(accumulate(m * m * den for m, den in zip(mu, self.dens)))
 
-    def enumerate(self, C, D, lo, hi, cut=None):
+    def enumerate(self, C, D, lo, hi, cut=None, half=False):
         """Yield every integer x with lo <= D^2 Q(x + C/D) <= hi, each exactly once.
 
         ``C`` is an integer vector, ``D > 0`` one common denominator and
@@ -202,8 +208,19 @@ class _PosDefForm:
         -sqrt(rem sums[L] / scale) (Cauchy-Schwarz), so a subtree with
         P >= Lam thr and scale (P - Lam thr)^2 >= rem sums[L] holds no
         point of the cut.  On level 0 the cut is an interval of a_0.
+
+        ``half``, for a centred search (C = 0) without a cut, whose points
+        come in +- pairs, yields one point of each pair (and 0 if the ball
+        holds it): the one whose last nonzero coordinate is positive.
+        While every coordinate above a level is 0, the level's coordinate
+        must be >= 0.
+
+        One flat loop walks the levels from n - 1 down to 0.  The points
+        come in the order of a depth-first search with t ascending on every
+        level, and on level 0 the a >= 0 side first; ``half`` yields a
+        subsequence of that order.
         """
-        n, rows, weights, scale = self.n, self.rows, self.weights, self.scale
+        n, heads, tails, weights, scale = self.n, self.heads, self.tails, self.weights, self.scale
         (big, mu, sums), thr = cut or ((1, (0,) * n, (0,) * n), 1)
         if n == 0:
             if lo <= 0 <= hi and 0 < thr:
@@ -213,42 +230,60 @@ class _PosDefForm:
         if top < 0 or bottom > top:
             return
         limit = big * thr
-        x = [0] * n
-        z = [0] * n
-
-        def rec(level: int, used: int, part: int):
-            # part = Lam h.z over the fixed levels above this one
-            excess, rem = part - limit, top - used
-            if excess >= 0 and scale * excess * excess >= rem * sums[level]:
+        steps = [D * head for head in heads]
+        x, z = [0] * n, [0] * n
+        # per level: the next and last t, b, and on entry the weighted sum
+        # used above it, the cut's partial sum Lam h.z above it (P) and
+        # whether every coordinate above it is 0 in a half search
+        nxt, last, bs = [0] * n, [0] * n, [0] * n
+        used, part, zero = [0] * n, [0] * n, [half] * n
+        level = n - 1
+        while True:
+            rem = top - used[level]
+            excess = part[level] - limit
+            if excess < 0 or scale * excess * excess < rem * sums[level]:
+                # a = sum_{j>=level} R_lj z_j = step * t + b, |a| <= r
+                step = steps[level]
+                b = heads[level] * C[level] + sum(map(mul, tails[level], z[level + 1:]))
+                r = isqrt(rem // weights[level])
+                if level:
+                    nxt[level] = 0 if zero[level] else -((r + b) // step)
+                    last[level], bs[level] = (r - b) // step, b
+                else:
+                    need = bottom - used[0]
+                    s = isqrt((need - 1) // weights[0]) + 1 if need > 0 else 0
+                    # the cut P + m a < limit bounds a on one side: a in [a_lo, a_hi]
+                    m, p = mu[0], part[0]
+                    a_lo, a_hi = -r, r
+                    if m > 0:
+                        a_hi = min(r, (limit - p - 1) // m)
+                    elif m < 0:
+                        a_lo = max(-r, -((limit - p - 1) // -m))
+                    # a >= max(s, a_lo), then a <= -max(s, 1): |a| >= s, zero once
+                    for t in range(-((b - max(s, a_lo)) // step), (a_hi - b) // step + 1):
+                        x[0] = t
+                        yield tuple(x)
+                    if not zero[0]:
+                        for t in range(-((b - a_lo) // step), (min(-max(s, 1), a_hi) - b) // step + 1):
+                            x[0] = t
+                            yield tuple(x)
+                    level = 1
+            else:
+                level += 1
+            # back up to the lowest level with a t left, then take it
+            while level < n and nxt[level] > last[level]:
+                level += 1
+            if level == n:
                 return
-            # a = sum_{j>=level} R_lj z_j = step * x_level + b, |a| <= r
-            row = rows[level]
-            step = D * row[0]
-            b = row[0] * C[level] + sum(row[j - level] * z[j] for j in range(level + 1, n))
-            r = isqrt(rem // weights[level])
-            m = mu[level]
-            if level > 0:
-                for t in range(-((r + b) // step), (r - b) // step + 1):
-                    x[level] = t
-                    z[level] = D * t + C[level]
-                    a = step * t + b
-                    yield from rec(level - 1, used + weights[level] * a * a, part + m * a)
-                return
-            need = bottom - used
-            s = isqrt((need - 1) // weights[0]) + 1 if need > 0 else 0
-            # the cut part + m a < limit bounds a on one side: a in [a_lo, a_hi]
-            a_lo, a_hi = -r, r
-            if m > 0:
-                a_hi = min(r, (limit - part - 1) // m)
-            elif m < 0:
-                a_lo = max(-r, -((limit - part - 1) // -m))
-            # a >= max(s, a_lo), then a <= -max(s, 1): |a| >= s, zero once
-            for t in (*range(-((b - max(s, a_lo)) // step), (a_hi - b) // step + 1),
-                      *range(-((b - a_lo) // step), (min(-max(s, 1), a_hi) - b) // step + 1)):
-                x[0] = t
-                yield tuple(x)
-
-        yield from rec(n - 1, 0, 0)
+            t = nxt[level]
+            nxt[level] = t + 1
+            x[level] = t
+            z[level] = D * t + C[level]
+            a = steps[level] * t + bs[level]
+            used[level - 1] = used[level] + weights[level] * a * a
+            part[level - 1] = part[level] + mu[level] * a
+            zero[level - 1] = zero[level] and not t
+            level -= 1
 
 
 @lru_cache(maxsize=256)
@@ -265,15 +300,19 @@ def definite_short_vectors(L: Lattice, min_square: int) -> list[Vector]:
 
     The lattice must be negative definite.  Imprimitive vectors are
     included; the representative of each pair has its first nonzero
-    coordinate positive.
+    coordinate positive.  The enumeration walks half the ball, whose
+    points have their last nonzero coordinate positive; each is flipped
+    to the representative and the list sorted.
     """
     if L.signature != (0, L.rank) or L.rank == 0:
         raise SignatureError(f"lattice is not negative-definite: signature {L.signature}")
     if not isinstance(min_square, int) or min_square >= 0:
         raise ValidationError(f"min_square must be a negative integer, got {min_square}")
-    # the ball is symmetric, so v > -v keeps exactly one of each pair
-    return sorted(v for v in _posdef_of_negdef(L.gram).enumerate((0,) * L.rank, 1, 1, -min_square)
-                  if v > tuple(-c for c in v))
+    # the half ball's points have their last nonzero coordinate positive;
+    # v > 0 lexicographically iff its first one is
+    zero = (0,) * L.rank
+    return sorted(v if v > zero else tuple([-c for c in v])
+                  for v in _posdef_of_negdef(L.gram).enumerate(zero, 1, 1, -min_square, half=True))
 
 
 @lru_cache(maxsize=32)
@@ -330,9 +369,9 @@ def _base_data(L: Lattice, v0: Vector) -> tuple:
     return int(square(L, v0)), int(g0), x0, basis, _PosDefForm(*triangle), c1, det
 
 
-def _embed(basis, x0, k, y) -> Vector:
-    n = len(x0)
-    return tuple(k * x0[i] + sum(y[j] * basis[j][i] for j in range(len(basis))) for i in range(n))
+def _embed(cols, x0, k, y) -> Vector:
+    """k x0 + B y, from the columns of the basis B."""
+    return tuple([k * c + sum(map(mul, y, col)) for c, col in zip(x0, cols)])
 
 
 def _positive(L: Lattice, v) -> tuple[Vector, int, Vector]:
@@ -354,7 +393,8 @@ def _positive(L: Lattice, v) -> tuple[Vector, int, Vector]:
 def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, ranges, gv1=None):
     """Shared kernel: yield walls s with q(s,s) = d and t_lo <= q(s, v) <= t_hi
     for each ``(d, t_lo, t_hi)`` in ``ranges``, and, given ``gv1`` = G v1,
-    only those with q(s, v1) < 0.
+    only those with q(s, v1) < 0.  At t = 0 without ``gv1`` only one wall
+    of each +- pair is yielded, in no fixed sign.
 
     Every pairing t = q(s, v) is a multiple k g0.  The orthogonal part
     of s has D^2 Q(y + k c1/D) = D^2 (t^2/N - d), an integer for every
@@ -365,6 +405,7 @@ def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, ranges, gv1=None):
     h.z < k (h.c1 - D q(x0, v1)), whose form data does not depend on d or t.
     """
     N, g0, x0, basis, form, c1, D = _base_data(L, v)
+    cols = tuple(zip(*basis))
     linear = per_k = None
     if gv1 is not None:
         h = tuple(sum(map(mul, b, gv1)) for b in basis)
@@ -376,8 +417,10 @@ def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, ranges, gv1=None):
             target = D * D * (t * t - d * N) // N
             center = tuple(k * ci for ci in c1)
             cut = None if linear is None else (linear, k * per_k)
-            for y in form.enumerate(center, D, target, target, cut):
-                s = _embed(basis, x0, k, y)
+            # at t = 0 without a cut the points come in +- pairs: take one of each
+            half = not k and cut is None
+            for y in form.enumerate(center, D, target, target, cut, half):
+                s = _embed(cols, x0, k, y)
                 if content(s) == 1 and (not spec.require_reflective or is_reflective(L, s)):
                     yield Wall(vector=s, square=d)
 
@@ -555,11 +598,12 @@ def has_other_separating_wall(L: Lattice, v0, v1, spec: WallSpec, excluded) -> b
 
 def walls_containing(L: Lattice, v, spec: WallSpec) -> list[Wall]:
     """All walls through the positive class v (q(s, v) = 0), sign-normalized
-    and sorted; complete, since v^perp is negative definite."""
+    and sorted; complete, since v^perp is negative definite.  The search
+    at t = 0 walks half the ball, so each wall is found once."""
     vi = _positive(L, v)[0]
-    found = {(w.square, sign_normalize(w.vector))
-             for w in _iter_walls_for_t(L, vi, spec, [(d, 0, 0) for d in spec.squares])}
-    return [Wall(vector=vec, square=d) for d, vec in sorted(found)]
+    found = sorted((w.square, sign_normalize(w.vector))
+                   for w in _iter_walls_for_t(L, vi, spec, [(d, 0, 0) for d in spec.squares]))
+    return [Wall(vector=vec, square=d) for d, vec in found]
 
 
 def ensure_wall_free(L: Lattice, v, spec: WallSpec) -> None:

@@ -382,8 +382,10 @@ class TestRestrictToHyperplane:
     def test_embed_roundtrip(self, UA):
         # the wall search's embedding k x0 + sum y_j b_j pairs to k g with x
         g, x0, basis = core.hyperplane_basis(UA, (0, 0, 1))
+        cols = tuple(zip(*basis))
         for k in (0, 1, -2):
-            v = enumeration._embed(basis, x0, k, (2, -3))
+            v = enumeration._embed(cols, x0, k, (2, -3))
+            assert v == tuple(k * a + 2 * b - 3 * c for a, b, c in zip(x0, *basis))
             assert pairing(UA, v, (0, 0, 1)) == k * g
 
 

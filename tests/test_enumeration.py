@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
 
@@ -57,6 +58,15 @@ class TestDefiniteShortVectors:
         assert len(roots) == 120
         assert all(square(L, v) == -2 for v in roots)
         assert len(set(roots)) == 120
+
+    def test_e8_shells(self):
+        # theta_E8 = 1 + 240 q + 2160 q^2 + 6720 q^3 + 17520 q^4: half of
+        # each shell of squares -2, -4, -6, -8 up to sign
+        L = make_lattice(core.E8_MINUS_GRAM, "E8m1")
+        got = definite_short_vectors(L, -8)
+        assert Counter(square(L, v) for v in got) == {-2: 120, -4: 1080, -6: 3360, -8: 8760}
+        assert all(next(c for c in v if c) > 0 for v in got)
+        assert all(u < v for u, v in zip(got, got[1:]))
 
     def test_canonical_sign_and_order(self):
         L = make_lattice(core.direct_sum([[-2]], [[-2]]))
@@ -425,6 +435,24 @@ def test_posdef_enumeration_matches_box_scan(data):
         exact = list(form.enumerate(C, D, int(D * D * target), int(D * D * target)))
         assert x in exact and len(exact) == len(set(exact))
         assert sorted(exact) == sorted(posdef_box_scan(G, center, target, target))
+
+
+@PROPERTY
+@given(posdef_grams(), st.integers(-2, 8), st.integers(0, 6))
+def test_half_ball_and_its_negatives_are_the_ball(G, lo, width):
+    # one point of each +- pair, and 0 when the ball holds it
+    form = _PosDefForm(*core._symmetric_bareiss(G))
+    zero = (0,) * len(G)
+    full = list(form.enumerate(zero, 1, lo, lo + width))
+    half = list(form.enumerate(zero, 1, lo, lo + width, half=True))
+    negatives = [tuple(-c for c in x) for x in half]
+    both = set(half + negatives)
+    assert len(both) == len(half) + len(negatives) - (zero in half)
+    assert both == set(full)
+    # the half ball keeps the full ball's order
+    kept = set(half)
+    assert half == [x for x in full if x in kept]
+    assert all(next(c for c in reversed(x) if c) > 0 for x in half if x != zero)
 
 
 @PROPERTY
