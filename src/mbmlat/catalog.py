@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .core import Lattice, lattice_from_dict, make_lattice
 from .errors import CatalogError, ValidationError
@@ -22,8 +22,7 @@ from .errors import CatalogError, ValidationError
 ENV_CATALOG_PATH = "MBM_CATALOG_PATH"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     lattice: Lattice
     fujiki_constant: int | str      # positive integer or "unknown"

@@ -35,10 +35,9 @@ Everything is pure and exact; witnesses are integral.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Lattice,
@@ -80,8 +79,7 @@ _REPAIR_BUDGET = 64
 # chambers and membership
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """An explored chamber: interior witness plus crossing data.
 
     ``crossing_set`` is exactly ``separating_walls(base, witness)`` for the
@@ -121,8 +119,7 @@ def same_chamber(L: Lattice, v, w, spec: WallSpec) -> bool:
     return next(iter_separating_walls(L, v, w, spec), None) is None
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """Reflection word moving a point into the base chamber.
 
     Applying the word's reflections in reverse order to the base chamber
@@ -157,8 +154,9 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     from a base on a wall, searches again.
 
     A step across a wall that ``_mirror`` holds reflects an integral point
-    in integers with its cached G s (``_reflect_integral``); a rational
-    point, or a wall it does not hold, takes ``reflect_vector``.
+    c in integers and carries its covector, G r_s(c) = G c - m G s with the
+    cached G s, so G is applied to c once per reduction; a rational point,
+    or a wall ``_mirror`` does not hold, takes ``reflect_vector``.
 
     The first call for (L, spec) with a wall-free base tries to certify
     its chamber (:func:`_learn_chamber`); the word and image do not depend
@@ -167,18 +165,22 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     base_p = primitive_integral(base)
     if (L, spec) not in _chambers:
         _learn_chamber(L, base_p, spec)
-    cur = tuple(v)
+    cur, gc = tuple(v), None  # gc = G cur once taken, else None
     word: list[Wall] = []
     sep = separating_walls(L, base_p, cur, spec)
     while sep:
         s = sep[0]
         mirror = _mirror(L, base_p, s, spec)
-        if mirror is not None and all(isinstance(c, int) for c in cur):
-            cur = _reflect_integral(cur, s, mirror[0])
-        else:
+        if mirror is None or not all(isinstance(c, int) for c in cur):
             cur = reflect_vector(L, cur, s.vector)
+            gc = None if mirror is None else gram_apply(L, cur)
+        else:
+            gc = gram_apply(L, cur) if gc is None else gc
+            m = 2 * sum(map(mul, s.vector, gc)) // s.square
+            cur = tuple([a - m * b for a, b in zip(cur, s.vector)])
+            gc = tuple([a - m * b for a, b in zip(gc, mirror[0])])
         word.append(s)
-        nxt = separating_walls(L, base_p, cur, spec) if mirror is None else _reflected_sep(L, cur, sep, *mirror)
+        nxt = separating_walls(L, base_p, cur, spec) if mirror is None else _reflected_sep(gc, sep, *mirror)
         if len(nxt) >= len(sep):
             raise ReductionInvariantError(
                 f"reflection in {s.vector} did not decrease the separating count "
@@ -217,11 +219,11 @@ def _mirror(L: Lattice, base: Vector, s: Wall, spec: WallSpec):
     return gram_apply(L, s.vector), gram_apply(L, rb), tuple(separating_walls(L, base, rb, spec))
 
 
-def _reflected_sep(L: Lattice, cur, sep, gs, grb, mirror) -> list[Wall]:
+def _reflected_sep(gc, sep, gs, grb, mirror) -> list[Wall]:
     """separating_walls(L, b, cur, spec) for cur = r_s(c), s = sep[0] and
-    sep = separating_walls(L, b, c, spec), from :func:`_mirror`'s data."""
+    sep = separating_walls(L, b, c, spec), from gc = G cur and
+    :func:`_mirror`'s data."""
     s = sep[0]
-    gc = gram_apply(L, cur)
     out = [Wall(vector=_reflect_integral(w.vector, s, gs), square=w.square)
            for w in sep if sum(map(mul, w.vector, grb)) > 0]
     out += [u for u in mirror if sum(map(mul, u.vector, gc)) < 0]
@@ -232,8 +234,7 @@ def _reflected_sep(L: Lattice, cur, sep, gs, grb, mirror) -> list[Wall]:
 # facets
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A facet of a chamber: supporting wall plus an on-wall witness.
 
     The supporting wall is oriented toward the chamber interior
@@ -246,8 +247,7 @@ class Face:
     witness_on_wall: Vector
 
 
-@dataclass(frozen=True)
-class FacetResult:
+class FacetResult(NamedTuple):
     """Facets found within the candidate universe q(s, witness) <= search_bound.
 
     ``undecided`` lists candidate walls the bounded procedure could not
@@ -339,8 +339,7 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
 # flags
 
 
-@dataclass(frozen=True)
-class FlagEntry:
+class FlagEntry(NamedTuple):
     """One step of a face chain after iterated orthogonal projection.
 
     ``vector`` is the sign-normalized primitive projection; ``unscaled``
@@ -358,8 +357,7 @@ class FlagEntry:
     unscaled_square: int
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """Oriented flag encoding of a nested face chain."""
 
     entries: tuple[FlagEntry, ...]
@@ -418,8 +416,7 @@ def encode_flag(L: Lattice, face_chain: Sequence, spec: WallSpec) -> Flag:
 # tessellation exploration
 
 
-@dataclass(frozen=True)
-class ChamberNode:
+class ChamberNode(NamedTuple):
     """An explored chamber.  ``path`` lists the facets s_1, ..., s_k crossed
     on its BFS path from the base, so its witness is a positive multiple
     of g(base) for g = r_{s_k} ... r_{s_1}."""
@@ -437,15 +434,13 @@ class ChamberNode:
         return digest[:10]
 
 
-@dataclass(frozen=True)
-class TessellationEdge:
+class TessellationEdge(NamedTuple):
     a: tuple
     b: tuple
     wall: Wall                     # sign-normalized label
 
 
-@dataclass(frozen=True)
-class TessellationGraph:
+class TessellationGraph(NamedTuple):
     lattice_name: str
     base: Vector
     depth: int

@@ -19,16 +19,17 @@ Conventions:
   means additionally that the first nonzero coordinate is positive.
 
 All types are immutable values and all operations are pure functions, so
-everything here is safe to share between threads.
+everything here is safe to share between threads.  The package's records
+are ``NamedTuple``s: they unpack, index and hash as tuples of their
+fields and equal a plain tuple of the same fields, so sorts pass a key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DegenerateLatticeError,
@@ -353,8 +354,7 @@ def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> list[Vector]:
 # the lattice type
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """An integral quadratic lattice: Gram matrix plus exact metadata.
 
     ``signature`` and ``discriminant`` are recomputed by :func:`make_lattice`;

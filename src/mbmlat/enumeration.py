@@ -61,12 +61,12 @@ per-basepoint data is memoized on immutable keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, isqrt, lcm, prod
 from operator import mul
 from threading import Lock
+from typing import NamedTuple
 
 from .core import (
     Lattice,
@@ -97,23 +97,28 @@ from .errors import (
 # wall specifications and walls
 
 
-@dataclass(frozen=True)
-class WallSpec:
+class _WallSpecFields(NamedTuple):
+    squares: tuple[int, ...]
+    require_reflective: bool = False
+
+
+class WallSpec(_WallSpecFields):
     """The finite set of allowed wall squares (all negative).
 
     ``require_reflective`` keeps only classes whose reflection is
     integral on the lattice, i.e. 2 q(e, s) divisible by q(s, s) for
-    every basis vector e.
+    every basis vector e.  The fields live on a private base, since a
+    ``NamedTuple`` body cannot define the ``__new__`` that checks them.
     """
 
-    squares: tuple[int, ...]
-    require_reflective: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.squares:
+    def __new__(cls, squares: tuple[int, ...], require_reflective: bool = False):
+        if not squares:
             raise ValidationError("WallSpec needs a non-empty set of squares")
-        if any((not isinstance(d, int)) or d >= 0 for d in self.squares):
-            raise ValidationError(f"WallSpec squares must be negative integers, got {self.squares}")
+        if any((not isinstance(d, int)) or d >= 0 for d in squares):
+            raise ValidationError(f"WallSpec squares must be negative integers, got {squares}")
+        return super().__new__(cls, squares, require_reflective)
 
 
 def wall_spec(squares, require_reflective: bool = False) -> WallSpec:
@@ -121,8 +126,7 @@ def wall_spec(squares, require_reflective: bool = False) -> WallSpec:
     return WallSpec(squares=tuple(sorted(set(int(d) for d in squares))), require_reflective=require_reflective)
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """A primitive negative class; its orthogonal hyperplane is the wall.
 
     The stored sign depends on context: sign-normalized when the wall
@@ -481,8 +485,8 @@ class _Chamber:
     x - m t_j, m = 2 q(x, t_j) / q(t_j, t_j), so it maps x's pairings c and
     height to c - m q(t_j, .) and height - m q(t_j, base).  m and A_lj are
     integers: t_j reflects integrally, so q(t_j, t_j) divides 2 q(x, t_j)
-    for every integral x.  A plain class, since a dataclass would add its
-    generation time to every import."""
+    for every integral x.  A plain class with ``__slots__``, not a record,
+    since it derives its fields in ``__init__``."""
 
     __slots__ = ("facets", "grams", "gbase", "gram", "heights", "cartan", "coords")
 

@@ -14,8 +14,8 @@ Coxeter diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .chambers import DEFAULT_SEARCH_BOUND, explore_tessellation
 from .core import (
@@ -61,8 +61,7 @@ DEFAULT_WORD_BUDGET = 8
 # isometries
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(NamedTuple):
     """An integer matrix preserving the Gram form, with determinant +-1."""
 
     lattice: Lattice
@@ -143,8 +142,7 @@ def check_square_bound_reflective(L: Lattice, s) -> bool:
 # degenerate splitting and the Kneser reduction
 
 
-@dataclass(frozen=True)
-class DegenerateSplit:
+class DegenerateSplit(NamedTuple):
     """Lattice = complement (+) kernel, as abelian groups.
 
     ``kernel_gen`` spans ker(q); ``complement_basis`` holds B0 columns in
@@ -223,8 +221,7 @@ def kneser_degenerate_reps(L: Lattice, r: int, base_reps) -> list[Vector]:
 # orbit canonicalization
 
 
-@dataclass(frozen=True)
-class OrbitRepResult:
+class OrbitRepResult(NamedTuple):
     """Minimal orbit element found within the budget, under the
     (sup-norm, lexicographic) canonical order.
 
@@ -353,8 +350,7 @@ def orbit_key_mod_sign(L: Lattice, vectors, mats, word_budget: int = DEFAULT_WOR
 # census
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     depth: int
     codim: int
     faces: int
@@ -362,8 +358,7 @@ class CensusRow:
     total_orbits: int
 
 
-@dataclass(frozen=True)
-class CensusTable:
+class CensusTable(NamedTuple):
     """Face-orbit census across a tessellation exploration.
 
     ``saturation`` maps codimension to the per-depth new-orbit counts;

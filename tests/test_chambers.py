@@ -123,8 +123,8 @@ class TestReduceToBase:
         derived = []
         real = chambers._reflected_sep
 
-        def spy(L, cur, *args):
-            derived.append((cur, real(L, cur, *args)))
+        def spy(gc, *args):
+            derived.append((gc, real(gc, *args)))
             return derived[-1][1]
 
         monkeypatch.setattr(chambers, "_reflected_sep", spy)
@@ -140,7 +140,9 @@ class TestReduceToBase:
                     except ReductionInvariantError:
                         got = ReductionInvariantError
                     assert got == _greedy_by_search(L, v, base, spec), (name, spec, base, v)
-                    for cur, out in derived:
+                    for gc, out in derived:
+                        # a positive multiple of the point whose covector G cur the reduction carried
+                        cur = core.homology_image(L, core.integralize(gc))
                         assert out == separating_walls(L, base, cur, spec), (name, spec, base, v, cur)
                     on_wall = bool(walls_containing(L, base, spec))
                     assert not (on_wall and derived), (name, spec, base, v)

@@ -12,6 +12,7 @@ from mbmlat.chambers import same_chamber
 from mbmlat.core import content, make_lattice, pairing, project_off, sign_normalize, square
 from mbmlat.enumeration import (
     Wall,
+    WallSpec,
     _PosDefForm,
     definite_short_vectors,
     has_other_separating_wall,
@@ -382,6 +383,11 @@ class TestWallSpec:
     def test_rejects_non_negative(self):
         with pytest.raises(ValidationError):
             wall_spec([-2, 0])
+
+    @pytest.mark.parametrize("squares", [(), (-2, 0)])
+    def test_direct_construction_is_checked(self, squares):
+        with pytest.raises(ValidationError):
+            WallSpec(squares=squares)
 
     def test_normalizes(self):
         spec = wall_spec([-4, -2, -4])

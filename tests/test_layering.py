@@ -7,10 +7,13 @@ hides a dependency that is not there.  No source holds a float literal
 or a ``float(...)`` call: every decision is exact.  No ``except``
 swallows an error to learn a yes/no answer.  The names the benchmark's
 tracer binds must also resolve, or its metrics read 0 without an error.
+Importing the package must not load ``dataclasses``.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,3 +148,12 @@ def test_no_exception_is_swallowed():
                  for node in ast.walk(_tree(module)) if isinstance(node, ast.ExceptHandler)
                  and all(isinstance(stmt, (ast.Pass, ast.Continue)) for stmt in node.body)]
     assert swallowed == [], f"exceptions swallowed at {swallowed}"
+
+
+def test_import_loads_no_dataclasses():
+    """Every CLI command pays for the import, so the records are
+    ``NamedTuple``s: ``dataclasses`` would pull in ``inspect`` and
+    generate code for each class.  A subprocess, as pytest loads both."""
+    code = "import sys, mbmlat, mbmlat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", f"import mbmlat, mbmlat.cli loads {out.stdout.strip()}"
