@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 from typing import NamedTuple
 
 from .core import Lattice, lattice_from_dict, make_lattice
@@ -81,7 +80,7 @@ def default_catalog_path() -> str:
     override = os.environ.get(ENV_CATALOG_PATH)
     if override:
         return override
-    return str(resources.files("mbmlat").joinpath("data/catalog.json"))
+    return os.path.join(os.path.dirname(__file__), "data", "catalog.json")
 
 
 def _read_catalog(path: str | None) -> list:

@@ -107,8 +107,8 @@ def chamber_at(L: Lattice, witness, base=None, spec: WallSpec = None) -> Chamber
         base = witness
     wi = primitive_integral(witness)
     bi = primitive_integral(base)
-    ensure_wall_free(L, wi, spec)
-    ensure_wall_free(L, bi, spec)
+    for p in dict.fromkeys((wi, bi)):
+        ensure_wall_free(L, p, spec)
     crossing = tuple(separating_walls(L, bi, wi, spec))
     return Chamber(spec=spec, witness=wi, crossing_set=crossing)
 
@@ -150,13 +150,13 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
 
     sep(b, r b) depends on (L, b, s, spec) only and is cached
     (:func:`_mirror`); the union, sorted by ``sort_key``, is what
-    ``separating_walls`` returns.  A step across a non-reflective wall, or
-    from a base on a wall, searches again.
+    ``separating_walls`` returns.
 
-    A step across a wall that ``_mirror`` holds reflects an integral point
-    c in integers and carries its covector, G r_s(c) = G c - m G s with the
-    cached G s, so G is applied to c once per reduction; a rational point,
-    or a wall ``_mirror`` does not hold, takes ``reflect_vector``.
+    A step across a wall that ``_mirror`` holds is r_s(c) = c - (k . c) s
+    with the wall's cached integer reflection row k = 2 G s / q(s, s): no
+    division and no G c, for integral and rational c alike.  A step across
+    a non-reflective wall, or from a base on a wall, takes
+    ``reflect_vector`` and searches again.
 
     The first call for (L, spec) with a wall-free base tries to certify
     its chamber (:func:`_learn_chamber`); the word and image do not depend
@@ -165,22 +165,19 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     base_p = primitive_integral(base)
     if (L, spec) not in _chambers:
         _learn_chamber(L, base_p, spec)
-    cur, gc = tuple(v), None  # gc = G cur once taken, else None
+    cur = tuple(v)
     word: list[Wall] = []
     sep = separating_walls(L, base_p, cur, spec)
     while sep:
         s = sep[0]
         mirror = _mirror(L, base_p, s, spec)
-        if mirror is None or not all(isinstance(c, int) for c in cur):
+        if mirror is None:
             cur = reflect_vector(L, cur, s.vector)
-            gc = None if mirror is None else gram_apply(L, cur)
+            nxt = separating_walls(L, base_p, cur, spec)
         else:
-            gc = gram_apply(L, cur) if gc is None else gc
-            m = 2 * sum(map(mul, s.vector, gc)) // s.square
-            cur = tuple([a - m * b for a, b in zip(cur, s.vector)])
-            gc = tuple([a - m * b for a, b in zip(gc, mirror[0])])
+            cur = _reflect(cur, s, mirror[0])
+            nxt = _reflected_sep(cur, sep, *mirror)
         word.append(s)
-        nxt = separating_walls(L, base_p, cur, spec) if mirror is None else _reflected_sep(gc, sep, *mirror)
         if len(nxt) >= len(sep):
             raise ReductionInvariantError(
                 f"reflection in {s.vector} did not decrease the separating count "
@@ -203,30 +200,33 @@ def _learn_chamber(L: Lattice, base: Vector, spec: WallSpec) -> None:
         learn_chamber(L, spec, base, [f.supporting_wall for f in res.faces])
 
 
-def _reflect_integral(x, t: Wall, gt) -> Vector:
-    """r_t(x) in integers, from gt = G t, for a reflective t."""
-    c = 2 * sum(map(mul, x, gt)) // t.square
+def _reflect(x, t: Wall, k) -> Vector:
+    """r_t(x) = x - (k . x) t, from t's integer reflection row k = 2 G t / q(t, t)."""
+    c = sum(map(mul, x, k))
     return tuple([a - c * b for a, b in zip(x, t.vector)])
 
 
 @lru_cache(maxsize=256)
 def _mirror(L: Lattice, base: Vector, s: Wall, spec: WallSpec):
     """None when s is not reflective or base lies on a wall; else
-    (G s, G r_s(base), sep(base, r_s base))."""
+    (k, G r_s(base), ((u, G u) for u in sep(base, r_s base))), with s's
+    integer reflection row k = 2 G s / q(s, s)."""
     if not is_reflective(L, s.vector) or walls_containing(L, base, spec):
         return None
-    rb = reflect_vector(L, base, s.vector)
-    return gram_apply(L, s.vector), gram_apply(L, rb), tuple(separating_walls(L, base, rb, spec))
+    k = tuple([2 * x // s.square for x in gram_apply(L, s.vector)])
+    rb = _reflect(base, s, k)
+    walls = separating_walls(L, base, rb, spec)
+    return k, gram_apply(L, rb), tuple([(u, gram_apply(L, u.vector)) for u in walls])
 
 
-def _reflected_sep(gc, sep, gs, grb, mirror) -> list[Wall]:
+def _reflected_sep(cur, sep, k, grb, mirror) -> list[Wall]:
     """separating_walls(L, b, cur, spec) for cur = r_s(c), s = sep[0] and
-    sep = separating_walls(L, b, c, spec), from gc = G cur and
-    :func:`_mirror`'s data."""
+    sep = separating_walls(L, b, c, spec), from :func:`_mirror`'s data;
+    it pairs cur with the cached G u of the walls u of sep(b, r_s b)."""
     s = sep[0]
-    out = [Wall(vector=_reflect_integral(w.vector, s, gs), square=w.square)
+    out = [Wall(vector=_reflect(w.vector, s, k), square=w.square)
            for w in sep if sum(map(mul, w.vector, grb)) > 0]
-    out += [u for u in mirror if sum(map(mul, u.vector, gc)) < 0]
+    out += [u for u, gu in mirror if sum(map(mul, gu, cur)) < 0]
     return sorted(out, key=lambda w: w.sort_key)
 
 
@@ -300,7 +300,8 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
         if all(2 * x % qss == 0 for x in gs):
             # s reflects integrally.  A facet's midpoint witness y is strictly feasible
             # for every other wall, and then s is a facet iff nothing else separates w from r_s(w)
-            if not vio and not has_other_separating_wall(L, w, _reflect_integral(w, s, gs), spec, {s.vector}):
+            if not vio and not has_other_separating_wall(L, w, _reflect(w, s, [2 * x // qss for x in gs]),
+                                                         spec, {s.vector}):
                 faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y)))
             continue
         # y is positive in s^perp, of signature (1, m - 1), and a violated u has
@@ -512,7 +513,6 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
     if depth < 0:
         raise ValidationError("depth must be >= 0")
     base_p = primitive_integral(base)
-    ensure_wall_free(L, base_p, spec)
 
     # chambers are processed layer by layer in key order, which is the
     # (depth, key) node order; each is built from the walls found on entry,

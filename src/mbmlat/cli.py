@@ -132,8 +132,7 @@ def _cmd_reduce(args, L, spec) -> dict:
 
 
 def _cmd_facets(args, L, spec) -> dict:
-    base = _parse_vector(args.base) if args.base else _parse_vector(args.witness)
-    ch = chamber_at(L, _parse_vector(args.witness), base, spec)
+    ch = chamber_at(L, _parse_vector(args.witness), spec=spec)
     res = facet_walls(L, ch, args.search_bound)
     lines = [f"facets (search_bound {res.search_bound}):"]
     lines += [f"  wall {_vec_text(f.supporting_wall.vector)}  witness {_vec_text(f.witness_on_wall)}"
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("facets", _cmd_facets, "facet walls of a chamber", walls, bound)
     sp.add_argument("--witness", required=True)
-    sp.add_argument("--base")
 
     sp = add("flag", _cmd_flag, "oriented-flag encoding of a wall chain", walls)
     sp.add_argument("--chain", required=True, help="semicolon-separated wall vectors")

@@ -123,8 +123,8 @@ class TestReduceToBase:
         derived = []
         real = chambers._reflected_sep
 
-        def spy(gc, *args):
-            derived.append((gc, real(gc, *args)))
+        def spy(cur, *args):
+            derived.append((cur, real(cur, *args)))
             return derived[-1][1]
 
         monkeypatch.setattr(chambers, "_reflected_sep", spy)
@@ -140,9 +140,7 @@ class TestReduceToBase:
                     except ReductionInvariantError:
                         got = ReductionInvariantError
                     assert got == _greedy_by_search(L, v, base, spec), (name, spec, base, v)
-                    for gc, out in derived:
-                        # a positive multiple of the point whose covector G cur the reduction carried
-                        cur = core.homology_image(L, core.integralize(gc))
+                    for cur, out in derived:
                         assert out == separating_walls(L, base, cur, spec), (name, spec, base, v, cur)
                     on_wall = bool(walls_containing(L, base, spec))
                     assert not (on_wall and derived), (name, spec, base, v)
@@ -152,7 +150,7 @@ class TestReduceToBase:
                     seen["derived set"] += len(derived)
                     if got is not ReductionInvariantError:
                         seen["searched step"] += len(got[0]) > len(derived)
-                        seen["rational image"] += any(isinstance(c, Fraction) for c in got[1])
+                        seen["rational image"] += not core.vec_is_integral(got[1])
         assert min(seen.values()) > 0, seen
 
     def test_one_search_per_reduction_and_mirror(self, UAA, monkeypatch):
@@ -445,6 +443,22 @@ class TestChamber:
                 kv = chamber_at(UA, v, base, SPEC2).key
                 kw = chamber_at(UA, w, base, SPEC2).key
                 assert (kv == kw) == same_chamber(UA, v, w, SPEC2)
+
+    def test_each_point_is_checked_for_walls_once(self, UA, monkeypatch):
+        # a witness that is its own base is checked once; the base chamber's
+        # facet_walls is the only check that explore_tessellation makes
+        calls = []
+        real = chambers.ensure_wall_free
+        monkeypatch.setattr(chambers, "ensure_wall_free", lambda *args: calls.append(args[1]) or real(*args))
+        base = BASE["U+A1m2"]
+        explore_tessellation(UA, base, SPEC2, 0)
+        assert calls == [base]
+        calls.clear()
+        chamber_at(UA, (9, 3, 4), spec=SPEC2)
+        assert calls == [(9, 3, 4)]
+        calls.clear()
+        chamber_at(UA, (9, 3, 4), base, SPEC2)
+        assert calls == [(9, 3, 4), base]
 
 
 class TestEncodeFlag:

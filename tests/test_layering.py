@@ -7,7 +7,8 @@ hides a dependency that is not there.  No source holds a float literal
 or a ``float(...)`` call: every decision is exact.  No ``except``
 swallows an error to learn a yes/no answer.  The names the benchmark's
 tracer binds must also resolve, or its metrics read 0 without an error.
-Importing the package must not load ``dataclasses``.
+Importing the package must not load ``dataclasses``, nor, without
+``site``, ``importlib.resources``, ``pathlib`` or ``tempfile``.
 """
 
 import ast
@@ -156,4 +157,15 @@ def test_import_loads_no_dataclasses():
     generate code for each class.  A subprocess, as pytest loads both."""
     code = "import sys, mbmlat, mbmlat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", f"import mbmlat, mbmlat.cli loads {out.stdout.strip()}"
+
+
+def test_import_loads_no_resource_machinery():
+    """The catalog file lies beside ``catalog.py`` and is read with
+    ``open()``, so finding it needs no ``importlib.resources``.  Under
+    ``-S``, as ``site`` may load these modules itself."""
+    code = ("import sys, mbmlat, mbmlat.cli; "
+            "print(sorted({'importlib.resources', 'pathlib', 'tempfile'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], cwd=SRC.parent, capture_output=True, text=True,
+                         check=True)
     assert out.stdout.strip() == "[]", f"import mbmlat, mbmlat.cli loads {out.stdout.strip()}"
