@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -43,12 +44,11 @@ from .core import (
     Lattice,
     Vector,
     as_int_vector,
-    content,
     gram_apply,
     primitive_integral,
-    primitive_part,
     project_off,
     reflect_vector,
+    reflection_row,
     sign_normalize,
     square,
 )
@@ -57,7 +57,6 @@ from .enumeration import (
     WallSpec,
     ensure_wall_free,
     has_other_separating_wall,
-    is_reflective,
     iter_separating_walls,
     learn_chamber,
     separating_walls,
@@ -211,9 +210,9 @@ def _mirror(L: Lattice, base: Vector, s: Wall, spec: WallSpec):
     """None when s is not reflective or base lies on a wall; else
     (k, G r_s(base), ((u, G u) for u in sep(base, r_s base))), with s's
     integer reflection row k = 2 G s / q(s, s)."""
-    if not is_reflective(L, s.vector) or walls_containing(L, base, spec):
+    k = reflection_row(s.vector, gram_apply(L, s.vector))
+    if k is None or walls_containing(L, base, spec):
         return None
-    k = tuple([2 * x // s.square for x in gram_apply(L, s.vector)])
     rb = _reflect(base, s, k)
     walls = separating_walls(L, base, rb, spec)
     return k, gram_apply(L, rb), tuple([(u, gram_apply(L, u.vector)) for u in walls])
@@ -276,8 +275,8 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     integer arithmetic on the Gram matrix of the candidates and the
     witness.  A chamber witness on a wall raises WallIncidenceError.
     """
-    if search_bound < 1:
-        raise ValidationError(f"search_bound must be >= 1, got {search_bound}")
+    if not isinstance(search_bound, int) or search_bound < 1:
+        raise ValidationError(f"search_bound must be an integer >= 1, got {search_bound!r}")
     spec = chamber.spec
     w = chamber.witness
     ensure_wall_free(L, w, spec)
@@ -296,13 +295,12 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
         y = tuple(qws * a - qss * b for a, b in zip(s.vector, w))
         P = [qws * M[u][i] - qss * M[u][n] for u in range(n)]
         vio = [u for u in range(n) if u != i and P[u] <= 0]
-        gs = covectors[i]
-        if all(2 * x % qss == 0 for x in gs):
+        k = reflection_row(s.vector, covectors[i])
+        if k is not None:
             # s reflects integrally.  A facet's midpoint witness y is strictly feasible
             # for every other wall, and then s is a facet iff nothing else separates w from r_s(w)
-            if not vio and not has_other_separating_wall(L, w, _reflect(w, s, [2 * x // qss for x in gs]),
-                                                         spec, {s.vector}):
-                faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y)))
+            if not vio and not has_other_separating_wall(L, w, _reflect(w, s, k), spec, {s.vector}):
+                faces.append(Face(supporting_wall=s, witness_on_wall=primitive_integral(y)))
             continue
         # y is positive in s^perp, of signature (1, m - 1), and a violated u has
         # p = project_off(u, s) = q(s,s) u - q(u,s) s != 0 with q(p, y) = q(s,s) q(u, y) >= 0
@@ -322,7 +320,7 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
             qus, qpp, qyp2 = M[u][i], qss * (qss * M[u][u] - M[u][i] ** 2), 2 * qss * P[u]
             p = [qss * a - qus * b for a, b in zip(candidates[u].vector, s.vector)]
             z = tuple(qyp2 * b - qpp * a for a, b in zip(y, p))
-            c = content(z)  # divides q(v, z) for every integral v
+            c = gcd(*z)  # divides q(v, z) for every integral v
             y = tuple(a // c for a in z)
             P = [(qyp2 * (qss * M[v][u] - qus * M[v][i]) - qpp * P[v]) // c for v in range(n)]
             vio = [v for v in range(n) if v != i and P[v] <= 0]
@@ -332,7 +330,7 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
         if vio:
             undecided.append(s)
         else:
-            faces.append(Face(supporting_wall=s, witness_on_wall=primitive_part(y)))
+            faces.append(Face(supporting_wall=s, witness_on_wall=primitive_integral(y)))
     return FacetResult(faces=tuple(faces), undecided=tuple(undecided), search_bound=search_bound)
 
 
@@ -382,7 +380,7 @@ def encode_flag(L: Lattice, face_chain: Sequence, spec: WallSpec) -> Flag:
     chain: list[Vector] = []
     for x in face_chain:
         v = x.vector if isinstance(x, Wall) else tuple(x)
-        vi = primitive_part(as_int_vector(v))
+        vi = primitive_integral(as_int_vector(v))
         d = square(L, vi)
         if d not in spec.squares:
             raise ValidationError(f"chain vector {vi} has square {d}, not in spec {spec.squares}")
@@ -510,8 +508,8 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
     repair search's choices follow ``sort_key`` order, which r_s does not
     keep, so undecided walls are never transported.
     """
-    if depth < 0:
-        raise ValidationError("depth must be >= 0")
+    if not isinstance(depth, int) or depth < 0:
+        raise ValidationError(f"depth must be an integer >= 0, got {depth!r}")
     base_p = primitive_integral(base)
 
     # chambers are processed layer by layer in key order, which is the
@@ -571,7 +569,8 @@ def _transported(L: Lattice, facets, s: Wall) -> tuple[Wall, ...] | None:
     search_bound and every exact facet decision, so it maps the facets of
     C onto those of r_s(C), still oriented toward the interior.
     """
-    if not is_reflective(L, s.vector):
+    k = reflection_row(s.vector, gram_apply(L, s.vector))
+    if k is None:
         return None
-    return tuple(sorted((Wall(vector=reflect_vector(L, f.vector, s.vector), square=f.square) for f in facets),
+    return tuple(sorted((Wall(vector=_reflect(f.vector, s, k), square=f.square) for f in facets),
                         key=lambda f: f.sort_key))

@@ -15,8 +15,10 @@ Conventions:
   fraction-free congruence elimination (Jacobi's rule on its leading
   minors); ``rank - p - m`` is the kernel dimension;
 * the discriminant is ``abs(det(gram))``, 0 for degenerate lattices;
-* "primitive" means the gcd of the coordinates is 1; sign-normalized
-  means additionally that the first nonzero coordinate is positive.
+* "primitive" means the gcd of the coordinates is 1, and
+  :func:`primitive_integral` is the one map of a ray to its primitive
+  vector; sign-normalized means additionally that the first nonzero
+  coordinate is positive.
 
 All types are immutable values and all operations are pure functions, so
 everything here is safe to share between threads.  The package's records
@@ -27,7 +29,7 @@ fields and equal a plain tuple of the same fields, so sorts pass a key.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -48,28 +50,10 @@ Matrix = tuple  # tuple[tuple[int, ...], ...]
 # vector helpers
 
 
-def content(v: Sequence[int]) -> int:
-    """gcd of the coordinates (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
-
-
-def primitive_part(v: Sequence[int]) -> Vector:
-    """Divide by the content, keeping the direction.  Zero stays zero."""
-    g = content(v)
-    if g <= 1:
-        return tuple(int(x) for x in v)
-    return tuple(int(x) // g for x in v)
-
-
-def sign_normalize(v: Sequence[int]) -> Vector:
-    """Primitive part with the first nonzero coordinate made positive.
-
-    This is the canonical form for classes defined up to a scalar.
-    """
-    w = primitive_part(v)
+def sign_normalize(v: Sequence) -> Vector:
+    """:func:`primitive_integral` with the first nonzero coordinate made
+    positive: the canonical form for classes defined up to a scalar."""
+    w = primitive_integral(v)
     for x in w:
         if x != 0:
             return w if x > 0 else tuple(-y for y in w)
@@ -88,39 +72,25 @@ def vec_is_zero(v: Sequence) -> bool:
     return all(a == 0 for a in v)
 
 
-def vec_is_integral(v: Sequence) -> bool:
-    return all(isinstance(a, int) or (isinstance(a, Fraction) and a.denominator == 1) for a in v)
-
-
 def as_int_vector(v: Sequence) -> Vector:
-    """Cast an integral vector (possibly of Fractions) to a tuple of ints."""
-    out = []
-    for a in v:
-        if isinstance(a, Fraction):
-            if a.denominator != 1:
-                raise ValidationError(f"vector {tuple(v)} is not integral")
-            out.append(int(a))
-        else:
-            out.append(int(a))
-    return tuple(out)
-
-
-def integralize(v: Sequence) -> Vector:
-    """Scale a rational vector by the lcm of denominators; keep direction."""
-    mult = 1
-    for a in v:
-        if isinstance(a, Fraction):
-            d = a.denominator
-            mult = mult * d // gcd(mult, d)
-    return tuple(int(a * mult) for a in v)
+    """An integral vector of ints and Fractions as a tuple of ints; a
+    ValidationError for any other coordinate or a proper fraction."""
+    if not all(isinstance(a, (int, Fraction)) and a.denominator == 1 for a in v):
+        raise ValidationError(f"vector {tuple(v)} is not a vector of ints and integral Fractions")
+    return tuple(map(int, v))
 
 
 def primitive_integral(v: Sequence) -> Vector:
-    """Primitive integer vector on the same ray (positive rescaling)."""
+    """The primitive integer vector on the ray of v, a positive rescaling;
+    zero stays zero.  This is what "primitive" means throughout.  A
+    ValidationError for a coordinate that is not an int or a Fraction."""
     if all(type(a) is int for a in v):
         g = gcd(*v)
         return tuple(v) if g <= 1 else tuple([a // g for a in v])
-    return primitive_part(integralize(v))
+    if not all(isinstance(a, (int, Fraction)) for a in v):
+        raise ValidationError(f"vector {tuple(v)} has a coordinate that is not an int or a Fraction")
+    den = lcm(*[a.denominator for a in v])
+    return primitive_integral([a.numerator * (den // a.denominator) for a in v])
 
 
 def vector_to_json(v: Sequence) -> list:
@@ -549,5 +519,16 @@ def reflect_vector(L: Lattice, v: Sequence, s: Sequence) -> Vector:
         return tuple(v[i] - c * s[i] for i in range(L.rank))
     c = Fraction(qvs2, qss)
     out = tuple(v[i] - c * s[i] for i in range(L.rank))
-    return as_int_vector(out) if vec_is_integral(out) else out
+    return as_int_vector(out) if all(x.denominator == 1 for x in out) else out
+
+
+def reflection_row(s: Sequence[int], gs: Sequence[int]) -> Vector | None:
+    """The integer row k = 2 G s / q(s, s) of r_s(x) = x - (k . x) s, from the
+    integral s and its covector ``gs`` = G s; None when s is isotropic or
+    r_s is not integral on L (Humphreys, *Reflection Groups and Coxeter
+    Groups*, 5.6)."""
+    qss = sum(map(mul, s, gs))
+    if qss == 0 or any(2 * x % qss for x in gs):
+        return None
+    return tuple([2 * x // qss for x in gs])
 

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import comb, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 from threading import Lock
 from typing import NamedTuple
@@ -71,12 +71,12 @@ from typing import NamedTuple
 from .core import (
     Lattice,
     Vector,
-    content,
     gram_apply,
     hyperplane_basis,
     induced_gram,
     integer_kernel,
     primitive_integral,
+    reflection_row,
     sign_normalize,
     square,
     _bareiss,
@@ -123,7 +123,7 @@ class WallSpec(_WallSpecFields):
 
 def wall_spec(squares, require_reflective: bool = False) -> WallSpec:
     """Normalize any iterable of negative integers into a WallSpec."""
-    return WallSpec(squares=tuple(sorted(set(int(d) for d in squares))), require_reflective=require_reflective)
+    return WallSpec(squares=tuple(sorted(set(squares))), require_reflective=require_reflective)
 
 
 class Wall(NamedTuple):
@@ -147,10 +147,7 @@ class Wall(NamedTuple):
 
 def is_reflective(L: Lattice, s) -> bool:
     """True iff x -> x - 2 (q(x,s)/q(s,s)) s is integral on all of L."""
-    d = square(L, s)
-    if d == 0:
-        return False
-    return all((2 * x) % d == 0 for x in gram_apply(L, s))
+    return reflection_row(s, gram_apply(L, s)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +344,9 @@ def vectors_of_square(L: Lattice, target: int, box: int) -> list[Vector]:
     are cached per (lattice, target, box) since the scan does not depend
     on any base point.
     """
-    if box < 1:
-        raise ValidationError(f"box must be >= 1, got {box}")
-    return list(_box_scan(L.gram, int(target), int(box)))
+    if not isinstance(target, int) or not isinstance(box, int) or box < 1:
+        raise ValidationError(f"target must be an integer and box an integer >= 1, got {target!r} and {box!r}")
+    return list(_box_scan(L.gram, target, box))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +367,7 @@ def _base_data(L: Lattice, v0: Vector) -> tuple:
     gx0 = gram_apply(L, x0)
     # Gw = -form_gram, so |det Gw| Gw^{-1} h1 = det(form_gram) form_gram^{-1} (-h1)
     det, (c1,) = _bareiss(form_gram, (tuple(-sum(map(mul, b, gx0)) for b in basis),))
-    return int(square(L, v0)), int(g0), x0, basis, _PosDefForm(*triangle), c1, det
+    return square(L, v0), g0, x0, basis, _PosDefForm(*triangle), c1, det
 
 
 def _embed(cols, x0, k, y) -> Vector:
@@ -425,7 +422,7 @@ def _iter_walls_for_t(L: Lattice, v: Vector, spec: WallSpec, ranges, gv1=None):
             half = not k and cut is None
             for y in form.enumerate(center, D, target, target, cut, half):
                 s = _embed(cols, x0, k, y)
-                if content(s) == 1 and (not spec.require_reflective or is_reflective(L, s)):
+                if gcd(*s) == 1 and (not spec.require_reflective or is_reflective(L, s)):
                     yield Wall(vector=s, square=d)
 
 
@@ -557,7 +554,8 @@ def learn_chamber(L: Lattice, spec: WallSpec, base: Vector, facets) -> None:
     if comb(len(facets), L.rank - 1) <= _RAY_BUDGET:
         grams = tuple(gram_apply(L, t.vector) for t in facets)
         gbase = gram_apply(L, base)
-        if (all(is_reflective(L, t.vector) and sum(map(mul, t.vector, gbase)) > 0 for t in facets)
+        if (all(reflection_row(t.vector, g) is not None and sum(map(mul, t.vector, gbase)) > 0
+                    for t, g in zip(facets, grams))
                 and all(sum(map(mul, s.vector, g)) >= 0 for (s, _), (_, g) in combinations(zip(facets, grams), 2))
                 and not integer_kernel(grams, L.rank)
                 and all(_ray_is_positive(L, gbase, grams, rows) for rows in combinations(grams, L.rank - 1))):
@@ -586,6 +584,8 @@ def walls_near(L: Lattice, v, spec: WallSpec, max_pairing: int) -> list[Wall]:
     """Walls s with q(s,s) in spec and 1 <= q(s, v~) <= max_pairing, where
     v~ is the primitive integral rescaling of v.  Candidate universe for
     facet detection; completeness is relative to the pairing bound."""
+    if not isinstance(max_pairing, int):
+        raise ValidationError(f"max_pairing must be an integer, got {max_pairing!r}")
     vi = _positive(L, v)[0]
     ranges = [(d, 1, max_pairing) for d in spec.squares]
     return sorted(_iter_walls_for_t(L, vi, spec, ranges), key=lambda w: w.sort_key)

@@ -15,6 +15,7 @@ Coxeter diagram.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import gcd
 from typing import NamedTuple
 
 from .chambers import DEFAULT_SEARCH_BOUND, explore_tessellation
@@ -23,7 +24,6 @@ from .core import (
     Matrix,
     Vector,
     as_int_vector,
-    content,
     gram_apply,
     identity_matrix,
     induced_gram,
@@ -33,7 +33,8 @@ from .core import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    primitive_part,
+    primitive_integral,
+    reflection_row,
     sign_normalize,
     square,
     vec_add,
@@ -100,22 +101,19 @@ def reflection(L: Lattice, s) -> Isometry:
     which integrality fails.
     """
     sv = as_int_vector(s.vector if isinstance(s, Wall) else s)
-    d = square(L, sv)
-    if d == 0:
-        raise ValidationError(f"cannot reflect in isotropic vector {sv}")
     gs = gram_apply(L, sv)
-    cols = []
-    for i in range(L.rank):
-        num = 2 * gs[i]
-        if num % d != 0:
-            raise NonIntegralReflectionError(
-                f"reflection in {sv} (square {d}) is not integral on basis vector e_{i}: "
-                f"2 q(e_{i}, s) = {num} is not divisible by {d}",
-                basis_index=i,
-            )
-        c = num // d
-        cols.append(tuple((1 if j == i else 0) - c * sv[j] for j in range(L.rank)))
-    return isometry(L, mat_transpose(cols))
+    k = reflection_row(sv, gs)
+    if k is None:
+        d = square(L, sv)
+        if d == 0:
+            raise ValidationError(f"cannot reflect in isotropic vector {sv}")
+        i = next(i for i, x in enumerate(gs) if 2 * x % d)
+        raise NonIntegralReflectionError(
+            f"reflection in {sv} (square {d}) is not integral on basis vector e_{i}: "
+            f"2 q(e_{i}, s) = {2 * gs[i]} is not divisible by {d}", basis_index=i)
+    # the matrix I - s k^T
+    return isometry(L, tuple(tuple((1 if i == j else 0) - a * b for j, b in enumerate(k))
+                             for i, a in enumerate(sv)))
 
 
 def check_square_bound_reflective(L: Lattice, s) -> bool:
@@ -127,7 +125,7 @@ def check_square_bound_reflective(L: Lattice, s) -> bool:
     failure would indicate a computation bug.  The reflection itself only
     depends on the ray, so s is primitivized up front.
     """
-    sv = primitive_part(as_int_vector(s.vector if isinstance(s, Wall) else s))
+    sv = primitive_integral(as_int_vector(s.vector if isinstance(s, Wall) else s))
     refl = is_reflective(L, sv)
     if refl and not L.is_degenerate:
         d = square(L, sv)
@@ -159,12 +157,12 @@ class DegenerateSplit(NamedTuple):
 
     def decompose(self, v) -> tuple[Vector, int]:
         coords = mat_vec(self.coord_matrix, as_int_vector(v))
-        return coords[:-1], int(coords[-1])
+        return coords[:-1], coords[-1]
 
     def complement_content(self, v) -> int:
         """Content of the image of v in lattice/kernel (the ideal generator)."""
         coords, _ = self.decompose(v)
-        return content(coords)
+        return gcd(*coords)
 
 
 def degenerate_split(L: Lattice) -> DegenerateSplit:
@@ -469,7 +467,7 @@ def face_orbit_census(
                 g = induced_gram(L, f)
                 for i, j in permutations(range(len(g)), 2):
                     if g[i][j] ** 2 < g[i][i] * g[j][j]:
-                        p = primitive_part(tuple(g[i][i] * b - g[i][j] * a for a, b in zip(f[i], f[j])))
+                        p = primitive_integral(tuple(g[i][i] * b - g[i][j] * a for a, b in zip(f[i], f[j])))
                         states.append((2, (_sign_min(f[i]), _sign_min(p)), (i, j)))
             for codim, state, index in states:
                 faces[codim] += 1

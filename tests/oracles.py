@@ -79,7 +79,7 @@ def brute_force_separating(L, v0, v1, spec, box) -> set:
     out = set()
     for d in spec.squares:
         for s in vectors_of_square(L, d, box):
-            if core.content(s) != 1:
+            if gcd(*s) != 1:
                 continue
             if spec.require_reflective and not is_reflective(L, s):
                 continue
@@ -93,7 +93,7 @@ def brute_force_walls_near(L, v, spec, max_pairing, box) -> set:
     out = set()
     for d in spec.squares:
         for s in vectors_of_square(L, d, box):
-            if core.content(s) != 1 or not 1 <= core.pairing(L, s, v) <= max_pairing:
+            if gcd(*s) != 1 or not 1 <= core.pairing(L, s, v) <= max_pairing:
                 continue
             if spec.require_reflective and not is_reflective(L, s):
                 continue
@@ -106,7 +106,7 @@ def brute_force_walls_through(L, v, spec, box) -> set:
     out = set()
     for d in spec.squares:
         for s in vectors_of_square(L, d, box):
-            if core.content(s) != 1 or core.pairing(L, s, v) != 0:
+            if gcd(*s) != 1 or core.pairing(L, s, v) != 0:
                 continue
             if spec.require_reflective and not is_reflective(L, s):
                 continue

@@ -8,6 +8,7 @@ timed criteria assert their stated wall-clock budgets.
 import itertools
 import random
 import time
+from math import gcd
 
 import pytest
 
@@ -15,7 +16,7 @@ from conftest import record_acceptance
 from mbmlat import core
 from mbmlat.catalog import load_catalog
 from mbmlat.chambers import encode_flag, explore_tessellation, reduce_to_base, same_chamber
-from mbmlat.core import content, gram_apply, make_lattice, pairing, primitive_part, square
+from mbmlat.core import gram_apply, make_lattice, pairing, primitive_integral, square
 from mbmlat.enumeration import (
     is_reflective,
     separating_walls,
@@ -222,7 +223,7 @@ def test_criterion_5_kneser_degenerate():
                 # zero-square families: primitive isotropic anchors (the
                 # pure-kernel classes are excluded -- the finiteness
                 # theorem requires r != 0 precisely because of them)
-                base_parts = [p for p in base_parts if content(p) == 1]
+                base_parts = [p for p in base_parts if gcd(*p) == 1]
             reps = kneser_degenerate_reps(L, r, base_parts)
             checked_lattices += 1
             if not base_parts:
@@ -269,7 +270,7 @@ def test_criterion_6_reflective_square_bound():
             s = [0] * n
             for _ in range(rng.randint(1, min(4, n))):
                 s[rng.randrange(n)] = rng.randint(-3, 3)
-            sv = primitive_part(tuple(s))
+            sv = primitive_integral(tuple(s))
             if all(c == 0 for c in sv):
                 continue
             # q(s,s) and the divisibility scan, lazily with early exit

@@ -67,7 +67,7 @@ class TestShippedCatalog:
             s = [0] * 22
             for _ in range(3):
                 s[rng.randrange(22)] = rng.randint(-2, 2)
-            s = core.primitive_part(tuple(s))
+            s = core.primitive_integral(tuple(s))
             d = core.square(k3, s)
             if d >= 0:
                 continue

@@ -452,7 +452,7 @@ class TestVectorHelpers:
 
     def test_primitive_integral_is_typed_alike_on_every_input(self):
         # integer input takes a shortcut; every path returns the primitive
-        # ray in ints, and integralize returns the lcm-scaled vector in ints
+        # ray in ints
         rng = random.Random(83)
         for _ in range(300):
             v = tuple(rng.randint(-6, 6) * rng.choice((1, 1, 2, 6)) for _ in range(3))
@@ -461,9 +461,9 @@ class TestVectorHelpers:
                 den = math.lcm(*(Fraction(c).denominator for c in x))
                 scaled = tuple(int(c * den) for c in x)
                 g = math.gcd(*scaled)
-                for got, want in ((core.integralize(x), scaled),
-                                  (core.primitive_integral(x), tuple(c // g for c in scaled) if g else scaled)):
-                    assert got == want and all(type(c) is int for c in got), (x, got)
+                got = core.primitive_integral(x)
+                assert got == (tuple(c // g for c in scaled) if g else scaled), (x, got)
+                assert all(type(c) is int for c in got), (x, got)
 
     def test_vector_json_roundtrip(self):
         v = (1, Fraction(-3, 2), 0)

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mbmlat import chambers, core, enumeration
 from mbmlat.chambers import same_chamber
-from mbmlat.core import content, make_lattice, pairing, project_off, sign_normalize, square
+from mbmlat.core import make_lattice, pairing, project_off, sign_normalize, square
 from mbmlat.enumeration import (
     Wall,
     WallSpec,
@@ -85,7 +85,7 @@ class TestDefiniteShortVectors:
         # the box oracle only fixes the sign of each +-pair
         L = make_lattice(core.direct_sum([[-2]], [[-4]]))
         box = {max(v, tuple(-c for c in v)) for d in range(-12, 0) for v in vectors_of_square(L, d, 4)}
-        assert any(content(v) > 1 for v in box)
+        assert any(gcd(*v) > 1 for v in box)
         assert definite_short_vectors(L, -12) == sorted(box)
 
     def test_indefinite_rejected(self, U):
@@ -204,7 +204,7 @@ class TestSeparatingWalls:
         for _ in range(10):
             v0, v1 = random_positive_pair(UAA, rng, coord_bound=3)
             for w in separating_walls(UAA, v0, v1, spec):
-                assert content(w.vector) == 1
+                assert gcd(*w.vector) == 1
                 assert w.square == square(UAA, w.vector)
                 assert w.square in spec.squares
 
@@ -370,7 +370,7 @@ class TestWallsNear:
         got = {w.vector for w in walls_near(UA, (5, 3, 2), SPEC2, 4)}
         exp = set()
         for s in vectors_of_square(UA, -2, 30):
-            if content(s) == 1 and 1 <= pairing(UA, s, (5, 3, 2)) <= 4:
+            if gcd(*s) == 1 and 1 <= pairing(UA, s, (5, 3, 2)) <= 4:
                 exp.add(s)
         assert got == exp
 
@@ -529,7 +529,7 @@ def test_separating_walls_match_brute_force_on_skewed_bases(case, squares, refle
        st.integers(1, 3))
 def test_walls_near_and_containing_match_brute_force_on_skewed_bases(case, squares, reflective, max_pairing):
     L, v, _ = case
-    v = core.primitive_part(v)
+    v = core.primitive_integral(v)
     spec = wall_spec(squares, require_reflective=reflective)
     box = near_box_bound(L, v, spec.squares, max_pairing)
     got = {(w.square, w.vector) for w in walls_near(L, v, spec, max_pairing)}

@@ -4,7 +4,8 @@ Each module may import only from the modules below it in ``LAYERS``, at
 module level, and only names it uses.  A function-local import usually
 hides an import cycle between layers; an unused one, sibling or stdlib,
 hides a dependency that is not there.  No source holds a float literal
-or a ``float(...)`` call: every decision is exact.  No ``except``
+or a ``float(...)`` call: every decision is exact; nor do the modules
+that compute in ints call ``int(...)``.  No ``except``
 swallows an error to learn a yes/no answer.  The names the benchmark's
 tracer binds must also resolve, or its metrics read 0 without an error.
 Importing the package must not load ``dataclasses``, nor, without
@@ -79,6 +80,15 @@ def test_no_floating_point(module):
               if (isinstance(node, ast.Constant) and isinstance(node.value, float))
               or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")]
     assert floats == [], f"{module}.py has a float literal or float() call at lines {floats}"
+
+
+@pytest.mark.parametrize("module", ["enumeration", "chambers", "orbits"])
+def test_no_int_casts(module):
+    """These modules compute in ints and validate their inputs, so an
+    ``int(...)`` call there could only truncate a float."""
+    casts = [node.lineno for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int"]
+    assert casts == [], f"{module}.py calls int() at lines {casts}"
 
 
 def test_fractions_stay_at_the_boundary():

@@ -1,6 +1,8 @@
 import random
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import permutations
+from math import gcd
 from operator import mul
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from mbmlat import chambers, core, orbits
 from mbmlat.chambers import chamber_at, encode_flag, explore_tessellation, facet_walls
 from mbmlat.core import make_lattice, pairing, square
-from mbmlat.enumeration import Wall, separating_walls, vectors_of_square, wall_spec
+from mbmlat.enumeration import Wall, separating_walls, vectors_of_square, wall_spec, walls_near
 from mbmlat.errors import (
     BaseRepsError,
     FlagChainError,
@@ -107,6 +109,53 @@ class TestReflection:
         r = reflection(UAA, (0, 0, 1, 0))
         assert r.compose(r).matrix == core.identity_matrix(4)
 
+    @pytest.mark.parametrize("name, blocks", [("U+A1m2", [[[-2]]]), ("U+A2m1", [[[-2, 1], [1, -2]]]),
+                                              ("U+m2+m4", [[[-2]], [[-4]]])])
+    def test_reflection_row_is_the_reflection(self, name, blocks):
+        # every class of these squares in the box: reflection_row is None exactly
+        # where reflection raises, and otherwise r_s = I - s k^T on every point
+        L = make_lattice(core.direct_sum(core.U_GRAM, *blocks), name)
+        n, rng, kinds = L.rank, random.Random(name), set()
+        for d in (-1, -2, -4, -6):
+            for s in vectors_of_square(L, d, 2):
+                k = core.reflection_row(s, core.gram_apply(L, s))
+                kinds.add(k is None)
+                if k is None:
+                    with pytest.raises(NonIntegralReflectionError):
+                        reflection(L, s)
+                    continue
+                assert reflection(L, s).matrix == tuple(tuple((i == j) - s[i] * k[j] for j in range(n))
+                                                        for i in range(n))
+                for _ in range(3):
+                    x = tuple(rng.randint(-9, 9) for _ in range(n))
+                    for p in (x, tuple(Fraction(c, rng.randint(1, 4)) for c in x)):
+                        c = sum(map(mul, k, p))
+                        assert core.reflect_vector(L, p, s) == tuple(a - c * b for a, b in zip(p, s)), (s, p)
+        assert kinds == {True, False}
+
+
+# each call passes a float where the API takes an int or a Fraction; none may
+# truncate it and answer for a nearby input, or fail with a bare TypeError
+FLOAT_INPUTS = {
+    "chamber_at witness": lambda L: chamber_at(L, (5.2, 3, 2), spec=SPEC2),
+    "separating_walls point": lambda L: separating_walls(L, (5.5, 3, 2), (3, 9, 1), SPEC2),
+    "encode_flag chain": lambda L: encode_flag(L, [(0, 0, 1.5)], SPEC2),
+    "reflection class": lambda L: reflection(L, (0, 0, 1.5)),
+    "canonical_orbit_rep class": lambda L: canonical_orbit_rep(L, (1.5, 0, 0), [reflection(L, (0, 0, 1))]),
+    "wall_spec square": lambda L: wall_spec([-2.5]),
+    "vectors_of_square target": lambda L: vectors_of_square(L, -2.5, 1),
+    "vectors_of_square box": lambda L: vectors_of_square(L, -2, 1.5),
+    "walls_near max_pairing": lambda L: walls_near(L, (5, 3, 2), SPEC2, 2.5),
+    "facet_walls search_bound": lambda L: facet_walls(L, chamber_at(L, (5, 3, 2), spec=SPEC2), 2.5),
+    "explore_tessellation depth": lambda L: explore_tessellation(L, (5, 3, 2), SPEC2, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", list(FLOAT_INPUTS))
+def test_float_inputs_are_rejected(UA, case):
+    with pytest.raises(ValidationError):
+        FLOAT_INPUTS[case](UA)
+
 
 class TestSquareBoundReflective:
     def test_k3_minus_two_is_reflective(self, K3):
@@ -136,7 +185,7 @@ class TestSquareBoundReflective:
             if square(UA, s) == 0:
                 continue
             refl = check_square_bound_reflective(UA, s)  # raises on violation
-            prim = core.primitive_part(s)
+            prim = core.primitive_integral(s)
             if refl and square(UA, prim) < 0:
                 assert abs(square(UA, prim)) <= 2 * UA.discriminant
 
@@ -220,7 +269,7 @@ class TestDegenerateOracle:
     def test_kernel_functional(self, Z0A, Z0U):
         for L in (Z0A, Z0U, make_lattice([[2, 1, 3], [1, -2, -1], [3, -1, 2]])):
             l, phi = kernel_functional(L.gram)
-            assert core.content(l) == 1 and sum(map(mul, phi, l)) == 1
+            assert gcd(*l) == 1 and sum(map(mul, phi, l)) == 1
             assert core.gram_apply(L, l) == (0,) * L.rank
 
     def test_every_generator_is_an_isometry(self, Z0A, Z0U):
@@ -274,7 +323,7 @@ class TestCanonicalOrbitRep:
     def test_canonical_form_count_stabilizes(self, UA):
         # (-2)-classes in box 5 under reflections in the same set:
         # distinct canonical forms stabilize as the word budget grows
-        classes = [v for v in vectors_of_square(UA, -2, 5) if core.content(v) == 1]
+        classes = [v for v in vectors_of_square(UA, -2, 5) if gcd(*v) == 1]
         gens = [reflection(UA, s) for s in classes if core.sign_normalize(s) == s][:12]
         counts = []
         for budget in (4, 6, 8):
