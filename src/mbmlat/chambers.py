@@ -47,6 +47,7 @@ from .core import (
     gram_apply,
     primitive_integral,
     project_off,
+    reflect_by_row,
     reflect_vector,
     reflection_row,
     sign_normalize,
@@ -174,7 +175,7 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
             cur = reflect_vector(L, cur, s.vector)
             nxt = separating_walls(L, base_p, cur, spec)
         else:
-            cur = _reflect(cur, s, mirror[0])
+            cur = reflect_by_row(cur, s.vector, mirror[0])
             nxt = _reflected_sep(cur, sep, *mirror)
         word.append(s)
         if len(nxt) >= len(sep):
@@ -199,12 +200,6 @@ def _learn_chamber(L: Lattice, base: Vector, spec: WallSpec) -> None:
         learn_chamber(L, spec, base, [f.supporting_wall for f in res.faces])
 
 
-def _reflect(x, t: Wall, k) -> Vector:
-    """r_t(x) = x - (k . x) t, from t's integer reflection row k = 2 G t / q(t, t)."""
-    c = sum(map(mul, x, k))
-    return tuple([a - c * b for a, b in zip(x, t.vector)])
-
-
 @lru_cache(maxsize=256)
 def _mirror(L: Lattice, base: Vector, s: Wall, spec: WallSpec):
     """None when s is not reflective or base lies on a wall; else
@@ -213,7 +208,7 @@ def _mirror(L: Lattice, base: Vector, s: Wall, spec: WallSpec):
     k = reflection_row(s.vector, gram_apply(L, s.vector))
     if k is None or walls_containing(L, base, spec):
         return None
-    rb = _reflect(base, s, k)
+    rb = reflect_by_row(base, s.vector, k)
     walls = separating_walls(L, base, rb, spec)
     return k, gram_apply(L, rb), tuple([(u, gram_apply(L, u.vector)) for u in walls])
 
@@ -223,7 +218,7 @@ def _reflected_sep(cur, sep, k, grb, mirror) -> list[Wall]:
     sep = separating_walls(L, b, c, spec), from :func:`_mirror`'s data;
     it pairs cur with the cached G u of the walls u of sep(b, r_s b)."""
     s = sep[0]
-    out = [Wall(vector=_reflect(w.vector, s, k), square=w.square)
+    out = [Wall(vector=reflect_by_row(w.vector, s.vector, k), square=w.square)
            for w in sep if sum(map(mul, w.vector, grb)) > 0]
     out += [u for u, gu in mirror if sum(map(mul, gu, cur)) < 0]
     return sorted(out, key=lambda w: w.sort_key)
@@ -299,7 +294,7 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
         if k is not None:
             # s reflects integrally.  A facet's midpoint witness y is strictly feasible
             # for every other wall, and then s is a facet iff nothing else separates w from r_s(w)
-            if not vio and not has_other_separating_wall(L, w, _reflect(w, s, k), spec, {s.vector}):
+            if not vio and not has_other_separating_wall(L, w, reflect_by_row(w, s.vector, k), spec, {s.vector}):
                 faces.append(Face(supporting_wall=s, witness_on_wall=primitive_integral(y)))
             continue
         # y is positive in s^perp, of signature (1, m - 1), and a violated u has
@@ -531,7 +526,9 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
             if layer == depth:
                 continue
             for s in facets:
-                w2 = primitive_integral(reflect_vector(L, ch.witness, s.vector))
+                row = reflection_row(s.vector, gram_apply(L, s.vector))
+                w2 = primitive_integral(reflect_vector(L, ch.witness, s.vector) if row is None
+                                        else reflect_by_row(ch.witness, s.vector, row))
                 ch2 = Chamber(spec=spec, witness=w2, crossing_set=tuple(separating_walls(L, base_p, w2, spec)))
                 crossed = {sign_normalize(k[1]) for k in set(ch.key) ^ set(ch2.key)}
                 if crossed != {sign_normalize(s.vector)}:
@@ -542,7 +539,7 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
                 edges.add(tuple(sorted((ch.key, ch2.key))) + (s.unsigned(),))
                 if ch2.key not in seen:
                     seen.add(ch2.key)
-                    nxt.append((ch2, path + (s,), _transported(L, facets, s) if not undecided else None))
+                    nxt.append((ch2, path + (s,), None if undecided or row is None else _transported(facets, s, row)))
         frontier = nxt
         if not frontier:
             break
@@ -560,17 +557,13 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
     )
 
 
-def _transported(L: Lattice, facets, s: Wall) -> tuple[Wall, ...] | None:
-    """The facets of r_s(C), as the images of the facets of C, or None
-    when the reflection in s is not integral.
+def _transported(facets, s: Wall, k) -> tuple[Wall, ...]:
+    """The facets of r_s(C), as the images of the facets of C, from s's reflection row k.
 
     An integral reflection is an isometry of L: it keeps each wall's
     square and primitivity, the candidate set q(u, witness) <=
     search_bound and every exact facet decision, so it maps the facets of
     C onto those of r_s(C), still oriented toward the interior.
     """
-    k = reflection_row(s.vector, gram_apply(L, s.vector))
-    if k is None:
-        return None
-    return tuple(sorted((Wall(vector=_reflect(f.vector, s, k), square=f.square) for f in facets),
+    return tuple(sorted((Wall(vector=reflect_by_row(f.vector, s.vector, k), square=f.square) for f in facets),
                         key=lambda f: f.sort_key))

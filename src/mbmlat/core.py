@@ -502,33 +502,46 @@ def is_positive(L: Lattice, v: Sequence, reference: Sequence) -> bool:
     """
     if L.signature[0] != 1:
         raise SignatureError(f"positive cone needs signature (1, m), lattice has {L.signature}")
-    if pairing(L, reference, reference) <= 0:
+    v, ref = primitive_integral(v), primitive_integral(reference)
+    if pairing(L, ref, ref) <= 0:
         raise NonPositiveVectorError(f"reference point {tuple(reference)} is not positive")
-    return pairing(L, v, v) > 0 and pairing(L, v, reference) > 0
+    return pairing(L, v, v) > 0 and pairing(L, v, ref) > 0
 
 
 def reflect_vector(L: Lattice, v: Sequence, s: Sequence) -> Vector:
     """r_s(v) = v - 2 (q(v,s)/q(s,s)) s, exact; integral when it happens to be."""
     _require_rank(L, v)
+    if not all(isinstance(a, (int, Fraction)) for a in (*v, *s)):
+        raise ValidationError(f"cannot reflect {tuple(v)} in {tuple(s)}: a coordinate is not an int or a Fraction")
     gs = gram_apply(L, s)
-    qss, qvs2 = sum(map(mul, s, gs)), 2 * sum(map(mul, v, gs))
+    qss = sum(map(mul, s, gs))
     if qss == 0:
         raise IsotropicVectorError(f"cannot reflect in isotropic vector {tuple(s)}")
-    if qvs2 % qss == 0 and all(isinstance(x, int) for x in (*v, *s)):
-        c = qvs2 // qss
-        return tuple(v[i] - c * s[i] for i in range(L.rank))
-    c = Fraction(qvs2, qss)
+    c = Fraction(2 * sum(map(mul, v, gs)), qss)
     out = tuple(v[i] - c * s[i] for i in range(L.rank))
     return as_int_vector(out) if all(x.denominator == 1 for x in out) else out
 
 
 def reflection_row(s: Sequence[int], gs: Sequence[int]) -> Vector | None:
     """The integer row k = 2 G s / q(s, s) of r_s(x) = x - (k . x) s, from the
-    integral s and its covector ``gs`` = G s; None when s is isotropic or
-    r_s is not integral on L (Humphreys, *Reflection Groups and Coxeter
-    Groups*, 5.6)."""
+    primitive integral s (2s may fail where s passes) and its covector ``gs`` = G s;
+    None when s is isotropic or r_s is not integral on L (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 5.6)."""
     qss = sum(map(mul, s, gs))
     if qss == 0 or any(2 * x % qss for x in gs):
         return None
     return tuple([2 * x // qss for x in gs])
+
+
+def reflect_by_row(x: Sequence, s: Sequence[int], k: Sequence[int]) -> Vector:
+    """r_s(x) = x - (k . x) s, from s's integer reflection row k."""
+    c = sum(map(mul, x, k))
+    return tuple([a - c * b for a, b in zip(x, s)])
+
+
+def reflection_matrix(L: Lattice, s: Sequence[int]) -> Matrix | None:
+    """The matrix I - s k^T of r_s, from the reflection row k of the
+    primitive integral s; None when r_s is not integral on L."""
+    k = reflection_row(s, gram_apply(L, s))
+    return None if k is None else tuple(tuple((i == j) - a * b for j, b in enumerate(k)) for i, a in enumerate(s))
 

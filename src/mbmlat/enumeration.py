@@ -146,7 +146,8 @@ class Wall(NamedTuple):
 
 
 def is_reflective(L: Lattice, s) -> bool:
-    """True iff x -> x - 2 (q(x,s)/q(s,s)) s is integral on all of L."""
+    """True iff x -> x - 2 (q(x,s)/q(s,s)) s, which depends on the ray of s alone, is integral on L."""
+    s = primitive_integral(s)
     return reflection_row(s, gram_apply(L, s)) is not None
 
 
@@ -552,14 +553,13 @@ def learn_chamber(L: Lattice, spec: WallSpec, base: Vector, facets) -> None:
     one on which rank - 1 independent facets vanish."""
     chamber = None
     if comb(len(facets), L.rank - 1) <= _RAY_BUDGET:
-        grams = tuple(gram_apply(L, t.vector) for t in facets)
-        gbase = gram_apply(L, base)
-        if (all(reflection_row(t.vector, g) is not None and sum(map(mul, t.vector, gbase)) > 0
-                    for t, g in zip(facets, grams))
-                and all(sum(map(mul, s.vector, g)) >= 0 for (s, _), (_, g) in combinations(zip(facets, grams), 2))
-                and not integer_kernel(grams, L.rank)
-                and all(_ray_is_positive(L, gbase, grams, rows) for rows in combinations(grams, L.rank - 1))):
-            chamber = _Chamber(facets=tuple(facets), grams=grams, gbase=gbase)
+        c = _Chamber(tuple(facets), tuple(gram_apply(L, t.vector) for t in facets), gram_apply(L, base))
+        if (all(reflection_row(t.vector, g) is not None for t, g in zip(c.facets, c.grams))
+                and all(h > 0 for h in c.heights)
+                and all(row[j] >= 0 for i, row in enumerate(c.gram) for j in range(i))
+                and not integer_kernel(c.grams, L.rank)
+                and all(_ray_is_positive(L, c.gbase, c.grams, rows) for rows in combinations(c.grams, L.rank - 1))):
+            chamber = c
     with _chambers_lock:
         if (L, spec) not in _chambers and len(_chambers) >= _CHAMBERS_MAX:
             del _chambers[next(iter(_chambers))]

@@ -34,7 +34,7 @@ from .core import (
     mat_transpose,
     mat_vec,
     primitive_integral,
-    reflection_row,
+    reflection_matrix,
     sign_normalize,
     square,
     vec_add,
@@ -98,22 +98,19 @@ def reflection(L: Lattice, s) -> Isometry:
     """The reflection x -> x - 2 (q(x,s)/q(s,s)) s, if integral on L.
 
     Raises NonIntegralReflectionError carrying the first basis vector on
-    which integrality fails.
+    which integrality fails.  s counts by its primitive ray: r_{2s} = r_s.
     """
-    sv = as_int_vector(s.vector if isinstance(s, Wall) else s)
-    gs = gram_apply(L, sv)
-    k = reflection_row(sv, gs)
-    if k is None:
-        d = square(L, sv)
+    sv = primitive_integral(as_int_vector(s.vector if isinstance(s, Wall) else s))
+    m = reflection_matrix(L, sv)
+    if m is None:
+        gs, d = gram_apply(L, sv), square(L, sv)
         if d == 0:
             raise ValidationError(f"cannot reflect in isotropic vector {sv}")
         i = next(i for i, x in enumerate(gs) if 2 * x % d)
         raise NonIntegralReflectionError(
             f"reflection in {sv} (square {d}) is not integral on basis vector e_{i}: "
             f"2 q(e_{i}, s) = {2 * gs[i]} is not divisible by {d}", basis_index=i)
-    # the matrix I - s k^T
-    return isometry(L, tuple(tuple((1 if i == j else 0) - a * b for j, b in enumerate(k))
-                             for i, a in enumerate(sv)))
+    return isometry(L, m)
 
 
 def check_square_bound_reflective(L: Lattice, s) -> bool:
@@ -275,8 +272,8 @@ def _descend(state, mats, word_budget: int, image):
     when its BFS exhausted the orbit without leaving the box, ``visited``
     the number of states it saw.
     """
-    if word_budget < 1:
-        raise ValidationError(f"word_budget must be >= 1, got {word_budget}")
+    if not isinstance(word_budget, int) or word_budget < 1:
+        raise ValidationError(f"word_budget must be an integer >= 1, got {word_budget!r}")
     rep = state
     for _ in range(_RESTARTS):
         best_sup = _sup(rep)
@@ -437,16 +434,18 @@ def face_orbit_census(
     state (a base facet cut off at ``search_bound``, or one left
     undecided).
     """
-    if word_budget < 1:
-        raise ValidationError(f"word_budget must be >= 1, got {word_budget}")
+    if not isinstance(word_budget, int) or word_budget < 1:
+        raise ValidationError(f"word_budget must be an integer >= 1, got {word_budget!r}")
+    if not isinstance(max_codim, int) or max_codim not in (1, 2):
+        raise ValidationError(f"max_codim must be 1 or 2, got {max_codim!r}")
     graph = explore_tessellation(L, base, spec, depth, search_bound)
     diagram = None
     if generators is None:
         facets = graph.nodes[0].facets
-        generators = [reflection(L, s) for s in facets if is_reflective(L, s.vector)]
+        generators = [m for s in facets if (m := reflection_matrix(L, s.vector)) is not None]
         diagram = _coxeter_classes(L, facets) if len(generators) == len(facets) else None
     mats = _generator_matrices(L, generators)
-    codims = (1, 2) if max_codim >= 2 else (1,)
+    codims = (1, 2)[:max_codim]
     seen: dict = {c: set() for c in codims}
     keys: dict = {}
     rows: list[CensusRow] = []
@@ -583,13 +582,12 @@ def _path_inverses(L: Lattice, paths, mats) -> dict:
     every r_{t_i} is a generator.  A crossing whose reflection is not
     integral is taken as not in the group.  The paths come in BFS order,
     so a path's parent (all but its last step) is done before it and each
-    path costs one reflection.
+    path costs one reflection matrix.
     """
     ginvs: dict = {(): identity_matrix(L.rank)}
     for path in filter(None, paths):
-        parent, r = ginvs[path[:-1]], None
-        if parent is not None and is_reflective(L, t := mat_vec(parent, path[-1].vector)):
-            r = reflection(L, t).matrix
+        parent = ginvs[path[:-1]]
+        r = None if parent is None else reflection_matrix(L, mat_vec(parent, path[-1].vector))
         ginvs[path] = mat_mul(r, parent) if r in mats else None
     return ginvs
 
@@ -602,4 +600,4 @@ def facet_reflection_generators(L: Lattice, base, spec: WallSpec,
     reflection group, making them the natural census generator set.
     """
     facets = explore_tessellation(L, base, spec, 0, search_bound).nodes[0].facets
-    return tuple(reflection(L, s) for s in facets if is_reflective(L, s.vector))
+    return tuple(isometry(L, m) for s in facets if (m := reflection_matrix(L, s.vector)) is not None)

@@ -225,6 +225,14 @@ def test_census_max_codim_one_keeps_the_codim_one_rows():
     assert [(r["faces"], r["new_orbits"]) for r in rows] == [(5, 3), (25, 0), (70, 0)]
 
 
+def test_reflection_class_is_read_as_its_ray():
+    # r_(2,-2,0) = r_(1,-1,0), the integral swap of e_0 and e_1
+    argv = ["orbits", "--lattice", "U+A1m2", "--v", "3,1,0", "--reflections"]
+    code, out, err = invoke(argv + ["2,-2,0"])
+    assert (code, err) == (0, "")
+    assert out == invoke(argv + ["1,-1,0"])[1]
+
+
 def test_usage_error_exit_code():
     code, _, _ = invoke(["no-such-command"])
     assert code == 2

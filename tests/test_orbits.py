@@ -10,7 +10,7 @@ import pytest
 from mbmlat import chambers, core, orbits
 from mbmlat.chambers import chamber_at, encode_flag, explore_tessellation, facet_walls
 from mbmlat.core import make_lattice, pairing, square
-from mbmlat.enumeration import Wall, separating_walls, vectors_of_square, wall_spec, walls_near
+from mbmlat.enumeration import Wall, is_reflective, separating_walls, vectors_of_square, wall_spec, walls_near
 from mbmlat.errors import (
     BaseRepsError,
     FlagChainError,
@@ -113,19 +113,22 @@ class TestReflection:
                                               ("U+m2+m4", [[[-2]], [[-4]]])])
     def test_reflection_row_is_the_reflection(self, name, blocks):
         # every class of these squares in the box: reflection_row is None exactly
-        # where reflection raises, and otherwise r_s = I - s k^T on every point
+        # where reflection raises, and otherwise r_s = I - s k^T on every point;
+        # reflectivity and the reflection depend on the ray of s alone
         L = make_lattice(core.direct_sum(core.U_GRAM, *blocks), name)
         n, rng, kinds = L.rank, random.Random(name), set()
         for d in (-1, -2, -4, -6):
             for s in vectors_of_square(L, d, 2):
                 k = core.reflection_row(s, core.gram_apply(L, s))
                 kinds.add(k is None)
+                assert is_reflective(L, tuple(2 * c for c in s)) == is_reflective(L, s) == (k is not None)
                 if k is None:
                     with pytest.raises(NonIntegralReflectionError):
                         reflection(L, s)
                     continue
                 assert reflection(L, s).matrix == tuple(tuple((i == j) - s[i] * k[j] for j in range(n))
                                                         for i in range(n))
+                assert reflection(L, tuple(2 * c for c in s)) == reflection(L, s)
                 for _ in range(3):
                     x = tuple(rng.randint(-9, 9) for _ in range(n))
                     for p in (x, tuple(Fraction(c, rng.randint(1, 4)) for c in x)):
@@ -148,6 +151,13 @@ FLOAT_INPUTS = {
     "walls_near max_pairing": lambda L: walls_near(L, (5, 3, 2), SPEC2, 2.5),
     "facet_walls search_bound": lambda L: facet_walls(L, chamber_at(L, (5, 3, 2), spec=SPEC2), 2.5),
     "explore_tessellation depth": lambda L: explore_tessellation(L, (5, 3, 2), SPEC2, 1.5),
+    "is_positive point": lambda L: core.is_positive(L, (1.5, 1, 0), (1, 1, 0)),
+    "is_reflective class": lambda L: is_reflective(L, (0, 0, 1.0)),
+    "reflect_vector point": lambda L: core.reflect_vector(L, (1.5, 1, 0), (0, 1, 1)),
+    "canonical_orbit_rep word_budget": lambda L: canonical_orbit_rep(L, (1, 0, 0), [reflection(L, (0, 0, 1))],
+                                                                     word_budget=1.5),
+    # depth 0 with the base facets' reflections keys every state by the Coxeter diagram: no descent runs
+    "face_orbit_census word_budget": lambda L: face_orbit_census(L, (5, 3, 2), SPEC2, None, 0, word_budget=1.5),
 }
 
 
@@ -155,6 +165,12 @@ FLOAT_INPUTS = {
 def test_float_inputs_are_rejected(UA, case):
     with pytest.raises(ValidationError):
         FLOAT_INPUTS[case](UA)
+
+
+@pytest.mark.parametrize("max_codim", [0, 3])
+def test_census_max_codim_is_one_or_two(UA, max_codim):
+    with pytest.raises(ValidationError):
+        face_orbit_census(UA, (5, 3, 2), SPEC2, None, 1, max_codim=max_codim)
 
 
 class TestSquareBoundReflective:
@@ -481,8 +497,8 @@ class TestCensusByBaseReduction:
         # each chamber's g^{-1} is its BFS parent's times one reflection
         gens = facet_reflection_generators(UAA, R4_BASE, SPEC2, 20)
         calls = []
-        real = orbits.reflection
-        monkeypatch.setattr(orbits, "reflection", lambda *args: calls.append(args) or real(*args))
+        real = orbits.reflection_matrix
+        monkeypatch.setattr(orbits, "reflection_matrix", lambda *args: calls.append(args) or real(*args))
         table = face_orbit_census(UAA, R4_BASE, SPEC2, gens, 2, search_bound=20)
         assert table == r4[0]
         assert len(calls) == len(r4[2].nodes) - 1 == 19
