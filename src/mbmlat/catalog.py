@@ -32,14 +32,14 @@ def _validate_entry(raw) -> CatalogEntry:
     if not isinstance(raw, dict):
         raise CatalogError(f"catalog entry {raw!r} is not a JSON object")
     name = raw.get("name")
-    if not name:
-        raise CatalogError("catalog entry without a name")
+    if not name or not isinstance(name, str):
+        raise CatalogError("catalog entry without a string name")
     try:
         lattice = make_lattice(raw["gram"], name=name)
     except (ValidationError, KeyError) as exc:
         raise CatalogError(f"entry {name!r}: invalid gram matrix ({exc})") from exc
-    recorded_sig = tuple(raw.get("signature", ()))
-    if recorded_sig != lattice.signature:
+    recorded_sig = raw.get("signature")
+    if recorded_sig != list(lattice.signature):
         raise CatalogError(
             f"entry {name!r}: recorded signature {recorded_sig} != recomputed {lattice.signature}"
         )
@@ -49,10 +49,10 @@ def _validate_entry(raw) -> CatalogEntry:
             f"entry {name!r}: recorded discriminant {recorded_disc} != recomputed {lattice.discriminant}"
         )
     fujiki = raw.get("fujiki_constant", "unknown")
-    if not (fujiki == "unknown" or (isinstance(fujiki, int) and fujiki > 0)):
+    if not (fujiki == "unknown" or (type(fujiki) is int and fujiki > 0)):
         raise CatalogError(f"entry {name!r}: fujiki_constant must be a positive integer or 'unknown'")
     bound = raw.get("mbm_square_bound", "conjectural:unknown")
-    if not (isinstance(bound, int) or (isinstance(bound, str) and bound.startswith("conjectural:"))):
+    if not (type(bound) is int or (isinstance(bound, str) and bound.startswith("conjectural:"))):
         raise CatalogError(f"entry {name!r}: mbm_square_bound must be an int or 'conjectural:<value>'")
     if name == "K3":
         if lattice.signature != (3, 19) or lattice.discriminant != 1:
@@ -61,6 +61,8 @@ def _validate_entry(raw) -> CatalogEntry:
                 f"got {lattice.signature}, {lattice.discriminant}"
             )
     if name.startswith("K3n"):
+        if not name[3:].isdecimal():
+            raise CatalogError(f"entry {name!r}: a K3n<n> name needs a decimal n")
         n = int(name[3:])
         if lattice.rank != 23:
             raise CatalogError(f"entry {name!r}: expected rank 23, got {lattice.rank}")

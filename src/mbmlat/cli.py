@@ -43,10 +43,8 @@ from .enumeration import (
 from .errors import MbmlatError, ValidationError
 from .orbits import (
     DEFAULT_WORD_BUDGET,
-    Isometry,
     canonical_orbit_rep,
     face_orbit_census,
-    isometry,
     kneser_degenerate_reps,
     reflection,
 )
@@ -188,14 +186,13 @@ def _cmd_explore(args, L, spec) -> dict:
 
 
 def _load_generators(L, args):
-    gens: list[Isometry] = []
+    gens = []
     if args.generators:
-        data = read_json_file(args.generators, "generator")
-        if not isinstance(data, list):
+        gens = read_json_file(args.generators, "generator")
+        if not isinstance(gens, list):
             raise ValidationError("generator file must hold a JSON list of matrices")
-        gens.extend(isometry(L, m) for m in data)
     if args.reflections:
-        gens.extend(reflection(L, v) for v in _parse_vectors(args.reflections))
+        gens += [reflection(L, v) for v in _parse_vectors(args.reflections)]
     return gens
 
 

@@ -9,7 +9,8 @@ vectors lie in one orbit (a word connects them), unequal outputs are
 inconclusive unless the search is flagged complete.  Under the base
 chamber's own reflection group the census keys are exact: that chamber
 is a Coxeter polyhedron, and the orbits of its faces follow from its
-Coxeter diagram.
+Coxeter diagram.  :func:`isometry` is the checked constructor: orbit
+functions check each generator they are given once, against their lattice.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ DEFAULT_WORD_BUDGET = 8
 
 
 class Isometry(NamedTuple):
-    """An integer matrix preserving the Gram form, with determinant +-1."""
+    """Integer matrix preserving the Gram form, det +-1; :func:`isometry` is the checked constructor."""
 
     lattice: Lattice
     matrix: Matrix
@@ -73,12 +74,12 @@ class Isometry(NamedTuple):
         return mat_vec(self.matrix, v)
 
     def compose(self, other: "Isometry") -> "Isometry":
-        return isometry(self.lattice, mat_mul(self.matrix, other.matrix))
+        return Isometry(self.lattice, mat_mul(self.matrix, isometry(self.lattice, other.matrix).matrix))
 
     def inverse(self) -> "Isometry":
-        # det = +-1, so the inverse is det * (det * M^{-1})
+        # det = +-1, so the inverse is det * (det * M^{-1}), integral and form-preserving
         det, cols = _bareiss(self.matrix, identity_matrix(self.lattice.rank))
-        return isometry(self.lattice, mat_transpose([vec_scale(det, c) for c in cols]))
+        return Isometry(self.lattice, mat_transpose([vec_scale(det, c) for c in cols]))
 
 
 def isometry(L: Lattice, matrix) -> Isometry:
@@ -110,7 +111,7 @@ def reflection(L: Lattice, s) -> Isometry:
         raise NonIntegralReflectionError(
             f"reflection in {sv} (square {d}) is not integral on basis vector e_{i}: "
             f"2 q(e_{i}, s) = {2 * gs[i]} is not divisible by {d}", basis_index=i)
-    return isometry(L, m)
+    return Isometry(L, m)
 
 
 def check_square_bound_reflective(L: Lattice, s) -> bool:
@@ -153,6 +154,7 @@ class DegenerateSplit(NamedTuple):
     coord_matrix: Matrix
 
     def decompose(self, v) -> tuple[Vector, int]:
+        _require_rank(self.lattice, v)
         coords = mat_vec(self.coord_matrix, as_int_vector(v))
         return coords[:-1], coords[-1]
 
@@ -232,12 +234,12 @@ class OrbitRepResult(NamedTuple):
 
 
 def _generator_matrices(L: Lattice, generators) -> list[Matrix]:
-    """Flatten generators to matrices, closed under inverses; a raw matrix
-    is validated as an isometry of L first."""
+    """Flatten generators to matrices, closed under inverses; each one, raw
+    matrix or Isometry, is checked once as an isometry of L."""
     mats: list[Matrix] = []
     seen = set()
     for g in generators:
-        g = g if isinstance(g, Isometry) else isometry(L, g)
+        g = isometry(L, g.matrix if isinstance(g, Isometry) else g)
         for m in (g.matrix, g.inverse().matrix):
             if m not in seen:
                 seen.add(m)
@@ -438,13 +440,14 @@ def face_orbit_census(
         raise ValidationError(f"word_budget must be an integer >= 1, got {word_budget!r}")
     if not isinstance(max_codim, int) or max_codim not in (1, 2):
         raise ValidationError(f"max_codim must be 1 or 2, got {max_codim!r}")
+    mats = None if generators is None else _generator_matrices(L, generators)
     graph = explore_tessellation(L, base, spec, depth, search_bound)
     diagram = None
-    if generators is None:
+    if mats is None:
+        # the base facets' reflections are involutions: closed under inverses
         facets = graph.nodes[0].facets
-        generators = [m for s in facets if (m := reflection_matrix(L, s.vector)) is not None]
-        diagram = _coxeter_classes(L, facets) if len(generators) == len(facets) else None
-    mats = _generator_matrices(L, generators)
+        mats = [m for s in facets if (m := reflection_matrix(L, s.vector)) is not None]
+        diagram = _coxeter_classes(L, facets) if len(mats) == len(facets) else None
     codims = (1, 2)[:max_codim]
     seen: dict = {c: set() for c in codims}
     keys: dict = {}
@@ -600,4 +603,4 @@ def facet_reflection_generators(L: Lattice, base, spec: WallSpec,
     reflection group, making them the natural census generator set.
     """
     facets = explore_tessellation(L, base, spec, 0, search_bound).nodes[0].facets
-    return tuple(isometry(L, m) for s in facets if (m := reflection_matrix(L, s.vector)) is not None)
+    return tuple(Isometry(L, m) for s in facets if (m := reflection_matrix(L, s.vector)) is not None)

@@ -143,7 +143,16 @@ MALFORMED_INPUTS = {
                                     "--depth", "1", "--word-budget", "-1", "--format", "text"],
     "orbits_zero_word_budget": ["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--reflections", "0,0,1;1,-1,0",
                                 "--word-budget", "0"],
+    "catalog_name_not_a_string": ["validate-catalog", "--path", "{tmp}/cat_name.json"],
+    "catalog_k3n_name_without_n": ["validate-catalog", "--path", "{tmp}/cat_k3n.json"],
+    "catalog_signature_not_a_list": ["validate-catalog", "--path", "{tmp}/cat_sig.json"],
+    "catalog_bool_fujiki_constant": ["validate-catalog", "--path", "{tmp}/cat_fujiki.json"],
+    "catalog_bool_square_bound": ["validate-catalog", "--path", "{tmp}/cat_bound.json"],
 }
+
+# each catalog file holds one valid entry of U with one field replaced
+CATALOG_FIELDS = {"name": {"name": 5}, "k3n": {"name": "K3nx"}, "sig": {"signature": 5},
+                  "fujiki": {"fujiki_constant": True}, "bound": {"mbm_square_bound": False}}
 
 
 @pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
@@ -154,6 +163,9 @@ def test_malformed_input_file_is_domain_error(tmp_path, argv):
     (tmp_path / "rowa.json").write_text(json.dumps([["a"]]))
     (tmp_path / "five.json").write_text(json.dumps([5]))
     (tmp_path / "float.json").write_text(json.dumps([[[1.7, 0, 0], [0, 1, 0], [0, 0, 1]]]))
+    entry = {"name": "X", "gram": [[0, 1], [1, 0]], "signature": [1, 1], "discriminant": 1}
+    for name, field in CATALOG_FIELDS.items():
+        (tmp_path / f"cat_{name}.json").write_text(json.dumps([{**entry, **field}]))
     code, out, err = invoke([a.format(tmp=tmp_path) for a in argv])
     assert code == 1
     assert out == ""

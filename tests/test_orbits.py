@@ -65,9 +65,25 @@ class TestIsometry:
     def test_closure_under_product_and_inverse(self, UA):
         r1 = reflection(UA, (0, 0, 1))
         r2 = reflection(UA, (1, -1, 0))
-        prod = r1.compose(r2)  # re-validated on construction
+        prod = r1.compose(r2)  # r2 checked against UA, the product wrapped unchecked
         inv = prod.inverse()
         assert prod.compose(inv).matrix == core.identity_matrix(3)
+
+    @pytest.mark.parametrize("case", ["foreign-reflection", "singular-rep", "singular-census", "compose-rank"])
+    def test_generators_checked_against_the_lattice(self, U, UA, case):
+        # an Isometry record is not checked on construction: the orbit functions
+        # and compose check each one against their own lattice
+        U2 = make_lattice(core.direct_sum([[2]], [[-2]], [[-2]]), "U2")
+        singular = Isometry(UA, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+        with pytest.raises(ValidationError):
+            if case == "foreign-reflection":  # unchecked, it maps (3,1,0) of square 6 to a (-2)-class
+                canonical_orbit_rep(UA, (3, 1, 0), [reflection(U2, (0, 1, 1))])
+            elif case == "singular-rep":
+                canonical_orbit_rep(UA, (3, 1, 0), [singular])
+            elif case == "singular-census":
+                face_orbit_census(UA, (5, 3, 2), SPEC2, [singular], 0)
+            else:
+                isometry(U, [[0, 1], [1, 0]]).compose(reflection(UA, (0, 0, 1)))
 
     def test_apply_rejects_wrong_length(self, UA):
         with pytest.raises(RankMismatchError):
@@ -229,6 +245,14 @@ class TestDegenerateSplit:
                 for i in range(3)
             )
             assert back == v
+
+    def test_wrong_length_rejected(self, Z0A):
+        sp = degenerate_split(Z0A)
+        for v in [(3,), (3, 1, 5)]:
+            with pytest.raises(RankMismatchError):
+                sp.decompose(v)
+            with pytest.raises(RankMismatchError):
+                sp.complement_content(v)
 
     def test_non_degenerate_rejected(self, U):
         with pytest.raises(KernelRankError):
@@ -450,6 +474,19 @@ class TestCensusByBaseReduction:
         assert table == r4[0]
         assert len(r4[2].nodes) == 20
         assert len(calls) == 1
+
+    def test_generators_checked_once_where_they_enter(self, UA, UAA, r4, monkeypatch):
+        # the default census uses the base facets' reflections, isometries by
+        # construction, unchecked; canonical_orbit_rep checks each of its two
+        # reflections once and inverts each once
+        calls = []
+        for name in ("isometry", "_bareiss"):
+            real = getattr(orbits, name)
+            monkeypatch.setattr(orbits, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        assert face_orbit_census(UAA, R4_BASE, SPEC2, None, 2, search_bound=20) == r4[0]
+        assert calls == []
+        canonical_orbit_rep(UA, (3, 1, 0), [reflection(UA, (0, 0, 1)), reflection(UA, (1, -1, 0))])
+        assert calls.count("isometry") == 2 and calls.count("_bareiss") == 4
 
     def _path_isometries(self, UAA, r4):
         _, _, graph, mats, _ = r4
