@@ -39,12 +39,12 @@ def _validate_entry(raw) -> CatalogEntry:
     except (ValidationError, KeyError) as exc:
         raise CatalogError(f"entry {name!r}: invalid gram matrix ({exc})") from exc
     recorded_sig = raw.get("signature")
-    if recorded_sig != list(lattice.signature):
+    if recorded_sig != list(lattice.signature) or not all(type(x) is int for x in recorded_sig):
         raise CatalogError(
             f"entry {name!r}: recorded signature {recorded_sig} != recomputed {lattice.signature}"
         )
     recorded_disc = raw.get("discriminant")
-    if recorded_disc != lattice.discriminant:
+    if recorded_disc != lattice.discriminant or type(recorded_disc) is not int:
         raise CatalogError(
             f"entry {name!r}: recorded discriminant {recorded_disc} != recomputed {lattice.discriminant}"
         )

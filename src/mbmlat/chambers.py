@@ -17,10 +17,9 @@ non-reflective wall, or from a base on a wall, searches again.
 
 Once (L, spec) holds a certified base chamber, every search for
 separating walls is answered by root descent instead of Fincke-Pohst
-(see :mod:`enumeration`).  :func:`reduce_to_base` learns it once per
-(L, spec) whose walls all reflect integrally, from the facets that
-:func:`facet_walls` finds around its first wall-free base; if the
-certificate fails, Fincke-Pohst keeps answering.
+(see :mod:`enumeration`); :func:`reduce_to_base` learns it.  The walls
+through a point are searched for once per (L, point, spec), for
+:func:`chamber_at`, :func:`facet_walls` and :func:`reduce_to_base` alike.
 
 Facet decisions are exact for reflective walls: s supports a facet of
 the chamber of w if and only if no other wall separates w from its
@@ -56,7 +55,6 @@ from .core import (
 from .enumeration import (
     Wall,
     WallSpec,
-    ensure_wall_free,
     has_other_separating_wall,
     iter_separating_walls,
     learn_chamber,
@@ -69,6 +67,7 @@ from .errors import (
     FlagChainError,
     ReductionInvariantError,
     ValidationError,
+    WallIncidenceError,
 )
 
 DEFAULT_SEARCH_BOUND = 24
@@ -108,9 +107,23 @@ def chamber_at(L: Lattice, witness, base=None, spec: WallSpec = None) -> Chamber
     wi = primitive_integral(witness)
     bi = primitive_integral(base)
     for p in dict.fromkeys((wi, bi)):
-        ensure_wall_free(L, p, spec)
+        _ensure_wall_free(L, p, spec)
     crossing = tuple(separating_walls(L, bi, wi, spec))
     return Chamber(spec=spec, witness=wi, crossing_set=crossing)
+
+
+@lru_cache(maxsize=256)
+def _walls_through(L: Lattice, v: Vector, spec: WallSpec) -> tuple[Wall, ...]:
+    """``walls_containing(L, v, spec)``, searched once per (L, v, spec)."""
+    return tuple(walls_containing(L, v, spec))
+
+
+def _ensure_wall_free(L: Lattice, v, spec: WallSpec) -> None:
+    """Raise WallIncidenceError when some spec wall passes through v, and what
+    ``walls_containing`` raises when v is not positive or L not of signature (1, m)."""
+    if hits := _walls_through(L, tuple(v), spec):
+        raise WallIncidenceError(f"base point {tuple(v)} lies on wall {hits[0].vector} "
+                                 f"(square {hits[0].square}); perturb and retry")
 
 
 def same_chamber(L: Lattice, v, w, spec: WallSpec) -> bool:
@@ -158,19 +171,27 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     a non-reflective wall, or from a base on a wall, takes
     ``reflect_vector`` and searches again.
 
-    The first call for (L, spec) with a wall-free base tries to certify
-    its chamber (:func:`_learn_chamber`); the word and image do not depend
-    on which backend answers the searches.
+    The walls through the base are searched for once.  The first call for
+    (L, spec) records None if some wall may not reflect integrally, and
+    otherwise, from a wall-free base, certifies its chamber from the facets
+    :func:`facet_walls` finds below ``DEFAULT_SEARCH_BOUND``; if that fails,
+    Fincke-Pohst keeps answering.  The word and image do not depend on
+    which backend answers the searches.
     """
     base_p = primitive_integral(base)
+    free = not _walls_through(L, base_p, spec)
     if (L, spec) not in _chambers:
-        _learn_chamber(L, base_p, spec)
+        if not (spec.require_reflective or set(spec.squares) <= {-1, -2}):
+            learn_chamber(L, spec, base_p, ())
+        elif free:
+            res = facet_walls(L, Chamber(spec=spec, witness=base_p, crossing_set=()), DEFAULT_SEARCH_BOUND)
+            learn_chamber(L, spec, base_p, [f.supporting_wall for f in res.faces])
     cur = tuple(v)
     word: list[Wall] = []
     sep = separating_walls(L, base_p, cur, spec)
     while sep:
         s = sep[0]
-        mirror = _mirror(L, base_p, s, spec)
+        mirror = _mirror(L, base_p, s, spec) if free else None
         if mirror is None:
             cur = reflect_vector(L, cur, s.vector)
             nxt = separating_walls(L, base_p, cur, spec)
@@ -187,26 +208,13 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     return ReductionResult(word=tuple(word), image=cur)
 
 
-def _learn_chamber(L: Lattice, base: Vector, spec: WallSpec) -> None:
-    """Certify the chamber of ``base`` for (L, spec) from its facets below
-    ``DEFAULT_SEARCH_BOUND``, or record None when some wall may not reflect
-    integrally.  A base on a wall makes no attempt.  The certificate fails,
-    and Fincke-Pohst keeps answering, when a facet lies beyond the bound or
-    the chamber has infinite volume."""
-    if not (spec.require_reflective or set(spec.squares) <= {-1, -2}):
-        learn_chamber(L, spec, base, ())
-    elif not walls_containing(L, base, spec):
-        res = facet_walls(L, Chamber(spec=spec, witness=base, crossing_set=()), DEFAULT_SEARCH_BOUND)
-        learn_chamber(L, spec, base, [f.supporting_wall for f in res.faces])
-
-
 @lru_cache(maxsize=256)
 def _mirror(L: Lattice, base: Vector, s: Wall, spec: WallSpec):
-    """None when s is not reflective or base lies on a wall; else
+    """For a base on no wall: None when s is not reflective; else
     (k, G r_s(base), ((u, G u) for u in sep(base, r_s base))), with s's
     integer reflection row k = 2 G s / q(s, s)."""
     k = reflection_row(s.vector, gram_apply(L, s.vector))
-    if k is None or walls_containing(L, base, spec):
+    if k is None:
         return None
     rb = reflect_by_row(base, s.vector, k)
     walls = separating_walls(L, base, rb, spec)
@@ -274,7 +282,7 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
         raise ValidationError(f"search_bound must be an integer >= 1, got {search_bound!r}")
     spec = chamber.spec
     w = chamber.witness
-    ensure_wall_free(L, w, spec)
+    _ensure_wall_free(L, w, spec)
     candidates = walls_near(L, w, spec, search_bound)
     n = len(candidates)
     vectors = [u.vector for u in candidates] + [w]

@@ -390,6 +390,7 @@ def lattice_from_dict(data: dict) -> Lattice:
 
 def direct_sum(*grams: Sequence[Sequence[int]]) -> list[list[int]]:
     """Block-diagonal sum of Gram matrices."""
+    grams = [int_matrix(g, "direct_sum block") for g in grams]
     total = sum(len(g) for g in grams)
     out = [[0] * total for _ in range(total)]
     off = 0
@@ -397,7 +398,7 @@ def direct_sum(*grams: Sequence[Sequence[int]]) -> list[list[int]]:
         k = len(g)
         for i in range(k):
             for j in range(k):
-                out[off + i][off + j] = int(g[i][j])
+                out[off + i][off + j] = g[i][j]
         off += k
     return out
 

@@ -89,7 +89,6 @@ from .errors import (
     ReductionInvariantError,
     SignatureError,
     ValidationError,
-    WallIncidenceError,
 )
 
 
@@ -608,14 +607,3 @@ def walls_containing(L: Lattice, v, spec: WallSpec) -> list[Wall]:
     found = sorted((w.square, sign_normalize(w.vector))
                    for w in _iter_walls_for_t(L, vi, spec, [(d, 0, 0) for d in spec.squares]))
     return [Wall(vector=vec, square=d) for d, vec in found]
-
-
-def ensure_wall_free(L: Lattice, v, spec: WallSpec) -> None:
-    """Raise WallIncidenceError when some spec wall passes through v,
-    NonPositiveVectorError when v is not positive, SignatureError when L
-    is not of signature (1, m)."""
-    hits = walls_containing(L, v, spec)
-    if hits:
-        raise WallIncidenceError(
-            f"base point {tuple(v)} lies on wall {hits[0].vector} (square {hits[0].square}); perturb and retry"
-        )

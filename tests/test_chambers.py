@@ -45,6 +45,18 @@ def lattices(U, UA, UAA, P22):
     return {"U": U, "U+A1m2": UA, "U+A1m2+A1m2": UAA, "A1p2+A1m2": P22}
 
 
+def _spy_walls_containing(monkeypatch):
+    """The points walls_containing is asked about from now on, at both of
+    its binding sites; the cached answers are forgotten first."""
+    calls = []
+    real = enumeration.walls_containing
+    for module in (enumeration, chambers):
+        monkeypatch.setattr(module, "walls_containing", lambda L, v, spec: calls.append(tuple(v)) or real(L, v, spec))
+    chambers._walls_through.cache_clear()
+    chambers._mirror.cache_clear()
+    return calls
+
+
 def test_bases_are_wall_free(lattices):
     for name, L in lattices.items():
         assert walls_containing(L, BASE[name], SPEC2) == [], name
@@ -170,6 +182,21 @@ class TestReduceToBase:
         mirrors = {s for word in words for s in word}
         assert len(calls) == len(words) + len(mirrors) < len(words) + sum(map(len, words))
 
+    def test_a_base_is_searched_for_walls_once(self, UAA, fincke_pohst, monkeypatch):
+        # the first reduction certifies the base chamber from its facets; the
+        # base is searched for walls once for that and for every mirror
+        base = BASE["U+A1m2+A1m2"]
+        calls = _spy_walls_containing(monkeypatch)
+        rng = random.Random(61)
+        words = []
+        while len(words) < 12:
+            v, _ = random_positive_pair(UAA, rng)
+            if pairing(UAA, v, base) > 0:
+                words.append(reduce_to_base(UAA, v, base, SPEC2).word)
+        assert enumeration._chambers[UAA, SPEC2] is not None
+        assert len({s for word in words for s in word}) > 1
+        assert calls == [base]
+
 
 # lattices U + X for the reduction property test, by their summands X,
 # with a base point on no wall of square -2 or -4
@@ -287,7 +314,7 @@ class TestChamberCertificate:
 
     def test_a_descent_step_must_lower_the_height(self, UA, fincke_pohst):
         base = BASE["U+A1m2"]
-        chambers._learn_chamber(UA, base, SPEC2)
+        reduce_to_base(UA, base, base, SPEC2)
         ch = enumeration._chambers[UA, SPEC2]
         # the same mirror with the outward orientation: base itself violates it
         t, g = ch.facets[0], ch.grams[0]
@@ -326,6 +353,21 @@ class TestFacetWalls:
             for g in res.faces:
                 if g is not f:
                     assert pairing(UA, g.supporting_wall.vector, m) > 0
+
+    def test_a_deep_witness_lies_beyond_its_facets_bound(self, UAA):
+        # the premise of the pin below
+        deep, near = (91, 120, 30, 30), BASE["U+A1m2+A1m2"]
+        assert same_chamber(UAA, deep, near, SPEC2)
+        faces = facet_walls(UAA, chamber_at(UAA, near, spec=SPEC2)).faces
+        assert sorted(pairing(UAA, f.supporting_wall.vector, deep) for f in faces) == [29, 31, 31, 60, 60]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP items 3-4: candidates are complete only up to search_bound, so the "
+                              "chamber of a deep witness is reported complete with no facets")
+    def test_a_deep_witness_has_the_facets_of_its_chamber(self, UAA):
+        deep, near = (91, 120, 30, 30), BASE["U+A1m2+A1m2"]
+        got, want = (facet_walls(UAA, chamber_at(UAA, w, spec=SPEC2)) for w in (deep, near))
+        assert [f.supporting_wall for f in got.faces] == [f.supporting_wall for f in want.faces]
 
     def test_no_minus_two_classes_means_no_facets(self):
         # 2a^2 - 8b^2 = -2 has no integer solutions (a^2 = 4b^2 - 1 fails
@@ -448,8 +490,8 @@ class TestChamber:
         # a witness that is its own base is checked once; the base chamber's
         # facet_walls is the only check that explore_tessellation makes
         calls = []
-        real = chambers.ensure_wall_free
-        monkeypatch.setattr(chambers, "ensure_wall_free", lambda *args: calls.append(args[1]) or real(*args))
+        real = chambers._ensure_wall_free
+        monkeypatch.setattr(chambers, "_ensure_wall_free", lambda *args: calls.append(args[1]) or real(*args))
         base = BASE["U+A1m2"]
         explore_tessellation(UA, base, SPEC2, 0)
         assert calls == [base]
@@ -459,6 +501,12 @@ class TestChamber:
         calls.clear()
         chamber_at(UA, (9, 3, 4), base, SPEC2)
         assert calls == [(9, 3, 4), base]
+
+    def test_chamber_at_then_facet_walls_searches_each_point_once(self, UA, monkeypatch):
+        base, w = BASE["U+A1m2"], (9, 3, 4)
+        calls = _spy_walls_containing(monkeypatch)
+        facet_walls(UA, chamber_at(UA, w, base, SPEC2))
+        assert calls == [w, base]
 
 
 class TestEncodeFlag:

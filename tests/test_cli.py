@@ -148,11 +148,14 @@ MALFORMED_INPUTS = {
     "catalog_signature_not_a_list": ["validate-catalog", "--path", "{tmp}/cat_sig.json"],
     "catalog_bool_fujiki_constant": ["validate-catalog", "--path", "{tmp}/cat_fujiki.json"],
     "catalog_bool_square_bound": ["validate-catalog", "--path", "{tmp}/cat_bound.json"],
+    "catalog_bool_discriminant": ["validate-catalog", "--path", "{tmp}/cat_disc.json"],
+    "catalog_bool_float_signature": ["validate-catalog", "--path", "{tmp}/cat_sigtypes.json"],
 }
 
 # each catalog file holds one valid entry of U with one field replaced
 CATALOG_FIELDS = {"name": {"name": 5}, "k3n": {"name": "K3nx"}, "sig": {"signature": 5},
-                  "fujiki": {"fujiki_constant": True}, "bound": {"mbm_square_bound": False}}
+                  "fujiki": {"fujiki_constant": True}, "bound": {"mbm_square_bound": False},
+                  "disc": {"discriminant": True}, "sigtypes": {"signature": [True, 1.0]}}
 
 
 @pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())

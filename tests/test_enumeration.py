@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbmlat import chambers, core, enumeration
-from mbmlat.chambers import same_chamber
+from mbmlat import core, enumeration
+from mbmlat.chambers import reduce_to_base, same_chamber
 from mbmlat.core import make_lattice, pairing, project_off, sign_normalize, square
 from mbmlat.enumeration import (
     Wall,
@@ -304,7 +304,7 @@ class TestDescent:
             return out
 
         searched = answers()
-        chambers._learn_chamber(L, base, spec)
+        reduce_to_base(L, base, base, spec)
         assert enumeration._chambers[L, spec] is not None
         assert answers() == searched
         seen = dict.fromkeys(("other component", "on a wall", "rational", "proportional", "separated"), 0)

@@ -167,6 +167,7 @@ FLOAT_INPUTS = {
     "walls_near max_pairing": lambda L: walls_near(L, (5, 3, 2), SPEC2, 2.5),
     "facet_walls search_bound": lambda L: facet_walls(L, chamber_at(L, (5, 3, 2), spec=SPEC2), 2.5),
     "explore_tessellation depth": lambda L: explore_tessellation(L, (5, 3, 2), SPEC2, 1.5),
+    "direct_sum block": lambda L: core.direct_sum(core.U_GRAM, [[-2.9]]),
     "is_positive point": lambda L: core.is_positive(L, (1.5, 1, 0), (1, 1, 0)),
     "is_reflective class": lambda L: is_reflective(L, (0, 0, 1.0)),
     "reflect_vector point": lambda L: core.reflect_vector(L, (1.5, 1, 0), (0, 1, 1)),
