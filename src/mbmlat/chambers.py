@@ -25,8 +25,9 @@ Facet decisions are exact for reflective walls: s supports a facet of
 the chamber of w if and only if no other wall separates w from its
 mirror image r_s(w); the midpoint of that segment is the orthogonal
 projection of w onto the wall and serves as the facet witness.  For
-non-reflective walls a projection/certificate/repair procedure is used
-and walls it cannot decide are reported explicitly, never dropped.
+non-reflective walls a projection/certificate procedure is used, then a
+certificate from the extreme rays of the faces' cone, and a repair walk
+for the rest; walls it cannot decide are reported, never dropped.
 
 Everything is pure and exact; witnesses are integral.
 """
@@ -55,6 +56,7 @@ from .core import (
 from .enumeration import (
     Wall,
     WallSpec,
+    extreme_rays,
     has_other_separating_wall,
     iter_separating_walls,
     learn_chamber,
@@ -122,7 +124,7 @@ def _ensure_wall_free(L: Lattice, v, spec: WallSpec) -> None:
     """Raise WallIncidenceError when some spec wall passes through v, and what
     ``walls_containing`` raises when v is not positive or L not of signature (1, m)."""
     if hits := _walls_through(L, tuple(v), spec):
-        raise WallIncidenceError(f"base point {tuple(v)} lies on wall {hits[0].vector} "
+        raise WallIncidenceError(f"point {tuple(v)} lies on wall {hits[0].vector} "
                                  f"(square {hits[0].square}); perturb and retry")
 
 
@@ -253,9 +255,9 @@ class FacetResult(NamedTuple):
     """Facets found within the candidate universe q(s, witness) <= search_bound.
 
     ``undecided`` lists candidate walls the bounded procedure could not
-    classify (possible only for non-reflective walls): their repair search
-    came back to an earlier witness or ran through ``_REPAIR_BUDGET``
-    witnesses, all violated.  Completeness of
+    classify (possible only for non-reflective walls): the ray certificate
+    missed them, and their repair search came back to an earlier witness or
+    ran through ``_REPAIR_BUDGET`` witnesses, all violated.  Completeness of
     the candidate list itself is relative to ``search_bound``.
     """
 
@@ -271,12 +273,17 @@ class FacetResult(NamedTuple):
 def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH_BOUND) -> FacetResult:
     """Facets of a chamber among walls with q(s, witness) <= search_bound, by ``sort_key``.
 
-    Reflective walls are decided exactly via the mirror criterion;
-    non-reflective ones fall back to projection witness, separation
-    certificate, then a reflection-repair search that stops at a repeated
-    witness or after ``_REPAIR_BUDGET`` witnesses.  Every decision is
-    integer arithmetic on the Gram matrix of the candidates and the
-    witness.  A chamber witness on a wall raises WallIncidenceError.
+    Reflective walls are decided exactly via the mirror criterion.  A
+    non-reflective wall is a facet if its projection witness violates no
+    other candidate, and none if a violated candidate projects to a class
+    of square >= 0.  For the rest, K = {x : q(f, x) >= 0 for the faces f
+    found so far} holds the chamber; if K is pointed and q(u, r) >= 0 on its
+    extreme rays r, u^perp meets K in codimension >= 2: u is no facet.  Only
+    the walls left take a repair walk that stops at a repeated witness or
+    after ``_REPAIR_BUDGET`` witnesses.  Decisions are integer arithmetic
+    on q(u, witness) and on the Gram columns q(., s), each built once and
+    only for walls on the non-reflective path.  A chamber witness on a wall
+    raises WallIncidenceError.
     """
     if not isinstance(search_bound, int) or search_bound < 1:
         raise ValidationError(f"search_bound must be an integer >= 1, got {search_bound!r}")
@@ -285,47 +292,64 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     _ensure_wall_free(L, w, spec)
     candidates = walls_near(L, w, spec, search_bound)
     n = len(candidates)
-    vectors = [u.vector for u in candidates] + [w]
-    covectors = [gram_apply(L, v) for v in vectors]
-    M = [[sum(map(mul, a, g)) for g in covectors] for a in vectors]
-    faces: list[Face] = []
-    undecided: list[Wall] = []
+    covectors = [gram_apply(L, u.vector) for u in candidates]
+    gw = gram_apply(L, w)
+    qw = [sum(map(mul, u.vector, gw)) for u in candidates]
+    # a candidate u violates the projection witness of s only if q(u, s) < 0
+    # and q(u, w) is small, so a reflective s scans the nearest walls first
+    nearest = sorted(range(n), key=qw.__getitem__)
+
+    @lru_cache(maxsize=None)
+    def column(j: int) -> list[int]:
+        return [sum(map(mul, u.vector, covectors[j])) for u in candidates]
+
+    faces: dict[int, Face] = {}
+    aside = []
     for i, s in enumerate(candidates):
         # every candidate pairs positively with w, so -s is never one.
         # q(s,s) < 0: y = q(w,s) s - q(s,s) w is a positive multiple of w's
         # projection onto the wall, and P[u] = q(u, y) for the candidates u
-        qss, qws = M[i][i], M[n][i]
+        qss, qws, gs = s.square, qw[i], covectors[i]
         y = tuple(qws * a - qss * b for a, b in zip(s.vector, w))
-        P = [qws * M[u][i] - qss * M[u][n] for u in range(n)]
-        vio = [u for u in range(n) if u != i and P[u] <= 0]
-        k = reflection_row(s.vector, covectors[i])
+        k = reflection_row(s.vector, gs)
         if k is not None:
             # s reflects integrally.  A facet's midpoint witness y is strictly feasible
             # for every other wall, and then s is a facet iff nothing else separates w from r_s(w)
-            if not vio and not has_other_separating_wall(L, w, reflect_by_row(w, s.vector, k), spec, {s.vector}):
-                faces.append(Face(supporting_wall=s, witness_on_wall=primitive_integral(y)))
+            if (all(u == i or qws * sum(map(mul, candidates[u].vector, gs)) > qss * qw[u] for u in nearest)
+                    and not has_other_separating_wall(L, w, reflect_by_row(w, s.vector, k), spec, {s.vector})):
+                faces[i] = Face(supporting_wall=s, witness_on_wall=primitive_integral(y))
             continue
+        P = [qws * a - qss * b for a, b in zip(column(i), qw)]
+        vio = [u for u in range(n) if u != i and P[u] <= 0]
         # y is positive in s^perp, of signature (1, m - 1), and a violated u has
         # p = project_off(u, s) = q(s,s) u - q(u,s) s != 0 with q(p, y) = q(s,s) q(u, y) >= 0
         # and q(p, p) = q(s,s) (q(s,s) q(u,u) - q(u,s)^2).  If q(p, p) >= 0, then
         # q(p, .) > 0 > q(u, .) on the wall's whole positive component: no facet.
-        if any(qss * (qss * M[u][u] - M[u][i] ** 2) >= 0 for u in vio):
+        if not vio:
+            faces[i] = Face(supporting_wall=s, witness_on_wall=primitive_integral(y))
+        elif all(qss * (qss * candidates[u].square - column(i)[u] ** 2) < 0 for u in vio):
+            aside.append((i, y, P, vio))
+    rays = extreme_rays([covectors[j] for j in faces], L.rank) if aside else None
+    undecided: list[Wall] = []
+    for i, y, P, vio in aside:
+        if rays is not None and all(sum(map(mul, r, covectors[i])) >= 0 for r in rays):
             continue
         # repair: reflect y across the p of the most violated u.  Such a reflection
         # keeps y's positive component, on which q(u, .) has one sign if q(p, p) >= 0,
         # so that u was violated at the first y already: every p here is negative.
         # With s and the candidates fixed, each step depends on y alone, so once a
         # witness repeats, the walk cycles through witnesses found violated: undecided.
+        s, qss, qs = candidates[i], candidates[i].square, column(i)
         seen = {y}
         while vio and len(seen) < _REPAIR_BUDGET:
             u = min(vio, key=lambda v: (P[v], candidates[v].sort_key))
             # -q(p,p) > 0 times r_p(y), in integers, with q(y, p) = q(s,s) q(u, y) as y is in s^perp
-            qus, qpp, qyp2 = M[u][i], qss * (qss * M[u][u] - M[u][i] ** 2), 2 * qss * P[u]
+            qus, qpp, qyp2 = qs[u], qss * (qss * candidates[u].square - qs[u] ** 2), 2 * qss * P[u]
             p = [qss * a - qus * b for a, b in zip(candidates[u].vector, s.vector)]
             z = tuple(qyp2 * b - qpp * a for a, b in zip(y, p))
             c = gcd(*z)  # divides q(v, z) for every integral v
             y = tuple(a // c for a in z)
-            P = [(qyp2 * (qss * M[v][u] - qus * M[v][i]) - qpp * P[v]) // c for v in range(n)]
+            P = [(qyp2 * (qss * a - qus * b) - qpp * d) // c for a, b, d in zip(column(u), qs, P)]
             vio = [v for v in range(n) if v != i and P[v] <= 0]
             if y in seen:
                 break
@@ -333,8 +357,8 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
         if vio:
             undecided.append(s)
         else:
-            faces.append(Face(supporting_wall=s, witness_on_wall=primitive_integral(y)))
-    return FacetResult(faces=tuple(faces), undecided=tuple(undecided), search_bound=search_bound)
+            faces[i] = Face(supporting_wall=s, witness_on_wall=primitive_integral(y))
+    return FacetResult(tuple(faces[i] for i in sorted(faces)), tuple(undecided), search_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -541,42 +541,48 @@ class _Chamber:
 _chambers: dict = {}
 _chambers_lock = Lock()
 _CHAMBERS_MAX = 64
-# the certificate checks one candidate ray per rank - 1 facets
+# extreme_rays checks one candidate ray per rank - 1 covectors
 _RAY_BUDGET = 4096
+
+
+def extreme_rays(covectors, n: int) -> list[Vector] | None:
+    """The extreme rays of K = {x : g . x >= 0 for the covectors g} of length
+    n, oriented into K, or None if K is not pointed or comb(len(covectors),
+    n - 1) > ``_RAY_BUDGET``.  On a ray of the pointed K, n - 1 independent
+    covectors vanish and none is negative."""
+    if comb(len(covectors), n - 1) > _RAY_BUDGET or integer_kernel(covectors, n):
+        return None
+    rays = []
+    for rows in combinations(covectors, n - 1):
+        kernel = integer_kernel(rows, n)
+        if len(kernel) != 1:
+            continue
+        x = kernel[0]
+        sides = [sum(map(mul, x, g)) for g in covectors]
+        if min(sides) < 0 < max(sides):
+            continue
+        # K is pointed, so some side is not zero
+        rays.append(x if max(sides) > 0 else tuple([-c for c in x]))
+    return rays
 
 
 def learn_chamber(L: Lattice, spec: WallSpec, base: Vector, facets) -> None:
     """Record for (L, spec) the chamber of the wall-free integral ``base``
     if ``facets``, the facets a bounded search found, pass the certificate
-    of the module docstring, and None otherwise.  An extreme ray of K is
-    one on which rank - 1 independent facets vanish."""
+    of the module docstring, and None otherwise.  Every extreme ray r of K
+    (:func:`extreme_rays`) must have q(r, r) >= 0 and q(r, base) > 0."""
     chamber = None
-    if comb(len(facets), L.rank - 1) <= _RAY_BUDGET:
-        c = _Chamber(tuple(facets), tuple(gram_apply(L, t.vector) for t in facets), gram_apply(L, base))
-        if (all(reflection_row(t.vector, g) is not None for t, g in zip(c.facets, c.grams))
-                and all(h > 0 for h in c.heights)
-                and all(row[j] >= 0 for i, row in enumerate(c.gram) for j in range(i))
-                and not integer_kernel(c.grams, L.rank)
-                and all(_ray_is_positive(L, c.gbase, c.grams, rows) for rows in combinations(c.grams, L.rank - 1))):
-            chamber = c
+    c = _Chamber(tuple(facets), tuple(gram_apply(L, t.vector) for t in facets), gram_apply(L, base))
+    if (all(reflection_row(t.vector, g) is not None for t, g in zip(c.facets, c.grams))
+            and all(h > 0 for h in c.heights)
+            and all(row[j] >= 0 for i, row in enumerate(c.gram) for j in range(i))
+            and (rays := extreme_rays(c.grams, L.rank)) is not None
+            and all(square(L, r) >= 0 and sum(map(mul, r, c.gbase)) > 0 for r in rays)):
+        chamber = c
     with _chambers_lock:
         if (L, spec) not in _chambers and len(_chambers) >= _CHAMBERS_MAX:
             del _chambers[next(iter(_chambers))]
         _chambers[L, spec] = chamber
-
-
-def _ray_is_positive(L: Lattice, gbase, grams, rows) -> bool:
-    """False iff the facets ``rows`` (covectors G t_i) cut out an extreme ray
-    of K outside the closed positive component of the base."""
-    kernel = integer_kernel(rows, L.rank)
-    if len(kernel) != 1:
-        return True
-    x = kernel[0]
-    sides = [sum(map(mul, x, g)) for g in grams]
-    if min(sides) < 0 < max(sides):
-        return True
-    # K is pointed, so x lies in K if max(sides) > 0, and -x otherwise
-    return square(L, x) >= 0 and (sum(map(mul, x, gbase)) > 0) == (max(sides) > 0)
 
 
 def walls_near(L: Lattice, v, spec: WallSpec, max_pairing: int) -> list[Wall]:

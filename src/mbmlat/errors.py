@@ -35,7 +35,7 @@ class NonPositiveVectorError(MbmlatError):
 
 
 class WallIncidenceError(MbmlatError):
-    """Base point lies on a wall; callers can perturb and retry."""
+    """A point lies on a wall; callers can perturb and retry."""
 
 
 class NonIntegralReflectionError(MbmlatError):

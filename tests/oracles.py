@@ -8,7 +8,7 @@ separating v0 from v1.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, islice, product
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 
@@ -286,43 +286,83 @@ def _primitive(v) -> tuple:
     return tuple(a // g for a in v)
 
 
+def repair_walk(gram, w, candidates, s):
+    """The reflection-repair walk of the candidate s, without end: (y, violated)
+    for each witness y on s^perp, from w's projection y = q(w, s) s - q(s, s) w.
+
+    ``violated`` lists (q(u, y), q(u, u), u) for the other candidates u with
+    q(u, y) <= 0, in the order the repair picks them; the next y is the
+    primitive integral multiple of y reflected across the projection off s
+    of the first one.  Plain integer arithmetic on ``form``.
+    """
+    y = tuple(form(gram, w, s) * a - form(gram, s, s) * b for a, b in zip(s, w))
+    while True:
+        vio = sorted((form(gram, u, y), form(gram, u, u), u)
+                     for u in candidates if u != s and form(gram, u, y) <= 0)
+        yield y, vio
+        if not vio:
+            return
+        p = off_wall(gram, vio[0][2], s)
+        y = _primitive(tuple(2 * form(gram, y, p) * b - form(gram, p, p) * a for a, b in zip(y, p)))
+
+
+def off_wall(gram, u, s):
+    """q(s, s) u - q(u, s) s, a multiple of u's projection onto s^perp."""
+    return tuple(form(gram, s, s) * a - form(gram, u, s) * b for a, b in zip(u, s))
+
+
 def repair_decisions(gram, w, candidates, budget):
     """Facet decisions for the candidate walls whose reflection is not
     integral: projection witness, separation certificate, then ``budget``
-    full reflection-repair steps with no check for a repeated witness.
+    witnesses of :func:`repair_walk` with no check for a repeated one.
 
-    Plain integer arithmetic on ``form``.  ``candidates`` are the wall
-    vectors with 1 <= q(s, w) for the wall-free positive w; returns
-    ``(faces, undecided)``, faces as (wall, primitive witness) pairs.
+    ``candidates`` are the wall vectors with 1 <= q(s, w) for the
+    wall-free positive w; returns ``(faces, undecided)``, faces as (wall,
+    primitive witness) pairs.
     """
     faces, undecided = [], []
     for s in candidates:
         d = form(gram, s, s)
         if all(2 * sum(g * b for g, b in zip(row, s)) % d == 0 for row in gram):
             continue
-
-        def violated(y):
-            # (q(u, y), square, u) orders the violated walls as the repair picks them
-            return sorted((form(gram, u, y), form(gram, u, u), u)
-                          for u in candidates if u != s and form(gram, u, y) <= 0)
-
-        def off_s(u):
-            return tuple(d * a - form(gram, u, s) * b for a, b in zip(u, s))
-
-        y = tuple(form(gram, w, s) * a - d * b for a, b in zip(s, w))
-        vio = violated(y)
-        if any(form(gram, off_s(u), off_s(u)) >= 0 for _, _, u in vio):
+        walk = islice(repair_walk(gram, w, candidates, s), budget)
+        first = next(walk)
+        if any(form(gram, off_wall(gram, u, s), off_wall(gram, u, s)) >= 0 for _, _, u in first[1]):
             continue
-        for _ in range(budget):
+        for y, vio in chain([first], walk):
             if not vio:
                 faces.append((s, _primitive(y)))
                 break
-            p = off_s(vio[0][2])
-            y = _primitive(tuple(2 * form(gram, y, p) * b - form(gram, p, p) * a for a, b in zip(y, p)))
-            vio = violated(y)
         else:
             undecided.append(s)
     return faces, undecided
+
+
+def extreme_rays(gram, faces):
+    """The extreme rays of K = {x : q(f, x) >= 0 for the faces f}, as sorted
+    primitive integral vectors in K, or None when K is not pointed.
+
+    By Fraction determinants of the rows (q(f, e_j))_j: K is pointed iff
+    some rank of them are independent, and rank - 1 rows vanish on the
+    vector of signed maximal minors x_j = (-1)^j det(rows without column j),
+    a line if x != 0.  A ray is such a line on which no face is negative.
+    """
+    n = len(gram)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rows = [[form(gram, f, e) for e in units] for f in faces]
+    if all(rational_det_inverse(sub)[0] == 0 for sub in combinations(rows, n)):
+        return None
+    rays = set()
+    for sub in combinations(rows, n - 1):
+        x = [(-1) ** j * rational_det_inverse([r[:j] + r[j + 1:] for r in sub])[0] for j in range(n)]
+        if not any(x):
+            continue
+        x = _primitive(tuple(c.numerator for c in x))
+        sides = [form(gram, f, x) for f in faces]
+        if min(sides) < 0 < max(sides):
+            continue
+        rays.add(x if max(sides) > 0 else tuple(-c for c in x))
+    return sorted(rays)
 
 
 def odd_coxeter_classes(gram, roots) -> int:

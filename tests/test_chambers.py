@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -32,7 +32,7 @@ from mbmlat.errors import (
     WallIncidenceError,
 )
 from mbmlat.orbits import reflection
-from oracles import form, random_positive_pair, rational_projection, repair_decisions
+from oracles import extreme_rays, form, random_positive_pair, rational_projection, repair_decisions, repair_walk
 
 SPEC2 = wall_spec([-2])
 
@@ -405,7 +405,8 @@ class TestFacetWalls:
 
     def test_nonreflective_walls_in_mixed_spec(self, UAA):
         # the -4 walls of U+A1m2+A1m2 are not reflective, so their facet
-        # decisions take the projection/certificate/repair path
+        # decisions take the projection/certificate/ray/repair path; the ray
+        # certificate leaves no wall undecided
         ch = chamber_at(UAA, (5, 8, -2, -1), spec=wall_spec([-2, -4]))
         res = facet_walls(UAA, ch)
         assert [(f.supporting_wall.vector, f.witness_on_wall) for f in res.faces] == [
@@ -414,33 +415,42 @@ class TestFacetWalls:
             ((1, -1, 0, -1), (21, 31, -8, -5)),
             ((0, 1, -1, 0), (10, 17, -5, -2)),
         ]
-        assert [s.vector for s in res.undecided] == [
-            (-1, 2, 0, 0), (0, 1, -1, 1), (1, -1, 0, 1), (1, -1, 1, 0), (1, 0, -1, -1), (1, 0, -1, 1),
-        ]
+        assert res.undecided == ()
         candidates = walls_near(UAA, ch.witness, ch.spec, DEFAULT_SEARCH_BOUND)
         for f in res.faces:
             assert pairing(UAA, f.supporting_wall.vector, f.witness_on_wall) == 0
             assert all(pairing(UAA, u.vector, f.witness_on_wall) > 0
                        for u in candidates if u != f.supporting_wall)
 
-    def test_a_walk_that_never_repeats_ends_at_the_budget(self, UAA):
-        # the repair walk for (1, -1, 0, 1) never comes back to a witness, so
-        # that wall is undecided only because the walk runs out of budget
-        res = facet_walls(UAA, chamber_at(UAA, (7, 9, 2, -3), spec=wall_spec([-2, -4])), search_bound=16)
+    def test_a_walk_that_never_repeats_ends_at_the_budget(self):
+        # the faces found before any walk all vanish on (1, 0, 0, 0), so their
+        # cone is not pointed and the ray certificate decides nothing here; the
+        # repair walks of (-1, 1, 1, 0) and (1, 1, 1, 1) meet _REPAIR_BUDGET
+        # distinct witnesses, all violated: only the budget stop leaves them undecided
+        L, spec = make_lattice(core.direct_sum(core.U_GRAM, [[-2]], [[-4]])), wall_spec([-2, -4])
+        ch = chamber_at(L, (11, 3, -1, 1), spec=spec)
+        res = facet_walls(L, ch, search_bound=16)
+        assert len(res.faces) == 5
         assert [s.vector for s in res.undecided] == [
-            (-1, 1, -1, 0), (-1, 1, 0, 1), (-1, 2, 0, 0), (0, -1, -1, 1),
-            (0, 1, -1, -1), (1, -1, -1, 0), (1, -1, 0, 1), (1, 0, -1, -1),
+            (-1, 1, -1, 0), (-1, 1, 1, 0), (0, 1, 0, 1), (1, 1, -1, 1), (1, 1, 1, 1),
         ]
-        assert len(res.faces) == 4
+        candidates = [u.vector for u in walls_near(L, ch.witness, spec, 16)]
+        for s in [(-1, 1, 1, 0), (1, 1, 1, 1)]:
+            walk = list(islice(repair_walk(L.gram, ch.witness, candidates, s), chambers._REPAIR_BUDGET))
+            assert len({core.primitive_integral(y) for y, _ in walk}) == chambers._REPAIR_BUDGET
+            assert all(vio for _, vio in walk)
 
-    @pytest.mark.parametrize("gram", [
-        core.direct_sum(core.U_GRAM, [[-2]], [[-2]]),
-        core.direct_sum(core.U_GRAM, [[-4]]),
-        core.direct_sum(core.U_GRAM, [[-2]], [[-4]]),
+    @pytest.mark.parametrize("gram, some_left", [
+        (core.direct_sum(core.U_GRAM, [[-2]], [[-2]]), False),
+        (core.direct_sum(core.U_GRAM, [[-4]]), True),
+        (core.direct_sum(core.U_GRAM, [[-2]], [[-4]]), True),
     ], ids=["U+A1m2+A1m2", "U+<-4>", "U+<-2>+<-4>"])
-    def test_repair_stop_keeps_every_decision(self, gram):
-        # facet_walls stops a repair walk at its first repeated witness; the
-        # oracle walks the whole budget, so their decisions must agree
+    def test_repair_stop_keeps_every_decision(self, gram, some_left):
+        # facet_walls decides a wall by the extreme rays of its faces' cone
+        # before it walks, and stops a walk at its first repeated witness; the
+        # oracle walks the whole budget for every wall.  Their faces agree, and
+        # each wall the oracle leaves undecided is undecided in facet_walls too
+        # or non-negative on the oracle's own rays of the faces' cone
         L, spec = make_lattice(gram), wall_spec([-2, -4])
         rng = random.Random(f"repair/{gram}")
         decided = []
@@ -454,10 +464,17 @@ class TestFacetWalls:
             faces, undecided = repair_decisions(L.gram, ch.witness, candidates, chambers._REPAIR_BUDGET)
             assert [(f.supporting_wall.vector, f.witness_on_wall) for f in res.faces
                     if not is_reflective(L, f.supporting_wall.vector)] == faces, v
-            assert [u.vector for u in res.undecided] == undecided, v
-            decided.append((len(faces), len(undecided)))
-        faces_total, undecided_total = map(sum, zip(*decided))
-        assert faces_total > 0 and undecided_total > 0
+            left = [u.vector for u in res.undecided]
+            assert set(left) <= set(undecided), v
+            certified = [u for u in undecided if u not in left]
+            if certified:
+                rays = extreme_rays(L.gram, [f.supporting_wall.vector for f in res.faces])
+                assert rays is not None, v
+                assert all(form(L.gram, u, r) >= 0 for u in certified for r in rays), v
+            decided.append((len(faces), len(certified), len(left)))
+        faces_total, certified_total, left_total = map(sum, zip(*decided))
+        assert faces_total > 0 and certified_total > 0
+        assert (left_total > 0) == some_left
 
 
 class TestChamber:
@@ -615,25 +632,21 @@ class TestExploreTessellation:
         with pytest.raises(ReductionInvariantError, match="not by that one wall"):
             explore_tessellation(UA, BASE["U+A1m2"], SPEC2, 1)
 
-    @pytest.mark.parametrize("name, squares, base, fallback", [
-        ("U+A1m2", [-2], BASE["U+A1m2"], False),
-        ("U+A1m2+A1m2", [-2], BASE["U+A1m2+A1m2"], False),
-        # the -4 walls are not reflective and some stay undecided in every
-        # chamber, so no facets are transported: each node searches its own
-        ("U+A1m2+A1m2", [-2, -4], (5, 8, -2, -1), True),
+    @pytest.mark.parametrize("name, squares, base", [
+        ("U+A1m2", [-2], BASE["U+A1m2"]),
+        ("U+A1m2+A1m2", [-2], BASE["U+A1m2+A1m2"]),
+        # the -4 walls are not reflective, but the ray certificate decides
+        # them all, so facets are transported across the reflective -2 facets
+        ("U+A1m2+A1m2", [-2, -4], (5, 8, -2, -1)),
     ])
-    def test_transported_facets_are_sound(self, lattices, name, squares, base, fallback):
+    def test_transported_facets_are_sound(self, lattices, name, squares, base):
         L, spec = lattices[name], wall_spec(squares)
         g = explore_tessellation(L, base, spec, 2)
         assert len(g.nodes) > 1
-        assert all(n.undecided for n in g.nodes) == fallback
         for node in g.nodes:
             direct = facet_walls(L, chamber_at(L, node.witness, spec=spec))
-            faces = {f.supporting_wall for f in direct.faces}
-            assert faces <= set(node.facets) <= faces | set(direct.undecided)
-            if not direct.undecided:
-                assert node.facets == tuple(f.supporting_wall for f in direct.faces)
-            assert node.undecided == (direct.undecided if fallback else ())
+            assert direct.undecided == node.undecided == ()
+            assert node.facets == tuple(f.supporting_wall for f in direct.faces)
 
     def test_nonreflective_facets_are_not_transported(self):
         # every facet of the base chamber is a wall of square -4 whose
@@ -654,7 +667,7 @@ class TestExploreTessellation:
     def test_crossing_a_nonreflective_facet(self):
         L, spec = make_lattice(core.direct_sum(core.U_GRAM, [[-2]], [[-4]])), wall_spec([-2, -4])
         g = explore_tessellation(L, (19, 14, 1, 4), spec, 1)
-        assert len(g.nodes) == 6 and any(n.undecided for n in g.nodes)
+        assert len(g.nodes) == 6
         explore_tessellation(L, (19, 14, 1, 4), spec, 2)
 
     def test_base_on_wall_rejected(self, UA):

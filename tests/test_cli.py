@@ -42,7 +42,8 @@ GOLDEN_COMMANDS = [
                       "--format", "text"]),
     ("reduce.txt", ["reduce", "--lattice", "U+A1m2", "--v", "3,2,2", "--base", "1,1,0", "--squares", "-2",
                     "--format", "text"]),
-    # acceptance config B: pins the undecided line and the attached --squares=-2,-4 form
+    # acceptance config B: the ray certificate decides every non-reflective wall, so
+    # no undecided line; pins the attached --squares=-2,-4 form
     ("facets_mixed.txt", ["facets", "--lattice", "U+A1m2+A1m2", "--witness", "5,8,-2,-1", "--squares=-2,-4",
                           "--format", "text"]),
     ("flag.txt", ["flag", "--lattice", "U+A1m2+A1m2", "--chain", "0,0,1,0;0,0,0,1", "--squares", "-2",
@@ -185,6 +186,13 @@ def test_wall_incidence_error_is_domain_error(argv, error):
     code, _, err = invoke(argv + ["--lattice", "U+A1m2", "--squares", "-2"])
     assert code == 1
     assert json.loads(err)["error"] == error
+
+
+def test_wall_incidence_names_the_point():
+    # the point on the walls is the facets witness, not a base
+    code, _, err = invoke(["facets", "--lattice", "U+A1m2", "--witness", "1,1,0", "--squares", "-2"])
+    assert code == 1
+    assert json.loads(err)["message"].startswith("point (1, 1, 0) lies on wall")
 
 
 K3_POSITIVE = ",".join(["1", "1"] + ["0"] * 20)
