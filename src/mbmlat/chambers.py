@@ -25,9 +25,9 @@ Facet decisions are exact for reflective walls: s supports a facet of
 the chamber of w if and only if no other wall separates w from its
 mirror image r_s(w); the midpoint of that segment is the orthogonal
 projection of w onto the wall and serves as the facet witness.  For
-non-reflective walls a projection/certificate procedure is used, then a
-certificate from the extreme rays of the faces' cone, and a repair walk
-for the rest; walls it cannot decide are reported, never dropped.
+non-reflective walls a projection witness and a kill test come first,
+then the extreme rays of the faces' cone, then those of the cone of all
+candidates; walls they cannot decide are reported, never dropped.
 
 Everything is pure and exact; witnesses are integral.
 """
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -45,6 +44,7 @@ from .core import (
     Vector,
     as_int_vector,
     gram_apply,
+    integer_kernel,
     primitive_integral,
     project_off,
     reflect_by_row,
@@ -73,7 +73,6 @@ from .errors import (
 )
 
 DEFAULT_SEARCH_BOUND = 24
-_REPAIR_BUDGET = 64
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +254,11 @@ class FacetResult(NamedTuple):
     """Facets found within the candidate universe q(s, witness) <= search_bound.
 
     ``undecided`` lists candidate walls the bounded procedure could not
-    classify (possible only for non-reflective walls): the ray certificate
-    missed them, and their repair search came back to an earlier witness or
-    ran through ``_REPAIR_BUDGET`` witnesses, all violated.  Completeness of
-    the candidate list itself is relative to ``search_bound``.
+    classify (possible only for non-reflective walls): the kill test and
+    the faces' ray certificate missed them, and the cone of all candidates
+    is not pointed, has over ``enumeration._RAY_BUDGET`` rays or leaves the
+    closed positive cone.  Completeness of the candidate list itself is
+    relative to ``search_bound``.
     """
 
     faces: tuple[Face, ...]
@@ -276,14 +276,14 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     Reflective walls are decided exactly via the mirror criterion.  A
     non-reflective wall is a facet if its projection witness violates no
     other candidate, and none if a violated candidate projects to a class
-    of square >= 0.  For the rest, K = {x : q(f, x) >= 0 for the faces f
-    found so far} holds the chamber; if K is pointed and q(u, r) >= 0 on its
-    extreme rays r, u^perp meets K in codimension >= 2: u is no facet.  Only
-    the walls left take a repair walk that stops at a repeated witness or
-    after ``_REPAIR_BUDGET`` witnesses.  Decisions are integer arithmetic
-    on q(u, witness) and on the Gram columns q(., s), each built once and
-    only for walls on the non-reflective path.  A chamber witness on a wall
-    raises WallIncidenceError.
+    of square >= 0.  For the rest, F = {x : q(f, x) >= 0 for the faces f
+    found so far} holds the chamber; if F is pointed and q(u, r) >= 0 on its
+    extreme rays r, u^perp meets F in codimension >= 2: u is no facet.  The
+    cone K of all candidates decides the rest if its extreme rays lie in the
+    closed positive cone: u is a facet iff the rays on u^perp have rank
+    n - 1, with their primitive sum as its witness; else u is undecided.
+    All of it is integer arithmetic.  A chamber witness on a wall raises
+    WallIncidenceError.
     """
     if not isinstance(search_bound, int) or search_bound < 1:
         raise ValidationError(f"search_bound must be an integer >= 1, got {search_bound!r}")
@@ -298,17 +298,12 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     # a candidate u violates the projection witness of s only if q(u, s) < 0
     # and q(u, w) is small, so a reflective s scans the nearest walls first
     nearest = sorted(range(n), key=qw.__getitem__)
-
-    @lru_cache(maxsize=None)
-    def column(j: int) -> list[int]:
-        return [sum(map(mul, u.vector, covectors[j])) for u in candidates]
-
     faces: dict[int, Face] = {}
     aside = []
     for i, s in enumerate(candidates):
         # every candidate pairs positively with w, so -s is never one.
         # q(s,s) < 0: y = q(w,s) s - q(s,s) w is a positive multiple of w's
-        # projection onto the wall, and P[u] = q(u, y) for the candidates u
+        # projection onto the wall, and q(u, y) = q(w,s) q(u,s) - q(s,s) q(u,w)
         qss, qws, gs = s.square, qw[i], covectors[i]
         y = tuple(qws * a - qss * b for a, b in zip(s.vector, w))
         k = reflection_row(s.vector, gs)
@@ -319,46 +314,29 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
                     and not has_other_separating_wall(L, w, reflect_by_row(w, s.vector, k), spec, {s.vector})):
                 faces[i] = Face(supporting_wall=s, witness_on_wall=primitive_integral(y))
             continue
-        P = [qws * a - qss * b for a, b in zip(column(i), qw)]
-        vio = [u for u in range(n) if u != i and P[u] <= 0]
+        qs = [sum(map(mul, u.vector, gs)) for u in candidates]
+        vio = [u for u in range(n) if u != i and qws * qs[u] <= qss * qw[u]]
         # y is positive in s^perp, of signature (1, m - 1), and a violated u has
         # p = project_off(u, s) = q(s,s) u - q(u,s) s != 0 with q(p, y) = q(s,s) q(u, y) >= 0
         # and q(p, p) = q(s,s) (q(s,s) q(u,u) - q(u,s)^2).  If q(p, p) >= 0, then
         # q(p, .) > 0 > q(u, .) on the wall's whole positive component: no facet.
         if not vio:
             faces[i] = Face(supporting_wall=s, witness_on_wall=primitive_integral(y))
-        elif all(qss * (qss * candidates[u].square - column(i)[u] ** 2) < 0 for u in vio):
-            aside.append((i, y, P, vio))
+        elif all(qss * (qss * candidates[u].square - qs[u] ** 2) < 0 for u in vio):
+            aside.append(i)
     rays = extreme_rays([covectors[j] for j in faces], L.rank) if aside else None
-    undecided: list[Wall] = []
-    for i, y, P, vio in aside:
-        if rays is not None and all(sum(map(mul, r, covectors[i])) >= 0 for r in rays):
-            continue
-        # repair: reflect y across the p of the most violated u.  Such a reflection
-        # keeps y's positive component, on which q(u, .) has one sign if q(p, p) >= 0,
-        # so that u was violated at the first y already: every p here is negative.
-        # With s and the candidates fixed, each step depends on y alone, so once a
-        # witness repeats, the walk cycles through witnesses found violated: undecided.
-        s, qss, qs = candidates[i], candidates[i].square, column(i)
-        seen = {y}
-        while vio and len(seen) < _REPAIR_BUDGET:
-            u = min(vio, key=lambda v: (P[v], candidates[v].sort_key))
-            # -q(p,p) > 0 times r_p(y), in integers, with q(y, p) = q(s,s) q(u, y) as y is in s^perp
-            qus, qpp, qyp2 = qs[u], qss * (qss * candidates[u].square - qs[u] ** 2), 2 * qss * P[u]
-            p = [qss * a - qus * b for a, b in zip(candidates[u].vector, s.vector)]
-            z = tuple(qyp2 * b - qpp * a for a, b in zip(y, p))
-            c = gcd(*z)  # divides q(v, z) for every integral v
-            y = tuple(a // c for a in z)
-            P = [(qyp2 * (qss * a - qus * b) - qpp * d) // c for a, b, d in zip(column(u), qs, P)]
-            vio = [v for v in range(n) if v != i and P[v] <= 0]
-            if y in seen:
-                break
-            seen.add(y)
-        if vio:
-            undecided.append(s)
-        else:
-            faces[i] = Face(supporting_wall=s, witness_on_wall=primitive_integral(y))
-    return FacetResult(tuple(faces[i] for i in sorted(faces)), tuple(undecided), search_bound)
+    left = [i for i in aside if rays is None or any(sum(map(mul, r, covectors[i])) < 0 for r in rays)]
+    # K = {x : q(u, x) >= 0 for every candidate u} holds the chamber.  In the closed
+    # positive cone it is the chamber, and u is a facet iff the rays on u^perp have
+    # rank n - 1; their sum lies on u alone, inside the positive cone
+    rays = extreme_rays([covectors[j] for j in nearest], L.rank) if left else None
+    if rays is not None and all(square(L, r) >= 0 and sum(map(mul, r, gw)) > 0 for r in rays):
+        for i in left:
+            on = [r for r in rays if not sum(map(mul, r, covectors[i]))]
+            if len(integer_kernel(on, L.rank)) == 1:
+                faces[i] = Face(supporting_wall=candidates[i], witness_on_wall=primitive_integral(tuple(map(sum, zip(*on)))))
+        left = []
+    return FacetResult(tuple(faces[i] for i in sorted(faces)), tuple(candidates[i] for i in left), search_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +509,9 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
     :func:`facet_walls`, and those of a chamber first reached across a
     non-reflective wall or from a chamber with undecided walls.  A chamber
     first reached across a reflective facet s of a chamber C with no
-    undecided walls takes r_s(facets of C), with none undecided: the
-    repair search's choices follow ``sort_key`` order, which r_s does not
-    keep, so undecided walls are never transported.
+    undecided walls takes r_s(facets of C), with none undecided.  Undecided
+    walls are never transported: the ray budget of ``extreme_rays`` can
+    hang on the order of the candidates, which r_s does not keep.
     """
     if not isinstance(depth, int) or depth < 0:
         raise ValidationError(f"depth must be an integer >= 0, got {depth!r}")

@@ -62,8 +62,8 @@ per-basepoint data is memoized on immutable keys.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations
-from math import comb, gcd, isqrt, lcm, prod
+from itertools import accumulate, product
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from threading import Lock
 from typing import NamedTuple
@@ -73,6 +73,7 @@ from .core import (
     Vector,
     gram_apply,
     hyperplane_basis,
+    identity_matrix,
     induced_gram,
     integer_kernel,
     primitive_integral,
@@ -541,29 +542,47 @@ class _Chamber:
 _chambers: dict = {}
 _chambers_lock = Lock()
 _CHAMBERS_MAX = 64
-# extreme_rays checks one candidate ray per rank - 1 covectors
-_RAY_BUDGET = 4096
+# extreme_rays gives up on a cone with more rays than this, on the way or at the end
+_RAY_BUDGET = 1024
 
 
 def extreme_rays(covectors, n: int) -> list[Vector] | None:
     """The extreme rays of K = {x : g . x >= 0 for the covectors g} of length
-    n, oriented into K, or None if K is not pointed or comb(len(covectors),
-    n - 1) > ``_RAY_BUDGET``.  On a ray of the pointed K, n - 1 independent
-    covectors vanish and none is negative."""
-    if comb(len(covectors), n - 1) > _RAY_BUDGET or integer_kernel(covectors, n):
+    n, each once as a primitive integral vector in K, or None if K is not
+    pointed or some step holds more than ``_RAY_BUDGET`` rays.
+
+    Integer double description (Motzkin, Raiffa, Thompson and Thrall 1953;
+    Fukuda and Prodon, LNCS 1120, 1996).  K is pointed iff some n covectors
+    are independent; the rays of those n are the columns of det(A) A^-1.
+    Each covector g in turn keeps the rays r with g . r >= 0 and adds
+    a y - b x for each adjacent pair with g . x = a > 0 > b = g . y.  Two
+    rays are adjacent iff their common zero set (the covectors that vanish
+    on both) has at least n - 2 members and lies in no third ray's.
+    """
+    rows: list[Vector] = []
+    kernel = integer_kernel(rows, n)
+    for g in covectors:
+        if any(sum(map(mul, g, b)) for b in kernel):
+            rows.append(tuple(g))
+            kernel = integer_kernel(rows, n)
+    if kernel:
         return None
-    rays = []
-    for rows in combinations(covectors, n - 1):
-        kernel = integer_kernel(rows, n)
-        if len(kernel) != 1:
-            continue
-        x = kernel[0]
-        sides = [sum(map(mul, x, g)) for g in covectors]
-        if min(sides) < 0 < max(sides):
-            continue
-        # K is pointed, so some side is not zero
-        rays.append(x if max(sides) > 0 else tuple([-c for c in x]))
-    return rays
+    # rows[i] . cols[j] = det(rows) delta_ij; each ray maps to its zero set
+    det, cols = _bareiss(rows, identity_matrix(n))
+    rays = {primitive_integral([det * c for c in col]): frozenset(rows[:j] + rows[j + 1:])
+            for j, col in enumerate(cols)}
+    for g in map(tuple, covectors):
+        side = {r: sum(map(mul, g, r)) for r in rays}
+        new = {}
+        for x, y in product([r for r in rays if side[r] > 0], [r for r in rays if side[r] < 0]):
+            common = rays[x] & rays[y]
+            if len(common) >= n - 2 and not any(common <= z for r, z in rays.items() if r != x and r != y):
+                new[primitive_integral([side[x] * c - side[y] * d for c, d in zip(y, x)])] = common | {g}
+        rays = {r: z | {g} if not side[r] else z for r, z in rays.items() if side[r] >= 0}
+        rays.update(new)
+        if len(rays) > _RAY_BUDGET:
+            return None
+    return list(rays)
 
 
 def learn_chamber(L: Lattice, spec: WallSpec, base: Vector, facets) -> None:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import permutations
 
 import pytest
 
@@ -32,7 +32,7 @@ from mbmlat.errors import (
     WallIncidenceError,
 )
 from mbmlat.orbits import reflection
-from oracles import extreme_rays, form, random_positive_pair, rational_projection, repair_decisions, repair_walk
+from oracles import extreme_rays, form, random_positive_pair, rational_projection, repair_decisions
 
 SPEC2 = wall_spec([-2])
 
@@ -405,8 +405,8 @@ class TestFacetWalls:
 
     def test_nonreflective_walls_in_mixed_spec(self, UAA):
         # the -4 walls of U+A1m2+A1m2 are not reflective, so their facet
-        # decisions take the projection/certificate/ray/repair path; the ray
-        # certificate leaves no wall undecided
+        # decisions take the projection, kill-test and ray-certificate path;
+        # no wall reaches the cone of all candidates, and none is undecided
         ch = chamber_at(UAA, (5, 8, -2, -1), spec=wall_spec([-2, -4]))
         res = facet_walls(UAA, ch)
         assert [(f.supporting_wall.vector, f.witness_on_wall) for f in res.faces] == [
@@ -422,59 +422,84 @@ class TestFacetWalls:
             assert all(pairing(UAA, u.vector, f.witness_on_wall) > 0
                        for u in candidates if u != f.supporting_wall)
 
-    def test_a_walk_that_never_repeats_ends_at_the_budget(self):
-        # the faces found before any walk all vanish on (1, 0, 0, 0), so their
-        # cone is not pointed and the ray certificate decides nothing here; the
-        # repair walks of (-1, 1, 1, 0) and (1, 1, 1, 1) meet _REPAIR_BUDGET
-        # distinct witnesses, all violated: only the budget stop leaves them undecided
+    def test_the_candidate_cone_decides_what_the_faces_cone_leaves(self):
+        # the faces found before the ray certificate all vanish on (1, 0, 0, 0),
+        # so their cone is not pointed and the certificate decides nothing here.
+        # The cone of all 39 candidates has the oracle's 5 rays (hard-coded: the
+        # oracle takes seconds on it), all in the closed positive cone, and they
+        # decide every wall; the face (-2, 1, 0, 0) takes the primitive sum of
+        # its 4 rays as its witness
         L, spec = make_lattice(core.direct_sum(core.U_GRAM, [[-2]], [[-4]])), wall_spec([-2, -4])
         ch = chamber_at(L, (11, 3, -1, 1), spec=spec)
         res = facet_walls(L, ch, search_bound=16)
-        assert len(res.faces) == 5
-        assert [s.vector for s in res.undecided] == [
-            (-1, 1, -1, 0), (-1, 1, 1, 0), (0, 1, 0, 1), (1, 1, -1, 1), (1, 1, 1, 1),
+        assert [(f.supporting_wall.vector, f.witness_on_wall) for f in res.faces] == [
+            ((-2, 1, 0, 0), (24, 12, -3, 4)), ((-1, 0, 0, -1), (43, 12, -4, 3)), ((2, 0, 0, 1), (24, 6, -2, 3)),
+            ((0, 0, 1, 0), (11, 3, 0, 1)), ((1, 0, -1, 0), (23, 6, -3, 2)),
         ]
-        candidates = [u.vector for u in walls_near(L, ch.witness, spec, 16)]
-        for s in [(-1, 1, 1, 0), (1, 1, 1, 1)]:
-            walk = list(islice(repair_walk(L.gram, ch.witness, candidates, s), chambers._REPAIR_BUDGET))
-            assert len({core.primitive_integral(y) for y, _ in walk}) == chambers._REPAIR_BUDGET
-            assert all(vio for _, vio in walk)
+        assert res.undecided == ()
+        first = [core.gram_apply(L, f.supporting_wall.vector) for f in res.faces[1:]]
+        assert enumeration.extreme_rays(first, L.rank) is None
+        candidates = walls_near(L, ch.witness, spec, 16)
+        rays = enumeration.extreme_rays([core.gram_apply(L, u.vector) for u in candidates], L.rank)
+        assert sorted(rays) == [(1, 0, 0, 0), (4, 2, -1, 1), (4, 2, 0, 1), (8, 4, -2, 1), (8, 4, 0, 1)]
+        assert all(square(L, r) >= 0 and pairing(L, r, ch.witness) > 0 for r in rays)
 
-    @pytest.mark.parametrize("gram, some_left", [
-        (core.direct_sum(core.U_GRAM, [[-2]], [[-2]]), False),
-        (core.direct_sum(core.U_GRAM, [[-4]]), True),
-        (core.direct_sum(core.U_GRAM, [[-2]], [[-4]]), True),
+    @pytest.mark.parametrize("witness, undecided, pointed", [
+        ((-12, -1, -2, -5), [(-1, -1, 1, -1), (-1, 1, -1, -1), (-1, 1, 1, -1)], False),
+        ((-15, -13, -2, 6), [(1, 1, 1, -1)], True),
+    ])
+    def test_walls_stay_undecided_where_the_candidate_cone_is_no_chamber(self, witness, undecided, pointed):
+        # on <2>+2<-1>+<-4>, spec {-1, -4}, bound 16, the cone of all candidates is
+        # not pointed, or it is but has rays of negative square: it is not the
+        # chamber, and the walls the kill test and the faces' cone leave stay undecided
+        L, spec = make_lattice(core.direct_sum([[2]], [[-1]], [[-1]], [[-4]])), wall_spec([-1, -4])
+        ch = chamber_at(L, witness, spec=spec)
+        assert [u.vector for u in facet_walls(L, ch, search_bound=16).undecided] == undecided
+        candidates = walls_near(L, ch.witness, spec, 16)
+        rays = enumeration.extreme_rays([core.gram_apply(L, u.vector) for u in candidates], L.rank)
+        assert (rays is not None) == pointed
+        assert rays is None or any(square(L, r) < 0 for r in rays)
+
+    @pytest.mark.parametrize("gram", [
+        core.direct_sum(core.U_GRAM, [[-2]], [[-2]]),
+        core.direct_sum(core.U_GRAM, [[-4]]),
+        core.direct_sum(core.U_GRAM, [[-2]], [[-4]]),
     ], ids=["U+A1m2+A1m2", "U+<-4>", "U+<-2>+<-4>"])
-    def test_repair_stop_keeps_every_decision(self, gram, some_left):
-        # facet_walls decides a wall by the extreme rays of its faces' cone
-        # before it walks, and stops a walk at its first repeated witness; the
-        # oracle walks the whole budget for every wall.  Their faces agree, and
-        # each wall the oracle leaves undecided is undecided in facet_walls too
-        # or non-negative on the oracle's own rays of the faces' cone
+    def test_repair_stop_keeps_every_decision(self, gram):
+        # the oracle repair-walks each wall its kill test keeps through 64
+        # witnesses, with no stop at a repeated one.  Every face it finds is a
+        # face of facet_walls, which leaves no wall undecided, and each
+        # non-reflective face witness lies on its wall and strictly inside every
+        # other candidate.  In rank 3 the oracle's rays of the whole candidate
+        # cone lie in the closed positive cone, and a non-reflective wall is a
+        # face iff two of them lie on it
         L, spec = make_lattice(gram), wall_spec([-2, -4])
         rng = random.Random(f"repair/{gram}")
-        decided = []
-        while len(decided) < 12:
+        chambers_seen = walked = 0
+        while chambers_seen < 12:
             v = random_positive_pair(L, rng, 12)[0]
             if walls_containing(L, v, spec):
                 continue
+            chambers_seen += 1
             ch = chamber_at(L, v, spec=spec)
             res = facet_walls(L, ch, search_bound=16)
+            assert res.undecided == (), v
             candidates = [u.vector for u in walls_near(L, ch.witness, spec, 16)]
-            faces, undecided = repair_decisions(L.gram, ch.witness, candidates, chambers._REPAIR_BUDGET)
-            assert [(f.supporting_wall.vector, f.witness_on_wall) for f in res.faces
-                    if not is_reflective(L, f.supporting_wall.vector)] == faces, v
-            left = [u.vector for u in res.undecided]
-            assert set(left) <= set(undecided), v
-            certified = [u for u in undecided if u not in left]
-            if certified:
-                rays = extreme_rays(L.gram, [f.supporting_wall.vector for f in res.faces])
-                assert rays is not None, v
-                assert all(form(L.gram, u, r) >= 0 for u in certified for r in rays), v
-            decided.append((len(faces), len(certified), len(left)))
-        faces_total, certified_total, left_total = map(sum, zip(*decided))
-        assert faces_total > 0 and certified_total > 0
-        assert (left_total > 0) == some_left
+            faces = {f.supporting_wall.vector: f.witness_on_wall for f in res.faces}
+            walked_faces, _ = repair_decisions(L.gram, ch.witness, candidates, 64)
+            assert {s for s, _ in walked_faces} <= faces.keys(), v
+            walked += len(walked_faces)
+            nonreflective = [u for u in candidates if not is_reflective(L, u)]
+            for u in nonreflective:
+                if u in faces:
+                    assert form(L.gram, u, faces[u]) == 0, v
+                    assert all(form(L.gram, s, faces[u]) > 0 for s in candidates if s != u), v
+            if L.rank == 3:
+                rays = extreme_rays(L.gram, candidates)
+                assert rays is not None and all(form(L.gram, r, r) >= 0 for r in rays), v
+                for u in nonreflective:
+                    assert (u in faces) == (sum(form(L.gram, u, r) == 0 for r in rays) >= 2), (v, u)
+        assert walked > 0
 
 
 class TestChamber:

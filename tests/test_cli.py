@@ -279,6 +279,18 @@ def test_lattice_from_file(tmp_path):
     assert json.loads(out)["signature"] == [1, 1]
 
 
+def test_facets_decides_the_walls_a_faces_cone_leaves(tmp_path):
+    # the faces found by projection span no pointed cone here; the cone of all
+    # candidates decides the other walls, so the answer is complete
+    p = tmp_path / "lat.json"
+    p.write_text(json.dumps({"name": "U+<-2>+<-4>", "gram": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -4]]}))
+    code, out, err = invoke(["facets", "--lattice", str(p), "--witness", "11,3,-1,1", "--search-bound", "16",
+                             "--squares=-2,-4"])
+    assert code == 0, err
+    assert '"complete": true' in out
+    assert len(json.loads(out)["faces"]) == 5
+
+
 def test_catalog_env_override(tmp_path, monkeypatch):
     p = tmp_path / "cat.json"
     p.write_text(json.dumps([{

@@ -4,11 +4,11 @@ from fractions import Fraction
 from math import ceil, floor, gcd, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbmlat import core, enumeration
-from mbmlat.chambers import reduce_to_base, same_chamber
+from mbmlat.chambers import chamber_at, facet_walls, reduce_to_base, same_chamber
 from mbmlat.core import make_lattice, pairing, project_off, sign_normalize, square
 from mbmlat.enumeration import (
     Wall,
@@ -33,6 +33,7 @@ from oracles import (
     brute_force_separating,
     brute_force_walls_near,
     brute_force_walls_through,
+    extreme_rays as oracle_rays,
     near_box_bound,
     posdef_box_scan,
     random_positive_pair,
@@ -326,6 +327,66 @@ class TestDescent:
             assert all(enumeration._chambers[UA, spec] is None for spec in specs[1:])
         finally:
             enumeration._chambers.clear()
+
+
+def _oracle_checked(L, walls):
+    """The kernel's rays of the cone of the walls, checked against the oracle's."""
+    rays = enumeration.extreme_rays([core.gram_apply(L, s) for s in walls], L.rank)
+    expected = oracle_rays(L.gram, walls)
+    assert (rays is None) == (expected is None)
+    if rays is not None:
+        assert len(set(rays)) == len(rays) and sorted(rays) == expected
+    return rays
+
+
+class TestExtremeRays:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                                        min_size=1, max_size=9)))
+    # the first and third covectors are opposite, so K lies in a hyperplane,
+    # where two rays can share n - 2 zeros without being adjacent
+    @example([(-1, 2, 2, 2), (-2, 0, 2, -1), (1, -2, -2, -2), (-2, 0, 1, 0), (-2, 1, 0, 2), (0, 1, -1, -1),
+              (2, 2, -2, 2), (-1, -2, -1, 2), (1, 2, -1, 1)])
+    def test_random_cones_match_the_oracle(self, covectors):
+        n = len(covectors[0])
+        _oracle_checked(make_lattice([[int(i == j) for j in range(n)] for i in range(n)]), covectors)
+
+    def test_candidate_cones_match_the_oracle(self):
+        # four rank-3 cones, then two rank-4 ones of 19 and 21 candidates (the
+        # oracle takes about a second on 22 candidates and seconds on 39)
+        L, spec = make_lattice(core.direct_sum(core.U_GRAM, [[-4]])), wall_spec([-2, -4])
+        rng, cones = random.Random(3), []
+        while len(cones) < 4:
+            v = random_positive_pair(L, rng, 12)[0]
+            if not walls_containing(L, v, spec):
+                cones.append((L, v, 16))
+        UAA = make_lattice(core.direct_sum(core.U_GRAM, [[-2]], [[-2]]))
+        U24 = make_lattice(core.direct_sum(core.U_GRAM, [[-2]], [[-4]]))
+        cones += [(UAA, (-12, -11, 3, 2), 12), (U24, (-7, -12, -2, -2), 16)]
+        for L, v, bound in cones:
+            assert _oracle_checked(L, [u.vector for u in walls_near(L, v, spec, bound)]) is not None
+
+    @pytest.mark.parametrize("gram, base, count", [
+        (core.direct_sum(core.U_GRAM, [[-2]], [[-2]]), (3, 4, 1, 1), 5),
+        (core.direct_sum(core.U_GRAM, [[-2]], [[-2]], [[-2]]), (5, 7, 1, 1, 1), 9),
+    ], ids=["U+A1m2+A1m2", "U+3<-2>"])
+    def test_each_ray_of_a_base_chamber_once(self, gram, base, count):
+        # one ray per vertex: 4 + 1 ideal, and 8 + 1 ideal
+        L = make_lattice(gram)
+        faces = facet_walls(L, chamber_at(L, base, spec=SPEC2)).faces
+        rays = enumeration.extreme_rays([core.gram_apply(L, f.supporting_wall.vector) for f in faces], L.rank)
+        assert len(set(rays)) == len(rays) == count
+
+    def test_a_cone_that_is_not_pointed_has_none(self):
+        assert enumeration.extreme_rays([(1, 0, 0), (0, 1, 0), (1, -1, 0)], 3) is None
+        assert enumeration.extreme_rays([], 2) is None
+
+    def test_a_cone_past_the_budget_has_none(self, monkeypatch):
+        L = make_lattice(core.direct_sum(core.U_GRAM, [[-2]], [[-2]], [[-2]]))
+        faces = facet_walls(L, chamber_at(L, (5, 7, 1, 1, 1), spec=SPEC2)).faces
+        covectors = [core.gram_apply(L, f.supporting_wall.vector) for f in faces]
+        monkeypatch.setattr(enumeration, "_RAY_BUDGET", 8)
+        assert enumeration.extreme_rays(covectors, L.rank) is None
 
 
 class TestWallsContaining:
