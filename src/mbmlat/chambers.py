@@ -44,6 +44,7 @@ from .core import (
     Vector,
     as_int_vector,
     gram_apply,
+    int_arg,
     integer_kernel,
     primitive_integral,
     project_off,
@@ -285,8 +286,7 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     All of it is integer arithmetic.  A chamber witness on a wall raises
     WallIncidenceError.
     """
-    if not isinstance(search_bound, int) or search_bound < 1:
-        raise ValidationError(f"search_bound must be an integer >= 1, got {search_bound!r}")
+    int_arg(search_bound, "search_bound", least=1)
     spec = chamber.spec
     w = chamber.witness
     _ensure_wall_free(L, w, spec)
@@ -513,8 +513,7 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
     walls are never transported: the ray budget of ``extreme_rays`` can
     hang on the order of the candidates, which r_s does not keep.
     """
-    if not isinstance(depth, int) or depth < 0:
-        raise ValidationError(f"depth must be an integer >= 0, got {depth!r}")
+    int_arg(depth, "depth", least=0)
     base_p = primitive_integral(base)
 
     # chambers are processed layer by layer in key order, which is the

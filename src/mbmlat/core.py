@@ -15,6 +15,7 @@ Conventions:
   fraction-free congruence elimination (Jacobi's rule on its leading
   minors); ``rank - p - m`` is the kernel dimension;
 * the discriminant is ``abs(det(gram))``, 0 for degenerate lattices;
+* an integer argument is an ``int``, never a ``bool`` (:func:`int_arg`);
 * "primitive" means the gcd of the coordinates is 1, and
   :func:`primitive_integral` is the one map of a ray to its primitive
   vector; sign-normalized means additionally that the first nonzero
@@ -346,14 +347,25 @@ class Lattice(NamedTuple):
         return self.rank - self.signature[0] - self.signature[1]
 
 
-def int_matrix(rows, what: str) -> Matrix:
-    """``rows`` as a tuple of int tuples; a ValidationError unless it is a
-    list or tuple of lists or tuples of ints (bools are not ints here)."""
+def int_arg(x, what: str, least: int | None = None, most: int | None = None) -> int:
+    """``x`` if it is an int, not a bool, in [least, most] (None: unbounded); else a ValidationError."""
+    if type(x) is not int or (least is not None and x < least) or (most is not None and x > most):
+        bounds = " and".join(f" {op} {b}" for op, b in ((">=", least), ("<=", most)) if b is not None)
+        raise ValidationError(f"{what} must be an integer{bounds}, got {x!r}")
+    return x
+
+
+def int_matrix(rows, what: str, n: int | None = None) -> Matrix:
+    """``rows``, an n x n list or tuple of lists or tuples of ints (not bools;
+    n defaults to its row count), as a tuple of int tuples, or a ValidationError."""
     if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
         raise ValidationError(f"{what} must be a list of rows, got {rows!r}")
+    n = len(rows) if n is None else n
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValidationError(f"{what} is not square of order {n}: its rows have lengths {[len(r) for r in rows]}")
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
+            if type(x) is not int:
                 raise ValidationError(f"{what} entry ({i},{j}) = {x!r} is not an integer")
     return tuple(tuple(row) for row in rows)
 
@@ -367,9 +379,6 @@ def make_lattice(gram: Sequence[Sequence[int]], name: str = "") -> Lattice:
     """
     gram = int_matrix(gram, "gram matrix")
     n = len(gram)
-    for i, row in enumerate(gram):
-        if len(row) != n:
-            raise ValidationError(f"gram matrix is not square: row {i} has length {len(row)}, expected {n}")
     for i in range(n):
         for j in range(i + 1, n):
             if gram[i][j] != gram[j][i]:
@@ -390,16 +399,10 @@ def lattice_from_dict(data: dict) -> Lattice:
 
 def direct_sum(*grams: Sequence[Sequence[int]]) -> list[list[int]]:
     """Block-diagonal sum of Gram matrices."""
-    grams = [int_matrix(g, "direct_sum block") for g in grams]
-    total = sum(len(g) for g in grams)
-    out = [[0] * total for _ in range(total)]
-    off = 0
+    out: list[list[int]] = []
     for g in grams:
-        k = len(g)
-        for i in range(k):
-            for j in range(k):
-                out[off + i][off + j] = g[i][j]
-        off += k
+        g = int_matrix(g, "direct_sum block")
+        out = [row + [0] * len(g) for row in out] + [[0] * len(out) + list(row) for row in g]
     return out
 
 

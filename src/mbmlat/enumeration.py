@@ -75,6 +75,7 @@ from .core import (
     hyperplane_basis,
     identity_matrix,
     induced_gram,
+    int_arg,
     integer_kernel,
     primitive_integral,
     reflection_row,
@@ -105,25 +106,26 @@ class _WallSpecFields(NamedTuple):
 class WallSpec(_WallSpecFields):
     """The finite set of allowed wall squares (all negative).
 
-    ``require_reflective`` keeps only classes whose reflection is
-    integral on the lattice, i.e. 2 q(e, s) divisible by q(s, s) for
-    every basis vector e.  The fields live on a private base, since a
-    ``NamedTuple`` body cannot define the ``__new__`` that checks them.
+    ``squares``, any non-empty iterable of integers <= -1, is stored sorted
+    and without repeats: specs of one set are equal and hash alike.
+    ``require_reflective`` (a bool) keeps only classes whose reflection is
+    integral on L (q(s, s) divides 2 q(e, s) for each basis vector e).
+    Other input raises ValidationError.  The fields live on a private
+    base: a ``NamedTuple`` body cannot define the checking ``__new__``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, squares: tuple[int, ...], require_reflective: bool = False):
+    def __new__(cls, squares, require_reflective: bool = False):
+        if not hasattr(squares, "__iter__") or type(require_reflective) is not bool:
+            raise ValidationError(f"WallSpec takes iterable squares and a bool, got {squares!r}, {require_reflective!r}")
+        squares = tuple(sorted({int_arg(d, "a WallSpec square", most=-1) for d in squares}))
         if not squares:
             raise ValidationError("WallSpec needs a non-empty set of squares")
-        if any((not isinstance(d, int)) or d >= 0 for d in squares):
-            raise ValidationError(f"WallSpec squares must be negative integers, got {squares}")
         return super().__new__(cls, squares, require_reflective)
 
 
-def wall_spec(squares, require_reflective: bool = False) -> WallSpec:
-    """Normalize any iterable of negative integers into a WallSpec."""
-    return WallSpec(squares=tuple(sorted(set(squares))), require_reflective=require_reflective)
+wall_spec = WallSpec  # the functional spelling: WallSpec sorts, de-duplicates and checks its squares
 
 
 class Wall(NamedTuple):
@@ -308,8 +310,7 @@ def definite_short_vectors(L: Lattice, min_square: int) -> list[Vector]:
     """
     if L.signature != (0, L.rank) or L.rank == 0:
         raise SignatureError(f"lattice is not negative-definite: signature {L.signature}")
-    if not isinstance(min_square, int) or min_square >= 0:
-        raise ValidationError(f"min_square must be a negative integer, got {min_square}")
+    int_arg(min_square, "min_square", most=-1)
     # the half ball's points have their last nonzero coordinate positive;
     # v > 0 lexicographically iff its first one is
     zero = (0,) * L.rank
@@ -345,9 +346,7 @@ def vectors_of_square(L: Lattice, target: int, box: int) -> list[Vector]:
     are cached per (lattice, target, box) since the scan does not depend
     on any base point.
     """
-    if not isinstance(target, int) or not isinstance(box, int) or box < 1:
-        raise ValidationError(f"target must be an integer and box an integer >= 1, got {target!r} and {box!r}")
-    return list(_box_scan(L.gram, target, box))
+    return list(_box_scan(L.gram, int_arg(target, "target"), int_arg(box, "box", least=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +466,7 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
                 yield Wall(vector=beta if t > 0 else tuple([-c for c in beta]), square=d)
         return
     # the largest t with t^2 q1 < |d| gap, per square
-    ranges = [(d, 1, isqrt((-d * gap - 1) // q1)) for d in sorted(spec.squares)]
+    ranges = [(d, 1, isqrt((-d * gap - 1) // q1)) for d in spec.squares]
     yield from _iter_walls_for_t(L, v0p, spec, ranges, gv1)
 
 
@@ -608,8 +607,7 @@ def walls_near(L: Lattice, v, spec: WallSpec, max_pairing: int) -> list[Wall]:
     """Walls s with q(s,s) in spec and 1 <= q(s, v~) <= max_pairing, where
     v~ is the primitive integral rescaling of v.  Candidate universe for
     facet detection; completeness is relative to the pairing bound."""
-    if not isinstance(max_pairing, int):
-        raise ValidationError(f"max_pairing must be an integer, got {max_pairing!r}")
+    int_arg(max_pairing, "max_pairing")
     vi = _positive(L, v)[0]
     ranges = [(d, 1, max_pairing) for d in spec.squares]
     return sorted(_iter_walls_for_t(L, vi, spec, ranges), key=lambda w: w.sort_key)

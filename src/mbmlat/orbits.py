@@ -28,6 +28,7 @@ from .core import (
     gram_apply,
     identity_matrix,
     induced_gram,
+    int_arg,
     int_matrix,
     integer_kernel,
     make_lattice,
@@ -79,14 +80,14 @@ class Isometry(NamedTuple):
     def inverse(self) -> "Isometry":
         # det = +-1, so the inverse is det * (det * M^{-1}), integral and form-preserving
         det, cols = _bareiss(self.matrix, identity_matrix(self.lattice.rank))
+        if det not in (1, -1):
+            raise ValidationError("isometry matrix must have determinant +-1")
         return Isometry(self.lattice, mat_transpose([vec_scale(det, c) for c in cols]))
 
 
 def isometry(L: Lattice, matrix) -> Isometry:
     """Validate M^T G M = G and det = +-1, then wrap."""
-    m = int_matrix(matrix, "isometry matrix")
-    if len(m) != L.rank or any(len(r) != L.rank for r in m):
-        raise ValidationError(f"isometry matrix must be {L.rank}x{L.rank}")
+    m = int_matrix(matrix, "isometry matrix", L.rank)
     mt = mat_transpose(m)
     if mat_mul(mat_mul(mt, L.gram), m) != L.gram:
         raise ValidationError("matrix does not preserve the Gram form")
@@ -191,6 +192,7 @@ def kneser_degenerate_reps(L: Lattice, r: int, base_reps) -> list[Vector]:
     reduction.  (The system is complete; k and d-k give one orbit via the
     kernel sign flip, so it need not be minimal for d >= 3.)
     """
+    int_arg(r, "r")
     split = degenerate_split(L)
     l = split.kernel_gen
     out: list[Vector] = []
@@ -274,8 +276,7 @@ def _descend(state, mats, word_budget: int, image):
     when its BFS exhausted the orbit without leaving the box, ``visited``
     the number of states it saw.
     """
-    if not isinstance(word_budget, int) or word_budget < 1:
-        raise ValidationError(f"word_budget must be an integer >= 1, got {word_budget!r}")
+    int_arg(word_budget, "word_budget", least=1)
     rep = state
     for _ in range(_RESTARTS):
         best_sup = _sup(rep)
@@ -436,10 +437,8 @@ def face_orbit_census(
     state (a base facet cut off at ``search_bound``, or one left
     undecided).
     """
-    if not isinstance(word_budget, int) or word_budget < 1:
-        raise ValidationError(f"word_budget must be an integer >= 1, got {word_budget!r}")
-    if not isinstance(max_codim, int) or max_codim not in (1, 2):
-        raise ValidationError(f"max_codim must be 1 or 2, got {max_codim!r}")
+    int_arg(word_budget, "word_budget", least=1)
+    int_arg(max_codim, "max_codim", least=1, most=2)
     mats = None if generators is None else _generator_matrices(L, generators)
     graph = explore_tessellation(L, base, spec, depth, search_bound)
     diagram = None

@@ -117,6 +117,27 @@ class TestValidation:
         with pytest.raises(CatalogError, match="K3"):
             load_catalog(self._write(tmp_path, [item]))
 
+    def test_k3n_entry_of_the_wrong_rank_rejected(self, tmp_path):
+        item = self._base_entry()
+        item["name"] = "K3n2"
+        with pytest.raises(CatalogError, match="'K3n2': expected rank 23, got 2"):
+            load_catalog(self._write(tmp_path, [item]))
+
+    def test_k3n_entry_of_the_wrong_discriminant_rejected(self, tmp_path):
+        # the shipped K3n2 lattice, of discriminant 2, named K3n3
+        with open(default_catalog_path(), encoding="utf-8") as fh:
+            item = next(e for e in json.load(fh) if e["name"] == "K3n2")
+        with pytest.raises(CatalogError, match="'K3n3': expected discriminant 4, got 2"):
+            load_catalog(self._write(tmp_path, [{**item, "name": "K3n3"}]))
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        with pytest.raises(CatalogError, match="cannot read catalog"):
+            load_catalog(str(tmp_path / "missing.json"))
+
+    def test_file_that_is_not_a_list_rejected(self, tmp_path):
+        with pytest.raises(CatalogError, match="must be a JSON list"):
+            load_catalog(self._write(tmp_path, {"name": "X"}))
+
     def test_duplicate_names_rejected(self, tmp_path):
         item = self._base_entry()
         with pytest.raises(CatalogError, match="duplicate"):

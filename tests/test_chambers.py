@@ -18,6 +18,7 @@ from mbmlat.chambers import (
 from mbmlat.core import make_lattice, pairing, square
 from mbmlat.enumeration import (
     Wall,
+    WallSpec,
     is_reflective,
     learn_chamber,
     separating_walls,
@@ -354,6 +355,16 @@ class TestFacetWalls:
                 if g is not f:
                     assert pairing(UA, g.supporting_wall.vector, m) > 0
 
+    @pytest.mark.parametrize("squares, witness, count", [((-2, -2), (3, 4, 1, 1), 5), ([-2], (3, 4, 1, 1), 5),
+                                                         ((-4, -2, -4), (5, 8, -2, -1), 4)],
+                             ids=["repeated", "list", "unordered"])
+    def test_a_directly_built_spec_finds_every_face(self, UAA, squares, witness, count):
+        # a square named twice must not find each candidate twice, where each
+        # copy would violate the other's witness
+        res = facet_walls(UAA, chamber_at(UAA, witness, spec=WallSpec(squares)))
+        assert len(res.faces) == count and res.complete
+        assert res == facet_walls(UAA, chamber_at(UAA, witness, spec=wall_spec(sorted(set(squares)))))
+
     def test_a_deep_witness_lies_beyond_its_facets_bound(self, UAA):
         # the premise of the pin below
         deep, near = (91, 120, 30, 30), BASE["U+A1m2+A1m2"]
@@ -503,6 +514,10 @@ class TestFacetWalls:
 
 
 class TestChamber:
+    def test_needs_a_spec(self, UA):
+        with pytest.raises(ValidationError, match="needs a WallSpec"):
+            chamber_at(UA, BASE["U+A1m2"])
+
     def test_crossing_set_matches_separating(self, UA):
         base = BASE["U+A1m2"]
         witness = (9, 3, 4)
@@ -552,6 +567,10 @@ class TestChamber:
 
 
 class TestEncodeFlag:
+    def test_empty_chain_rejected(self, UA):
+        with pytest.raises(ValidationError, match="non-empty"):
+            encode_flag(UA, [], SPEC2)
+
     def test_single_entry(self, UA):
         f = encode_flag(UA, [(0, 0, 1)], SPEC2)
         assert f.depth == 1

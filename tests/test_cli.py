@@ -265,6 +265,21 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["separate", "--lattice", "U+A1m2", "--v0", ",", "--v1", "3,2,2", "--squares", "-2"], "empty vector"),
+    (["separate", "--lattice", "U+A1m2", "--v0", "1,1,0", "--v1", "3,2,2", "--squares=-2,x"], "bad squares list"),
+    (["enumerate", "--lattice", "U"], "enumerate needs"),
+    (["orbits", "--lattice", "U+A1m2", "--v", "0,0,1", "--generators", "{tmp}/gens.json"], "must hold a JSON list"),
+    (["orbits", "--lattice", "U+A1m2", "--v", "0,0,1"], "orbits needs"),
+], ids=["empty-vector", "bad-squares", "enumerate-no-mode", "generators-not-a-list", "orbits-no-generators"])
+def test_input_error_names_the_input(tmp_path, argv, message):
+    (tmp_path / "gens.json").write_text(json.dumps({"a": 1}))
+    code, out, err = invoke([a.format(tmp=tmp_path) for a in argv])
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "ValidationError" and message in error["message"]
+
+
 def test_enumerate_mode_conflict_is_domain_error():
     code, _, err = invoke(["enumerate", "--lattice", "U", "--min-square", "-2", "--square", "-2"])
     assert code == 1
@@ -289,6 +304,20 @@ def test_facets_decides_the_walls_a_faces_cone_leaves(tmp_path):
     assert code == 0, err
     assert '"complete": true' in out
     assert len(json.loads(out)["faces"]) == 5
+
+
+def test_facets_text_lists_the_undecided_walls(tmp_path):
+    # spec {-1, -4} on <2> + 2<-1> + <-4>: the cone of all candidates has rays
+    # of square -2, outside the positive cone, so one wall stays undecided
+    p = tmp_path / "lat.json"
+    p.write_text(json.dumps({"name": "X", "gram": [[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -4]]}))
+    code, out, err = invoke(["facets", "--lattice", str(p), "--witness=-15,-13,-2,6", "--squares=-1,-4",
+                             "--search-bound", "16", "--format", "text"])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "facets (search_bound 16):"
+    assert len(lines) == 5 and all(line.startswith("  wall ") for line in lines[1:4])
+    assert lines[4] == "undecided: 1,1,1,-1"
 
 
 def test_catalog_env_override(tmp_path, monkeypatch):

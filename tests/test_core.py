@@ -56,6 +56,16 @@ class TestMakeLattice:
         with pytest.raises(ValidationError, match=r"\(0,0\)"):
             make_lattice([[0.5]])
 
+    @pytest.mark.parametrize("blocks", [([[1, 2]],), ([[1], [2]],), (core.U_GRAM, [[-2, 0]])],
+                             ids=["one-row", "one-column", "second-block"])
+    def test_direct_sum_rejects_a_block_that_is_not_square(self, blocks):
+        with pytest.raises(ValidationError, match="direct_sum block is not square"):
+            direct_sum(*blocks)
+
+    def test_lattice_from_dict_needs_a_gram(self):
+        with pytest.raises(ValidationError, match="'gram' key"):
+            core.lattice_from_dict({"name": "x"})
+
     def test_degenerate_accepted(self):
         L = make_lattice([[0, 0], [0, -2]])
         assert L.discriminant == 0
@@ -429,6 +439,17 @@ class TestVectorHelpers:
 
     def test_reflect_vector(self, UA):
         assert reflect_vector(UA, (3, 2, 2), (0, 1, 1)) == (3, 1, 1)
+
+    def test_reflect_vector_rejects_an_isotropic_vector(self, U):
+        with pytest.raises(IsotropicVectorError):
+            reflect_vector(U, (1, 1), (1, 0))
+
+    def test_int_arg_takes_ints_in_bounds_only(self):
+        assert core.int_arg(2, "k", least=1, most=2) == 2
+        assert core.int_arg(-7, "k") == -7
+        for x in (True, False, 2.0, Fraction(2), "2", None, 0, 3):
+            with pytest.raises(ValidationError, match="k must be an integer >= 1 and <= 2"):
+                core.int_arg(x, "k", least=1, most=2)
 
     def test_reflect_vector_is_exact_and_typed_by_integrality(self):
         # random pairs on <-4> + U reflect to integral and to proper rational

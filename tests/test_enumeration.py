@@ -445,7 +445,7 @@ class TestWallSpec:
         with pytest.raises(ValidationError):
             wall_spec([-2, 0])
 
-    @pytest.mark.parametrize("squares", [(), (-2, 0)])
+    @pytest.mark.parametrize("squares", [(), (-2, 0), -2, None, [-2.0], ["-2"]])
     def test_direct_construction_is_checked(self, squares):
         with pytest.raises(ValidationError):
             WallSpec(squares=squares)
@@ -453,6 +453,14 @@ class TestWallSpec:
     def test_normalizes(self):
         spec = wall_spec([-4, -2, -4])
         assert spec.squares == (-4, -2)
+
+    def test_direct_construction_normalizes(self):
+        # the squares are a set: order, repeats and the iterable's type do not
+        # matter, so equal specs are one cache key
+        assert WallSpec((-4, -2, -4)).squares == (-4, -2)
+        assert WallSpec((-4, -2)) == WallSpec((-2, -4)) == WallSpec(iter([-2, -4, -2])) == wall_spec([-2, -4])
+        assert hash(WallSpec((-4, -2))) == hash(WallSpec([-2, -4, -4]))
+        assert WallSpec([-2]) == WallSpec((-2, -2)) == SPEC2
 
     def test_reflectivity_predicate(self, UA):
         assert is_reflective(UA, (0, 0, 1))

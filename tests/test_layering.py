@@ -6,7 +6,8 @@ hides an import cycle between layers; an unused one, sibling or stdlib,
 hides a dependency that is not there.  No source holds a float literal
 or a ``float(...)`` call: every decision is exact; nor do the modules
 that compute in ints call ``int(...)``.  No ``except``
-swallows an error to learn a yes/no answer.  The names the benchmark's
+swallows an error to learn a yes/no answer, and integer arguments above
+``core`` are checked by its one helper.  The names the benchmark's
 tracer binds must also resolve, or its metrics read 0 without an error.
 Importing the package must not load ``dataclasses``, nor, without
 ``site``, ``importlib.resources``, ``pathlib`` or ``tempfile``.
@@ -89,6 +90,27 @@ def test_no_int_casts(module):
     casts = [node.lineno for node in ast.walk(_tree(module))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int"]
     assert casts == [], f"{module}.py calls int() at lines {casts}"
+
+
+def _names_int(node) -> bool:
+    """The expression is ``int`` or a tuple holding it."""
+    return (isinstance(node, ast.Name) and node.id == "int") or (
+        isinstance(node, ast.Tuple) and any(_names_int(e) for e in node.elts))
+
+
+@pytest.mark.parametrize("module", ["enumeration", "chambers", "orbits", "cli"])
+def test_integer_arguments_have_one_check(module):
+    """Integer arguments go through ``core.int_arg``, which refuses bools as
+    ``core.int_matrix`` does; a hand-rolled ``isinstance(x, int)`` takes
+    True for 1.  ``catalog`` keeps its own JSON type tests, whose errors
+    name the entry."""
+    tests = [node.lineno for node in ast.walk(_tree(module))
+             if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                 and len(node.args) == 2 and _names_int(node.args[1]))
+             or (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                 and getattr(node.left.func, "id", None) == "type"
+                 and any(_names_int(c) for c in node.comparators))]
+    assert tests == [], f"{module}.py tests for int by hand at lines {tests}; use core.int_arg"
 
 
 def test_fractions_stay_at_the_boundary():

@@ -10,7 +10,16 @@ import pytest
 from mbmlat import chambers, core, orbits
 from mbmlat.chambers import chamber_at, encode_flag, explore_tessellation, facet_walls
 from mbmlat.core import make_lattice, pairing, square
-from mbmlat.enumeration import Wall, is_reflective, separating_walls, vectors_of_square, wall_spec, walls_near
+from mbmlat.enumeration import (
+    Wall,
+    WallSpec,
+    definite_short_vectors,
+    is_reflective,
+    separating_walls,
+    vectors_of_square,
+    wall_spec,
+    walls_near,
+)
 from mbmlat.errors import (
     BaseRepsError,
     FlagChainError,
@@ -85,6 +94,15 @@ class TestIsometry:
             else:
                 isometry(U, [[0, 1], [1, 0]]).compose(reflection(UA, (0, 0, 1)))
 
+    def test_inverse_of_a_singular_record_is_refused(self, U):
+        with pytest.raises(ValidationError, match="determinant"):
+            Isometry(U, ((1, 0), (0, 0))).inverse()
+
+    def test_form_preserving_matrix_of_determinant_two_is_refused(self):
+        # diag(2, 1) preserves <0> + <-2>, but is not invertible over Z
+        with pytest.raises(ValidationError, match="determinant"):
+            isometry(make_lattice([[0, 0], [0, -2]]), [[2, 0], [0, 1]])
+
     def test_apply_rejects_wrong_length(self, UA):
         with pytest.raises(RankMismatchError):
             reflection(UA, (0, 0, 1)).apply((1, 2))
@@ -113,6 +131,10 @@ class TestReflection:
         L = make_lattice(core.direct_sum([[-4]], core.U_GRAM))
         r = reflection(L, (1, 0, 0))
         assert r.apply((1, 0, 0)) == (-1, 0, 0)
+
+    def test_isotropic_class_rejected(self, U):
+        with pytest.raises(ValidationError, match="isotropic"):
+            reflection(U, (1, 0))
 
     def test_non_integral_names_basis_vector(self):
         # q(s,s) = -4 but q(e_1, s) = 1: 2*1 not divisible by 4
@@ -182,6 +204,31 @@ FLOAT_INPUTS = {
 def test_float_inputs_are_rejected(UA, case):
     with pytest.raises(ValidationError):
         FLOAT_INPUTS[case](UA)
+
+
+# each call passes a bool where the API takes an int: a bool is not an int
+# here, as int_matrix refuses one in a matrix
+BOOL_INPUTS = {
+    "facet_walls search_bound": lambda L: facet_walls(L, chamber_at(L, (5, 3, 2), spec=SPEC2), True),
+    "explore_tessellation depth": lambda L: explore_tessellation(L, (5, 3, 2), SPEC2, False),
+    "vectors_of_square target": lambda L: vectors_of_square(L, False, 1),
+    "vectors_of_square box": lambda L: vectors_of_square(L, -2, True),
+    "walls_near max_pairing": lambda L: walls_near(L, (5, 3, 2), SPEC2, True),
+    "definite_short_vectors min_square": lambda L: definite_short_vectors(make_lattice([[-2]]), True),
+    "canonical_orbit_rep word_budget": lambda L: canonical_orbit_rep(L, (1, 0, 0), [reflection(L, (0, 0, 1))],
+                                                                     word_budget=True),
+    "face_orbit_census word_budget": lambda L: face_orbit_census(L, (5, 3, 2), SPEC2, None, 0, word_budget=True),
+    "face_orbit_census max_codim": lambda L: face_orbit_census(L, (5, 3, 2), SPEC2, None, 0, max_codim=True),
+    "kneser_degenerate_reps r": lambda L: kneser_degenerate_reps(make_lattice([[0, 0], [0, -2]]), True, []),
+    "WallSpec square": lambda L: WallSpec([True]),
+    "WallSpec require_reflective": lambda L: WallSpec([-2], 1),
+}
+
+
+@pytest.mark.parametrize("case", list(BOOL_INPUTS))
+def test_bool_inputs_are_rejected(UA, case):
+    with pytest.raises(ValidationError, match=r"got .*(True|False|1)$"):
+        BOOL_INPUTS[case](UA)
 
 
 @pytest.mark.parametrize("max_codim", [0, 3])
@@ -281,6 +328,10 @@ class TestKneserReps:
         # via the kernel sign flip is documented)
         got = kneser_degenerate_reps(Z0U, 0, [(0, 3, 0)])
         assert got == [(0, 3, 0), (1, 3, 0), (2, 3, 0)]
+
+    def test_wrong_length_rejected(self, Z0A):
+        with pytest.raises(BaseRepsError, match="wrong length"):
+            kneser_degenerate_reps(Z0A, -2, [(0, 1, 0)])
 
     def test_wrong_square_rejected(self, Z0A):
         with pytest.raises(BaseRepsError):
@@ -409,6 +460,16 @@ class TestCensus:
         gens = facet_reflection_generators(UAA, base, spec)
         assert [g.matrix for g in gens] == [reflection(UAA, (0, 1, -1, 0)).matrix]
         assert face_orbit_census(UAA, base, spec, None, 1) == face_orbit_census(UAA, base, spec, gens, 1)
+
+    def test_a_directly_built_spec_explores_and_counts_every_face(self, UAA):
+        # the squares -4, -2, -4 name the set {-2, -4}: one walk, one census
+        messy, base = WallSpec((-4, -2, -4)), (5, 8, -2, -1)
+        graph = explore_tessellation(UAA, base, messy, 1)
+        assert (len(graph.nodes), len(graph.edges)) == (5, 4)
+        assert graph == explore_tessellation(UAA, base, wall_spec([-2, -4]), 1)
+        table = face_orbit_census(UAA, base, messy, None, 1)
+        assert table.rows[0] == (0, 1, 4, 4, 4)
+        assert table == face_orbit_census(UAA, base, wall_spec([-2, -4]), None, 1)
 
     def test_text_rendering_aligned(self, UA):
         gens = facet_reflection_generators(UA, (5, 3, 2), SPEC2)
