@@ -84,7 +84,9 @@ class Chamber(NamedTuple):
     """An explored chamber: interior witness plus crossing data.
 
     ``crossing_set`` is exactly ``separating_walls(base, witness)`` for the
-    base it was built from, and doubles as the chamber key relative to it.
+    base it was built from.  ``key``, the chamber key relative to that base,
+    holds it as plain (square, vector) tuples: ``ChamberNode.node_id``
+    hashes its ``repr``.
     """
 
     spec: WallSpec
@@ -93,7 +95,7 @@ class Chamber(NamedTuple):
 
     @property
     def key(self) -> tuple:
-        return tuple(w.sort_key for w in self.crossing_set)
+        return tuple(map(tuple, self.crossing_set))
 
 
 def chamber_at(L: Lattice, witness, base=None, spec: WallSpec = None) -> Chamber:
@@ -164,8 +166,7 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
                       | {u in sep(b, r b) : q(u, r c) < 0}.
 
     sep(b, r b) depends on (L, b, s, spec) only and is cached
-    (:func:`_mirror`); the union, sorted by ``sort_key``, is what
-    ``separating_walls`` returns.
+    (:func:`_mirror`); the union, sorted, is what ``separating_walls`` returns.
 
     A step across a wall that ``_mirror`` holds is r_s(c) = c - (k . c) s
     with the wall's cached integer reflection row k = 2 G s / q(s, s): no
@@ -231,7 +232,7 @@ def _reflected_sep(cur, sep, k, grb, mirror) -> list[Wall]:
     out = [Wall(vector=reflect_by_row(w.vector, s.vector, k), square=w.square)
            for w in sep if sum(map(mul, w.vector, grb)) > 0]
     out += [u for u, gu in mirror if sum(map(mul, gu, cur)) < 0]
-    return sorted(out, key=lambda w: w.sort_key)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +273,7 @@ class FacetResult(NamedTuple):
 
 
 def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH_BOUND) -> FacetResult:
-    """Facets of a chamber among walls with q(s, witness) <= search_bound, by ``sort_key``.
+    """Facets of a chamber among walls with q(s, witness) <= search_bound, sorted.
 
     Reflective walls are decided exactly via the mirror criterion.  A
     non-reflective wall is a facet if its projection witness violates no
@@ -554,7 +555,7 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
             break
     edge_tuple = tuple(
         TessellationEdge(a=a, b=b, wall=wall)
-        for a, b, wall in sorted(edges, key=lambda e: (e[0], e[1], e[2].sort_key))
+        for a, b, wall in sorted(edges)
     )
     return TessellationGraph(
         lattice_name=L.name,
@@ -574,5 +575,4 @@ def _transported(facets, s: Wall, k) -> tuple[Wall, ...]:
     search_bound and every exact facet decision, so it maps the facets of
     C onto those of r_s(C), still oriented toward the interior.
     """
-    return tuple(sorted((Wall(vector=reflect_by_row(f.vector, s.vector, k), square=f.square) for f in facets),
-                        key=lambda f: f.sort_key))
+    return tuple(sorted(Wall(vector=reflect_by_row(f.vector, s.vector, k), square=f.square) for f in facets))

@@ -49,11 +49,11 @@ positive roots with q(beta, b) < 0 (Humphreys, *Reflection Groups and
 Coxeter Groups*, 5.6), and those with q(beta, a) > 0 separate; so do the
 negatives of the roots of a's descent with q(beta, b) > 0.  A descent
 runs on the pairings c = (q(x, t_i)), taken once: r_j maps them to
-c - m q(t_j, .), m = 2 c_j / q(t_j, t_j).  A root is built once, as
-sum_l n_l t_l; a back-reflection in r_j takes n_j to n_j - sum_l n_l A_lj,
-A_lj = 2 q(t_l, t_j) / q(t_j, t_j).  m and A_lj are integers, as t_j
-reflects integrally.  Without a certified chamber, Fincke-Pohst answers;
-it is also the tests' reference.
+c - m q(t_j, .), m = 2 c_j / q(t_j, t_j), an integer, as t_j reflects
+integrally.  A root is built once, by reflecting its t_{i_j} back through
+the word with the facets' integer rows (:func:`core.reflect_by_row`).
+Without a certified chamber, Fincke-Pohst answers; it is also the tests'
+reference.
 
 All functions are pure apart from that record of certified chambers;
 per-basepoint data is memoized on immutable keys.
@@ -78,6 +78,7 @@ from .core import (
     int_arg,
     integer_kernel,
     primitive_integral,
+    reflect_by_row,
     reflection_row,
     sign_normalize,
     square,
@@ -133,15 +134,11 @@ class Wall(NamedTuple):
 
     The stored sign depends on context: sign-normalized when the wall
     stands alone, oriented (q(vector, base) > 0) when produced by the
-    separating search.
+    separating search.  Walls sort by their fields, (square, vector).
     """
 
-    vector: Vector
     square: int
-
-    @property
-    def sort_key(self):
-        return (self.square, self.vector)
+    vector: Vector
 
     def unsigned(self) -> "Wall":
         return Wall(vector=sign_normalize(self.vector), square=self.square)
@@ -439,7 +436,7 @@ def separating_walls(L: Lattice, v0, v1, spec: WallSpec) -> list[Wall]:
     touches some wall; chamber-level callers validate wall-freeness
     separately (walls through v0 or v1 are never returned).
     """
-    return sorted(iter_separating_walls(L, v0, v1, spec), key=lambda w: w.sort_key)
+    return sorted(iter_separating_walls(L, v0, v1, spec))
 
 
 def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
@@ -477,22 +474,21 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
 class _Chamber:
     """A certified chamber of a reflective spec: its facets t_i, oriented
     so q(t_i, base) > 0, G t_i, G base, the Gram rows q(t_i, t_j), the
-    heights q(t_i, base) and the Cartan matrix A_lj = 2 q(t_l, t_j) /
-    q(t_j, t_j) by columns (``cartan[j][l]`` = A_lj).  r_j maps x to
-    x - m t_j, m = 2 q(x, t_j) / q(t_j, t_j), so it maps x's pairings c and
-    height to c - m q(t_j, .) and height - m q(t_j, base).  m and A_lj are
-    integers: t_j reflects integrally, so q(t_j, t_j) divides 2 q(x, t_j)
-    for every integral x.  A plain class with ``__slots__``, not a record,
-    since it derives its fields in ``__init__``."""
+    heights q(t_i, base) and the integer reflection rows
+    k_i = 2 G t_i / q(t_i, t_i) (:func:`core.reflection_row`; None where t_i
+    does not reflect integrally, which no certified chamber has).  r_j maps
+    x to x - m t_j, m = 2 q(x, t_j) / q(t_j, t_j), so it maps x's pairings c
+    and height to c - m q(t_j, .) and height - m q(t_j, base).  A plain
+    class with ``__slots__``, not a record, since it derives its fields in
+    ``__init__``."""
 
-    __slots__ = ("facets", "grams", "gbase", "gram", "heights", "cartan", "coords")
+    __slots__ = ("facets", "grams", "gbase", "gram", "heights", "rows")
 
     def __init__(self, facets: tuple[Wall, ...], grams: tuple[Vector, ...], gbase: Vector):
         self.facets, self.grams, self.gbase = facets, grams, gbase
         self.gram = tuple(tuple(sum(map(mul, t.vector, g)) for g in grams) for t in facets)
         self.heights = tuple(sum(map(mul, t.vector, gbase)) for t in facets)
-        self.cartan = tuple(tuple(2 * q // row[j] for q in row) for j, row in enumerate(self.gram))
-        self.coords = tuple(zip(*(t.vector for t in facets)))
+        self.rows = tuple(reflection_row(t.vector, g) for t, g in zip(facets, grams))
 
     def pairings(self, x, sign: int) -> tuple[int, list[int]]:
         """The height q(sign x, base) and the pairings (q(sign x, t_i)) of
@@ -508,7 +504,7 @@ class _Chamber:
         ReductionInvariantError.  The roots are the beta_k = r_{j_1} ...
         r_{j_{k-1}} t_{j_k} of the descent with q(beta_k, y) =
         q(t_{j_k}, r_{j_{k-1}} ... r_{j_1} y) > 0."""
-        gram, heights, cartan, facets = self.gram, self.heights, self.cartan, self.facets
+        gram, heights, rows, facets = self.gram, self.heights, self.rows, self.facets
         word = []
         while True:
             for j, c in enumerate(cx):
@@ -526,11 +522,10 @@ class _Chamber:
             height = lower
             cx = [a - m * b for a, b in zip(cx, row)]
             if cy[j] > 0:
-                n = [0] * len(facets)
-                n[j] = 1
+                beta = facets[j].vector
                 for i in reversed(word):
-                    n[i] -= sum(map(mul, n, cartan[i]))
-                yield tuple([sum(map(mul, n, col)) for col in self.coords]), facets[j].square
+                    beta = reflect_by_row(beta, facets[i].vector, rows[i])
+                yield beta, facets[j].square
             m = 2 * cy[j] // row[j]
             cy = [a - m * b for a, b in zip(cy, row)]
             word.append(j)
@@ -591,7 +586,7 @@ def learn_chamber(L: Lattice, spec: WallSpec, base: Vector, facets) -> None:
     (:func:`extreme_rays`) must have q(r, r) >= 0 and q(r, base) > 0."""
     chamber = None
     c = _Chamber(tuple(facets), tuple(gram_apply(L, t.vector) for t in facets), gram_apply(L, base))
-    if (all(reflection_row(t.vector, g) is not None for t, g in zip(c.facets, c.grams))
+    if (None not in c.rows
             and all(h > 0 for h in c.heights)
             and all(row[j] >= 0 for i, row in enumerate(c.gram) for j in range(i))
             and (rays := extreme_rays(c.grams, L.rank)) is not None
@@ -610,7 +605,7 @@ def walls_near(L: Lattice, v, spec: WallSpec, max_pairing: int) -> list[Wall]:
     int_arg(max_pairing, "max_pairing")
     vi = _positive(L, v)[0]
     ranges = [(d, 1, max_pairing) for d in spec.squares]
-    return sorted(_iter_walls_for_t(L, vi, spec, ranges), key=lambda w: w.sort_key)
+    return sorted(_iter_walls_for_t(L, vi, spec, ranges))
 
 
 def has_other_separating_wall(L: Lattice, v0, v1, spec: WallSpec, excluded) -> bool:
@@ -627,6 +622,4 @@ def walls_containing(L: Lattice, v, spec: WallSpec) -> list[Wall]:
     and sorted; complete, since v^perp is negative definite.  The search
     at t = 0 walks half the ball, so each wall is found once."""
     vi = _positive(L, v)[0]
-    found = sorted((w.square, sign_normalize(w.vector))
-                   for w in _iter_walls_for_t(L, vi, spec, [(d, 0, 0) for d in spec.squares]))
-    return [Wall(vector=vec, square=d) for d, vec in found]
+    return sorted(w.unsigned() for w in _iter_walls_for_t(L, vi, spec, [(d, 0, 0) for d in spec.squares]))

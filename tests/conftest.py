@@ -21,6 +21,11 @@ def UAA():
 
 
 @pytest.fixture(scope="session")
+def UAAA():
+    return core.make_lattice(core.direct_sum(core.U_GRAM, [[-2]], [[-2]], [[-2]]), "U+3A1m2")
+
+
+@pytest.fixture(scope="session")
 def I12():
     return core.make_lattice(core.direct_sum([[1]], [[-1]], [[-1]]), "I12")
 

@@ -396,6 +396,19 @@ def rational_projection(gram, v, x):
     return tuple(Fraction(a) - c * b for a, b in zip(v, x))
 
 
+def integral_reflection(gram, s):
+    """The reflection x -> x - 2 q(x, s) / q(s, s) s as a map of integer
+    vectors, from the Fraction images of the unit vectors, or None when one
+    of them is not integral."""
+    n = len(gram)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    # r(e) = 2 p(e) - e for the projection p onto s^perp
+    cols = [[2 * c - u for c, u in zip(rational_projection(gram, e, s), e)] for e in units]
+    if any(c.denominator != 1 for col in cols for c in col):
+        return None
+    return lambda x: tuple(sum(a * col[i].numerator for a, col in zip(x, cols)) for i in range(n))
+
+
 def rational_det_inverse(a):
     """(det(a), a^-1) by plain Fraction Gauss-Jordan; the inverse is None
     when a is singular."""

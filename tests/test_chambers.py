@@ -268,6 +268,10 @@ def _reduces_as_by_search(L, base, spec, rng, count=10):
             done += 1
 
 
+# the facets of the chamber of (3, 4, 1, 1) on U+A1m2+A1m2, spec {-2}
+UAA_FACETS = [(0, 0, -1, 0), (0, 0, 0, -1), (0, 1, 0, 1), (0, 1, 1, 0), (1, -1, 0, 0)]
+
+
 class TestChamberCertificate:
     """reduce_to_base certifies the chamber of its first wall-free base for a
     reflective spec, once per (L, spec).  Where no certificate is made, none
@@ -280,8 +284,7 @@ class TestChamberCertificate:
         _reduces_as_by_search(UAA, BASE["U+A1m2+A1m2"], SPEC2, random.Random(67))
         _reduces_as_by_search(UAA, (5, 8, -2, -1), SPEC2, random.Random(67))
         assert len(calls) == 1
-        assert [t.vector for t in enumeration._chambers[UAA, SPEC2].facets] == [
-            (0, 0, -1, 0), (0, 0, 0, -1), (0, 1, 0, 1), (0, 1, 1, 0), (1, -1, 0, 0)]
+        assert [t.vector for t in enumeration._chambers[UAA, SPEC2].facets] == UAA_FACETS
 
     def test_non_reflective_spec_is_not_tried(self, UAA, fincke_pohst, monkeypatch):
         # the facets-mixed spec: walls of square -4 need not reflect integrally
@@ -308,6 +311,32 @@ class TestChamberCertificate:
                 assert enumeration._chambers[L, SPEC2] is None, (name, facets[i])
             learn_chamber(L, SPEC2, base, facets)
             assert enumeration._chambers[L, SPEC2] is not None
+
+    @pytest.mark.parametrize("summands, base, facets, failing", [
+        # none of the three -4 walls reflects integrally
+        ([[[-4]]], (-3, -7, -2), [(-1, 2, 0), (0, -3, -1), (1, 0, 1)], "reflective"),
+        # the facets of (3, 4, 1, 1), seen from another chamber
+        ([[[-2]], [[-2]]], (3, 4, -1, 1), UAA_FACETS, "heights"),
+        # q((0, 1, -1, 0), (0, 1, 1, 0)) = -2
+        ([[[-2]], [[-2]]], (3, 4, 1, 1), UAA_FACETS + [(0, 1, -1, 0)], "acute"),
+    ], ids=["reflective", "heights", "acute"])
+    def test_each_conjunct_is_needed(self, summands, base, facets, failing, fincke_pohst):
+        # each facet list fails that one conjunct of the certificate and
+        # passes the others, by the oracle; learn_chamber records None
+        L = make_lattice(core.direct_sum(core.U_GRAM, *summands))
+        d = square(L, facets[0])
+        units = [tuple(int(i == j) for i in range(L.rank)) for j in range(L.rank)]
+        rays = extreme_rays(L.gram, facets)
+        held = {
+            "reflective": all(2 * form(L.gram, t, e) % d == 0 for t in facets for e in units),
+            "heights": all(form(L.gram, t, base) > 0 for t in facets),
+            "acute": all(form(L.gram, t, u) >= 0 for i, t in enumerate(facets) for u in facets[:i]),
+            "rays": rays is not None and all(form(L.gram, r, r) >= 0 and form(L.gram, r, base) > 0 for r in rays),
+        }
+        assert {square(L, t) for t in facets} == {d}
+        assert [k for k, ok in held.items() if not ok] == [failing]
+        learn_chamber(L, wall_spec([d]), base, [Wall(square=d, vector=t) for t in facets])
+        assert enumeration._chambers[L, wall_spec([d])] is None
 
     def test_a_single_wall_is_not_pointed(self, P22, fincke_pohst):
         _reduces_as_by_search(P22, BASE["A1p2+A1m2"], SPEC2, random.Random(79))
@@ -458,11 +487,14 @@ class TestFacetWalls:
     @pytest.mark.parametrize("witness, undecided, pointed", [
         ((-12, -1, -2, -5), [(-1, -1, 1, -1), (-1, 1, -1, -1), (-1, 1, 1, -1)], False),
         ((-15, -13, -2, 6), [(1, 1, 1, -1)], True),
+        ((15, 3, -14, -6), [(-1, -1, 1, 1)], True),
     ])
     def test_walls_stay_undecided_where_the_candidate_cone_is_no_chamber(self, witness, undecided, pointed):
         # on <2>+2<-1>+<-4>, spec {-1, -4}, bound 16, the cone of all candidates is
         # not pointed, or it is but has rays of negative square: it is not the
-        # chamber, and the walls the kill test and the faces' cone leave stay undecided
+        # chamber, and the walls the kill test and the faces' cone leave stay undecided.
+        # At (15, 3, -14, -6) only the kill test decides (3, 3, -3, -1): a violated
+        # candidate projects onto its wall to a class of square >= 0
         L, spec = make_lattice(core.direct_sum([[2]], [[-1]], [[-1]], [[-4]])), wall_spec([-1, -4])
         ch = chamber_at(L, witness, spec=spec)
         assert [u.vector for u in facet_walls(L, ch, search_bound=16).undecided] == undecided
@@ -523,7 +555,7 @@ class TestChamber:
         witness = (9, 3, 4)
         ch = chamber_at(UA, witness, base, SPEC2)
         exp = separating_walls(UA, base, witness, SPEC2)
-        assert list(ch.crossing_set) == sorted(exp, key=lambda w: w.sort_key)
+        assert list(ch.crossing_set) == sorted(exp)
 
     def test_key_equal_iff_same_chamber(self, UA):
         base = BASE["U+A1m2"]
@@ -702,6 +734,20 @@ class TestExploreTessellation:
         assert not any(is_reflective(L, s.vector) for s in base.facets)
         for node in children:
             direct = facet_walls(L, chamber_at(L, node.witness, spec=spec))
+            assert node.facets == tuple(f.supporting_wall for f in direct.faces)
+            assert node.undecided == direct.undecided
+
+    def test_a_chamber_with_undecided_walls_transports_nothing(self):
+        # the base chamber leaves (-1, -1, 1, 1) undecided, so the chambers
+        # across its reflective facets (2, 2, -2, -1) and (0, -1, 0, 0) search
+        # for their own facets, and each leaves a wall undecided: the images
+        # of the base's facets would read complete
+        L, spec = make_lattice(core.direct_sum([[2]], [[-1]], [[-1]], [[-4]])), wall_spec([-1, -4])
+        g = explore_tessellation(L, (15, 3, -14, -6), spec, 1, search_bound=16)
+        assert [len(n.undecided) for n in g.nodes] == [1, 0, 1, 1]
+        assert [is_reflective(L, n.path[0].vector) for n in g.nodes[1:]] == [False, True, True]
+        for node in g.nodes[1:]:
+            direct = facet_walls(L, chamber_at(L, node.witness, spec=spec), 16)
             assert node.facets == tuple(f.supporting_wall for f in direct.faces)
             assert node.undecided == direct.undecided
 

@@ -34,6 +34,7 @@ from oracles import (
     brute_force_walls_near,
     brute_force_walls_through,
     extreme_rays as oracle_rays,
+    integral_reflection,
     near_box_bound,
     posdef_box_scan,
     random_positive_pair,
@@ -251,11 +252,14 @@ class TestSeparatingWalls:
 
 # per lattice fixture: a wall-free base, the spec, the coordinate bound of
 # the random pairs and the oracle's box, which every kept pair's walls fit
-# in.  On I12 the facets have squares -2, -1 and -1, so its Cartan matrix
-# is not symmetric.
+# in, or None where the box oracle is too slow and Fincke-Pohst is the
+# reference.  On I12 the facets have squares -2, -1 and -1, so its Cartan
+# matrix is not symmetric.  The chamber of (5, 7, 1, 1, 1) has 7 facets and
+# the longest descents.
 DESCENT_CASES = {
     "UA": ((5, 3, 2), SPEC2, 5, 50),
     "UAA": ((3, 4, 1, 1), SPEC2, 3, 10),
+    "UAAA": ((5, 7, 1, 1, 1), SPEC2, 3, None),
     "I12": ((5, 1, 2), wall_spec([-1, -2]), 5, 20),
 }
 
@@ -277,7 +281,7 @@ def _descent_pairs(L, spec, rng, coord_bound, box, count=48):
             a = tuple(-c for c in project_off(L, a, s))
         elif kind == "proportional":
             b = tuple(3 * c for c in a)
-        if wall_box_bound(L, a, b, spec.squares) > box:
+        if box is not None and wall_box_bound(L, a, b, spec.squares) > box:
             continue
         if len(pairs) % 8 >= 4:
             a, b = tuple(-c for c in a), tuple(-c for c in b)
@@ -310,11 +314,43 @@ class TestDescent:
         assert answers() == searched
         seen = dict.fromkeys(("other component", "on a wall", "rational", "proportional", "separated"), 0)
         for (kind, _, _, a, b), (walls, _, _) in zip(pairs, searched):
-            assert {(w.square, w.vector) for w in walls} == brute_force_separating(L, a, b, spec, box)
+            if box is not None:
+                assert {(w.square, w.vector) for w in walls} == brute_force_separating(L, a, b, spec, box)
             seen[kind] = seen.get(kind, 0) + 1
             seen["other component"] += pairing(L, a, base) < 0
             seen["separated"] += len(walls) > 1
         assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("name, facets", [("UA", 3), ("UAA", 5), ("UAAA", 7)], ids=["UA", "UAA", "UAAA"])
+    def test_both_backends_are_antisymmetric_and_reflection_equivariant(self, name, facets, request, fincke_pohst):
+        # sep(a, b) = -sep(b, a) and sep(g a, g b) = g sep(a, b) for the integral
+        # reflection g in a wall, by Fincke-Pohst and then by descent from the
+        # base's chamber, certified with that many facets
+        L, base = request.getfixturevalue(name), DESCENT_CASES[name][0]
+        rng = random.Random(89)
+        pairs = [random_positive_pair(L, rng, 3) for _ in range(10)]
+        mirrors = []
+        while len(mirrors) < 3:
+            s = tuple(rng.randint(-2, 2) for _ in range(L.rank))
+            if square(L, s) == -2:
+                mirrors.append(integral_reflection(L.gram, s))
+
+        def check():
+            crossed = 0
+            for a, b in pairs:
+                sep = separating_walls(L, a, b, SPEC2)
+                crossed += len(sep)
+                back = separating_walls(L, b, a, SPEC2)
+                assert sorted(Wall(square=w.square, vector=tuple(-c for c in w.vector)) for w in back) == sep
+                for g in mirrors:
+                    assert separating_walls(L, g(a), g(b), SPEC2) == sorted(
+                        Wall(square=w.square, vector=g(w.vector)) for w in sep)
+            assert crossed > len(pairs)
+
+        check()
+        reduce_to_base(L, base, base, SPEC2)
+        assert len(enumeration._chambers[L, SPEC2].facets) == facets
+        check()
 
     def test_the_chamber_record_drops_its_oldest_entry(self, UA, fincke_pohst):
         # an empty facet list certifies nothing, so each (L, spec) records None

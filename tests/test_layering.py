@@ -6,9 +6,11 @@ hides an import cycle between layers; an unused one, sibling or stdlib,
 hides a dependency that is not there.  No source holds a float literal
 or a ``float(...)`` call: every decision is exact; nor do the modules
 that compute in ints call ``int(...)``.  No ``except``
-swallows an error to learn a yes/no answer, and integer arguments above
-``core`` are checked by its one helper.  The names the benchmark's
-tracer binds must also resolve, or its metrics read 0 without an error.
+swallows an error to learn a yes/no answer, integer arguments above
+``core`` are checked by its one helper, and every ``Wall(...)`` names its
+two fields, which a positional call could swap unseen.  The names the
+benchmark's tracer binds must also resolve, or its metrics read 0 without
+an error.
 Importing the package must not load ``dataclasses``, nor, without
 ``site``, ``importlib.resources``, ``pathlib`` or ``tempfile``.
 """
@@ -111,6 +113,16 @@ def test_integer_arguments_have_one_check(module):
                  and getattr(node.left.func, "id", None) == "type"
                  and any(_names_int(c) for c in node.comparators))]
     assert tests == [], f"{module}.py tests for int by hand at lines {tests}; use core.int_arg"
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_walls_are_built_by_keyword(module):
+    """``Wall`` is (square, vector), so that walls sort by their fields; a
+    positional call in the (vector, square) order would swap them silently."""
+    calls = [node.lineno for node in ast.walk(_tree(module))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Wall"
+             and (node.args or sorted(k.arg or "**" for k in node.keywords) != ["square", "vector"])]
+    assert calls == [], f"{module}.py builds a Wall without naming square= and vector= at lines {calls}"
 
 
 def test_fractions_stay_at_the_boundary():

@@ -567,7 +567,7 @@ class TestCensusByBaseReduction:
     def test_path_isometry_maps_the_base_witness_into_the_chamber(self, UAA, r4):
         for node, g in self._path_isometries(UAA, r4):
             image = core.mat_vec(g, R4_BASE)
-            assert tuple(w.sort_key for w in separating_walls(UAA, R4_BASE, image, SPEC2)) == node.key
+            assert tuple(map(tuple, separating_walls(UAA, R4_BASE, image, SPEC2))) == node.key
 
     def test_path_isometry_maps_base_facets_onto_the_chamber_facets(self, UAA, r4):
         base = r4[2].nodes[0]
