@@ -6,11 +6,12 @@ identified by the set of walls crossed from a fixed base witness -- the
 true chamber set is infinite, so every identity claim is scoped to the
 finite explored wall universe.
 
-Reduction to a wall-free base b searches for one separating set only.
-A reflection r in a reflective wall is an isometry of the lattice that
-maps the wall set onto itself, so every wall separating b from r c lies
-in r(sep(b, c)) or in sep(b, r b), which depends on (b, r) alone.  This
-is the inversion-set identity N(xy) = N(x) (symmetric difference)
+Both drivers, :func:`reduce_to_base` and :func:`explore_tessellation`,
+cross a wall s from c to r c, r = r_s, by one step, :func:`_cross`.  For a
+reflective s, r is an isometry of the lattice that maps the wall set onto
+itself, so every wall separating a base b from r c lies in r(sep(b, c)) or
+in sep(b, r b), which is searched for once per (b, s) (:func:`_mirror`).
+This is the inversion-set identity N(xy) = N(x) (symmetric difference)
 x N(y) x^-1 of Humphreys, *Reflection Groups and Coxeter Groups*, 5.6.
 The next set is read off that superset exactly; a step across a
 non-reflective wall, or from a base on a wall, searches again.
@@ -22,12 +23,13 @@ through a point are searched for once per (L, point, spec), for
 :func:`chamber_at`, :func:`facet_walls` and :func:`reduce_to_base` alike.
 
 Facet decisions are exact for reflective walls: s supports a facet of
-the chamber of w if and only if no other wall separates w from its
-mirror image r_s(w); the midpoint of that segment is the orthogonal
-projection of w onto the wall and serves as the facet witness.  For
-non-reflective walls a projection witness and a kill test come first,
-then the extreme rays of the faces' cone, then those of the cone of all
-candidates; walls they cannot decide are reported, never dropped.
+the chamber of w if and only if s alone separates w from its mirror
+image r_s(w), the set :func:`_mirror` holds for (w, s); the midpoint of
+that segment is the orthogonal projection of w onto the wall and is
+the facet witness.  For non-reflective walls a projection witness and a
+kill test come first, then the extreme rays of the faces' cone, then
+those of the cone of all candidates; walls they cannot decide are
+reported, never dropped.
 
 Everything is pure and exact; witnesses are integral.
 """
@@ -58,7 +60,6 @@ from .enumeration import (
     Wall,
     WallSpec,
     extreme_rays,
-    has_other_separating_wall,
     iter_separating_walls,
     learn_chamber,
     separating_walls,
@@ -155,24 +156,10 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     and must strictly decrease the separating count -- a failure to do so
     would falsify the algorithm and raises ReductionInvariantError.
 
-    From a base b on no wall, only the first separating set is searched
-    for.  A step across a reflective wall s maps c to r c, r = r_s, an
-    integral isometry that maps the wall set onto itself.  Split the walls
-    u of sep(b, r c) by the sign of q(u, r b) = q(r u, b), which is not
-    zero: if it is positive, r u is in sep(b, c); if it is negative, u is
-    in sep(b, r b).  So, exactly,
-
-        sep(b, r c) = {r w : w in sep(b, c), q(w, r b) > 0}
-                      | {u in sep(b, r b) : q(u, r c) < 0}.
-
-    sep(b, r b) depends on (L, b, s, spec) only and is cached
-    (:func:`_mirror`); the union, sorted, is what ``separating_walls`` returns.
-
-    A step across a wall that ``_mirror`` holds is r_s(c) = c - (k . c) s
-    with the wall's cached integer reflection row k = 2 G s / q(s, s): no
-    division and no G c, for integral and rational c alike.  A step across
-    a non-reflective wall, or from a base on a wall, takes
-    ``reflect_vector`` and searches again.
+    Each step is :func:`_cross`: from a base b on no wall, only the first
+    separating set is searched for, and each next one is derived from the
+    cached sep(b, r_s b) of the wall s stepped across.  A step across a
+    non-reflective wall, or from a base on a wall, searches again.
 
     The walls through the base are searched for once.  The first call for
     (L, spec) records None if some wall may not reflect integrally, and
@@ -194,13 +181,7 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     sep = separating_walls(L, base_p, cur, spec)
     while sep:
         s = sep[0]
-        mirror = _mirror(L, base_p, s, spec) if free else None
-        if mirror is None:
-            cur = reflect_vector(L, cur, s.vector)
-            nxt = separating_walls(L, base_p, cur, spec)
-        else:
-            cur = reflect_by_row(cur, s.vector, mirror[0])
-            nxt = _reflected_sep(cur, sep, *mirror)
+        _, cur, nxt = _cross(L, base_p, cur, sep, s, spec)
         word.append(s)
         if len(nxt) >= len(sep):
             raise ReductionInvariantError(
@@ -213,26 +194,43 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
 
 @lru_cache(maxsize=256)
 def _mirror(L: Lattice, base: Vector, s: Wall, spec: WallSpec):
-    """For a base on no wall: None when s is not reflective; else
-    (k, G r_s(base), ((u, G u) for u in sep(base, r_s base))), with s's
-    integer reflection row k = 2 G s / q(s, s)."""
-    k = reflection_row(s.vector, gram_apply(L, s.vector))
-    if k is None:
+    """None when s does not reflect integrally or ``base`` lies on a wall;
+    else (k, G r_s(base), ((u, G u) for u in sep(base, r_s base))), with s's
+    integer reflection row k = 2 G s / q(s, s).  s supports a facet of the
+    base's chamber iff it alone lies in that set: the mirror criterion.
+    Callers orient s toward the base, so that each wall has one entry."""
+    if _walls_through(L, base, spec) or (k := reflection_row(s.vector, gram_apply(L, s.vector))) is None:
         return None
     rb = reflect_by_row(base, s.vector, k)
     walls = separating_walls(L, base, rb, spec)
     return k, gram_apply(L, rb), tuple([(u, gram_apply(L, u.vector)) for u in walls])
 
 
-def _reflected_sep(cur, sep, k, grb, mirror) -> list[Wall]:
-    """separating_walls(L, b, cur, spec) for cur = r_s(c), s = sep[0] and
-    sep = separating_walls(L, b, c, spec), from :func:`_mirror`'s data;
-    it pairs cur with the cached G u of the walls u of sep(b, r_s b)."""
-    s = sep[0]
+def _cross(L: Lattice, base: Vector, c, sep, s: Wall, spec: WallSpec):
+    """(k, r_s c, sep(b, r_s c)) from sep = sep(b, c), b = base, for any wall s.
+
+    With :func:`_mirror`'s data, k is s's reflection row, and r = r_s maps c
+    to c - (k . c) s: no division and no G c, for integral and rational c.
+    r is an integral isometry that maps the wall set onto itself.  Split the
+    walls u of sep(b, r c) by the sign of q(u, r b) = q(r u, b), not zero:
+    if positive, r u is in sep(b, c); if negative, u is in sep(b, r b).  So
+
+        sep(b, r c) = {r w : w in sep(b, c), q(w, r b) > 0}
+                      | {u in sep(b, r b) : q(u, r c) < 0},
+
+    sorted as ``separating_walls`` returns it.  Without a mirror, k is None,
+    r_s c comes from ``reflect_vector`` and the set is searched for.
+    """
+    mirror = _mirror(L, base, s, spec)
+    if mirror is None:
+        c = reflect_vector(L, c, s.vector)
+        return None, c, separating_walls(L, base, c, spec)
+    k, grb, walls = mirror
+    c = reflect_by_row(c, s.vector, k)
     out = [Wall(vector=reflect_by_row(w.vector, s.vector, k), square=w.square)
            for w in sep if sum(map(mul, w.vector, grb)) > 0]
-    out += [u for u, gu in mirror if sum(map(mul, gu, cur)) < 0]
-    return sorted(out)
+    out += [u for u, gu in walls if sum(map(mul, gu, c)) < 0]
+    return k, c, sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +273,7 @@ class FacetResult(NamedTuple):
 def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH_BOUND) -> FacetResult:
     """Facets of a chamber among walls with q(s, witness) <= search_bound, sorted.
 
-    Reflective walls are decided exactly via the mirror criterion.  A
+    Reflective walls are decided exactly by :func:`_mirror`'s criterion.  A
     non-reflective wall is a facet if its projection witness violates no
     other candidate, and none if a violated candidate projects to a class
     of square >= 0.  For the rest, F = {x : q(f, x) >= 0 for the faces f
@@ -289,7 +287,7 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
     """
     int_arg(search_bound, "search_bound", least=1)
     spec = chamber.spec
-    w = chamber.witness
+    w = tuple(chamber.witness)
     _ensure_wall_free(L, w, spec)
     candidates = walls_near(L, w, spec, search_bound)
     n = len(candidates)
@@ -307,12 +305,11 @@ def facet_walls(L: Lattice, chamber: Chamber, search_bound: int = DEFAULT_SEARCH
         # projection onto the wall, and q(u, y) = q(w,s) q(u,s) - q(s,s) q(u,w)
         qss, qws, gs = s.square, qw[i], covectors[i]
         y = tuple(qws * a - qss * b for a, b in zip(s.vector, w))
-        k = reflection_row(s.vector, gs)
-        if k is not None:
+        if reflection_row(s.vector, gs) is not None:
             # s reflects integrally.  A facet's midpoint witness y is strictly feasible
-            # for every other wall, and then s is a facet iff nothing else separates w from r_s(w)
+            # for every other wall, and then s is a facet iff it alone separates w from r_s(w)
             if (all(u == i or qws * sum(map(mul, candidates[u].vector, gs)) > qss * qw[u] for u in nearest)
-                    and not has_other_separating_wall(L, w, reflect_by_row(w, s.vector, k), spec, {s.vector})):
+                    and len(_mirror(L, w, s, spec)[2]) == 1):
                 faces[i] = Face(supporting_wall=s, witness_on_wall=primitive_integral(y))
             continue
         qs = [sum(map(mul, u.vector, gs)) for u in candidates]
@@ -498,13 +495,14 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
                          search_bound: int = DEFAULT_SEARCH_BOUND) -> TessellationGraph:
     """BFS over chambers by crossing facets up to the given depth.
 
-    Crossing reflects the witness across the facet wall (exact; for a
-    reflective wall system the image witness is wall-free whenever the
-    source is).  Chamber identity is the sorted crossing set relative to
-    the base witness.  Every crossing must change that set by exactly
-    the crossed wall, or ReductionInvariantError is raised.  Node and
-    edge orderings are deterministic; each node records the path of its
-    first discovery.
+    Crossing reflects the witness across the facet wall by :func:`_cross`
+    (exact; for a reflective wall system the image witness is wall-free
+    whenever the source is).  Chamber identity is the sorted crossing set
+    relative to the base witness, read off the cached mirror of (base, s)
+    when s is reflective.  Every crossing must change that set by exactly
+    the crossed wall, or ReductionInvariantError is raised: a check of each
+    facet decision.  Node and edge orderings are deterministic; each node
+    records the path of its first discovery.
 
     Only the base chamber's facets are searched for with
     :func:`facet_walls`, and those of a chamber first reached across a
@@ -536,20 +534,21 @@ def explore_tessellation(L: Lattice, base, spec: WallSpec, depth: int,
             if layer == depth:
                 continue
             for s in facets:
-                row = reflection_row(s.vector, gram_apply(L, s.vector))
-                w2 = primitive_integral(reflect_vector(L, ch.witness, s.vector) if row is None
-                                        else reflect_by_row(ch.witness, s.vector, row))
-                ch2 = Chamber(spec=spec, witness=w2, crossing_set=tuple(separating_walls(L, base_p, w2, spec)))
+                # the mirror of the wall oriented toward the base, as crossing sets orient it
+                back = Wall(vector=tuple(-x for x in s.vector), square=s.square)
+                t = back if back in ch.crossing_set else s
+                row, w2, sep2 = _cross(L, base_p, ch.witness, ch.crossing_set, t, spec)
+                ch2 = Chamber(spec=spec, witness=primitive_integral(w2), crossing_set=tuple(sep2))
                 crossed = {sign_normalize(k[1]) for k in set(ch.key) ^ set(ch2.key)}
                 if crossed != {sign_normalize(s.vector)}:
                     raise ReductionInvariantError(
-                        f"crossing {s.vector} from {ch.witness} to {w2} changed the crossing set "
+                        f"crossing {s.vector} from {ch.witness} to {ch2.witness} changed the crossing set "
                         f"by {sorted(crossed)}, not by that one wall"
                     )
                 edges.add(tuple(sorted((ch.key, ch2.key))) + (s.unsigned(),))
                 if ch2.key not in seen:
                     seen.add(ch2.key)
-                    nxt.append((ch2, path + (s,), None if undecided or row is None else _transported(facets, s, row)))
+                    nxt.append((ch2, path + (s,), None if undecided or row is None else _transported(facets, t, row)))
         frontier = nxt
         if not frontier:
             break

@@ -23,8 +23,8 @@ Conventions:
 
 All types are immutable values and all operations are pure functions, so
 everything here is safe to share between threads.  The package's records
-are ``NamedTuple``s: they unpack, index and hash as tuples of their
-fields and equal a plain tuple of the same fields, so sorts pass a key.
+are ``NamedTuple``s: they unpack, index, hash and sort as tuples of
+their fields and equal a plain tuple of the same fields.
 """
 
 from __future__ import annotations

@@ -611,7 +611,7 @@ def walls_near(L: Lattice, v, spec: WallSpec, max_pairing: int) -> list[Wall]:
 def has_other_separating_wall(L: Lattice, v0, v1, spec: WallSpec, excluded) -> bool:
     """True iff some wall outside ``excluded`` separates v0 from v1.
 
-    Early-exits on the first hit; used by the exact facet criterion.
+    Early-exits on the first hit; the benchmark's facet check asks it.
     """
     ex = frozenset(sign_normalize(x) for x in excluded)
     return any(sign_normalize(w.vector) not in ex for w in iter_separating_walls(L, v0, v1, spec))

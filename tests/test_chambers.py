@@ -127,32 +127,29 @@ class TestReduceToBase:
             assert counts[-1] == 0
 
     def test_derived_separating_sets_equal_fresh_searches(self, monkeypatch):
-        # from a wall-free base, each step's next separating set is derived,
-        # not searched for, and must equal a fresh search; from a base on a
-        # wall every step searches.  Either way the word and image must
-        # equal those of the greedy reduction that searches before every step
+        # from a wall-free base, a step across a reflective wall derives the
+        # next separating set (its row k is not None), and that set must equal
+        # a fresh search; from a base on a wall every step searches.  Either
+        # way the word and image must equal those of the greedy reduction
+        # that searches before every step
         seen = dict.fromkeys(("on-wall base", "wall-free base", "rational v", "derived set",
                               "searched step", "rational image"), 0)
-        derived = []
-        real = chambers._reflected_sep
-
-        def spy(cur, *args):
-            derived.append((cur, real(cur, *args)))
-            return derived[-1][1]
-
-        monkeypatch.setattr(chambers, "_reflected_sep", spy)
+        steps = []
+        real = chambers._cross
+        monkeypatch.setattr(chambers, "_cross", lambda *args: steps.append(real(*args)) or steps[-1])
         rng = random.Random(59)
         for name, (summands, wall_free) in REDUCTION_LATTICES.items():
             L = make_lattice(core.direct_sum(core.U_GRAM, *summands))
             for spec in REDUCTION_SPECS:
                 for base, v in _reduction_inputs(L, wall_free, spec, rng):
-                    derived.clear()
+                    steps.clear()
                     try:
                         res = reduce_to_base(L, v, base, spec)
                         got = (res.word, res.image)
                     except ReductionInvariantError:
                         got = ReductionInvariantError
                     assert got == _greedy_by_search(L, v, base, spec), (name, spec, base, v)
+                    derived = [(cur, out) for k, cur, out in steps if k is not None]
                     for cur, out in derived:
                         assert out == separating_walls(L, base, cur, spec), (name, spec, base, v, cur)
                     on_wall = bool(walls_containing(L, base, spec))
@@ -369,6 +366,15 @@ class TestReflectionProperties:
         assert r.apply((0, 1, 1)) == (0, -1, -1)
 
 
+# chambers whose DEFAULT_SEARCH_BOUND answer misses facets that a larger
+# bound finds: (gram, squares, witness, larger bound, missed facets)
+SHALLOW_MISSES = [
+    ([[12, 0], [0, -2]], [-2], (3, 1), 62, [(2, 5)]),
+    ([[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -4]], [-1, -4], (-12, -1, -2, -5), 48,
+     [(-2, -3, 0, 0), (-2, 0, -3, 0)]),
+]
+
+
 class TestFacetWalls:
     def test_base_chamber_facets(self, UA):
         ch = chamber_at(UA, BASE["U+A1m2"], spec=SPEC2)
@@ -408,6 +414,32 @@ class TestFacetWalls:
         deep, near = (91, 120, 30, 30), BASE["U+A1m2+A1m2"]
         got, want = (facet_walls(UAA, chamber_at(UAA, w, spec=SPEC2)) for w in (deep, near))
         assert [f.supporting_wall for f in got.faces] == [f.supporting_wall for f in want.faces]
+
+    def test_a_hand_built_chamber_may_hold_a_list(self, UAA):
+        ch = Chamber(spec=SPEC2, witness=[3, 4, 1, 1], crossing_set=())
+        res = facet_walls(UAA, ch)
+        assert len(res.faces) == 5 and res == facet_walls(UAA, chamber_at(UAA, (3, 4, 1, 1), spec=SPEC2))
+
+    @pytest.mark.parametrize("gram, squares, witness, bound, missed", SHALLOW_MISSES,
+                             ids=["12+m2", "2+m1+m1+m4"])
+    def test_a_larger_bound_finds_more_facets(self, gram, squares, witness, bound, missed):
+        # the premise of the pin below: each default-bound answer reads complete
+        L, spec = make_lattice(gram), wall_spec(squares)
+        ch = chamber_at(L, witness, spec=spec)
+        few, more = facet_walls(L, ch), facet_walls(L, ch, bound)
+        assert few.complete and more.complete
+        walls = [f.supporting_wall.vector for f in more.faces]
+        assert sorted(set(walls) - {f.supporting_wall.vector for f in few.faces}) == missed
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP items 3 and 11 (rank 2), item 5 (spec {-1, -4}): a shallow witness "
+                              "has facets beyond DEFAULT_SEARCH_BOUND and the answer still reads complete")
+    @pytest.mark.parametrize("gram, squares, witness, bound, missed", SHALLOW_MISSES,
+                             ids=["12+m2", "2+m1+m1+m4"])
+    def test_a_shallow_witness_has_every_facet_of_its_chamber(self, gram, squares, witness, bound, missed):
+        L, spec = make_lattice(gram), wall_spec(squares)
+        ch = chamber_at(L, witness, spec=spec)
+        assert facet_walls(L, ch).faces == facet_walls(L, ch, bound).faces
 
     def test_no_minus_two_classes_means_no_facets(self):
         # 2a^2 - 8b^2 = -2 has no integer solutions (a^2 = 4b^2 - 1 fails
@@ -701,12 +733,35 @@ class TestExploreTessellation:
             assert core.sign_normalize(vec) == e.wall.vector
 
     def test_crossing_must_change_the_key_by_one_wall(self, UA, monkeypatch):
-        # a separating search that drops a wall leaves every crossed
-        # chamber with the base's key: the run-time adjacency check fires
-        real = chambers.separating_walls
-        monkeypatch.setattr(chambers, "separating_walls", lambda *args: real(*args)[1:])
+        # a crossing step that drops a wall leaves every crossed chamber with
+        # the base's key: the run-time adjacency check fires.  The step is
+        # patched, not the search, so no cached mirror holds a wrong set
+        real = chambers._cross
+
+        def dropping(*args):
+            k, c, sep = real(*args)
+            return k, c, sep[1:]
+
+        monkeypatch.setattr(chambers, "_cross", dropping)
         with pytest.raises(ReductionInvariantError, match="not by that one wall"):
             explore_tessellation(UA, BASE["U+A1m2"], SPEC2, 1)
+
+    def test_one_search_per_point_and_wall(self, UAA, monkeypatch):
+        # every crossing reads the one cached mirror of (base, wall), so no
+        # search is made twice; the base's facet decisions fill the mirrors
+        # of its facets, and crossing them afterwards searches nothing
+        base = BASE["U+A1m2+A1m2"]
+        chambers._mirror.cache_clear()
+        calls = []
+        real = chambers.separating_walls
+        monkeypatch.setattr(chambers, "separating_walls", lambda *args: calls.append(args) or real(*args))
+        assert len(explore_tessellation(UAA, base, SPEC2, 4).nodes) == 112
+        assert calls and len(set(calls)) == len(calls)
+        chambers._mirror.cache_clear()
+        facet_walls(UAA, Chamber(spec=SPEC2, witness=base, crossing_set=()))
+        calls.clear()
+        assert len(explore_tessellation(UAA, base, SPEC2, 1).nodes) == 6
+        assert calls == []
 
     @pytest.mark.parametrize("name, squares, base", [
         ("U+A1m2", [-2], BASE["U+A1m2"]),
