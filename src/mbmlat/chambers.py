@@ -16,10 +16,10 @@ x N(y) x^-1 of Humphreys, *Reflection Groups and Coxeter Groups*, 5.6.
 The next set is read off that superset exactly; a step across a
 non-reflective wall, or from a base on a wall, searches again.
 
-Once (L, spec) holds a certified base chamber, every search for
-separating walls is answered by root descent instead of Fincke-Pohst
-(see :mod:`enumeration`); :func:`reduce_to_base` learns it.  The walls
-through a point are searched for once per (L, point, spec), for
+Once (L, spec) holds a certified base chamber, root descent answers every
+search for separating walls instead of Fincke-Pohst; :func:`reduce_to_base`
+learns it for a :attr:`WallSpec.reflective` spec (see :mod:`enumeration`).
+The walls through a point are searched for once per (L, point, spec), for
 :func:`chamber_at`, :func:`facet_walls` and :func:`reduce_to_base` alike.
 
 Facet decisions are exact for reflective walls: s supports a facet of
@@ -162,20 +162,15 @@ def reduce_to_base(L: Lattice, v, base, spec: WallSpec) -> ReductionResult:
     non-reflective wall, or from a base on a wall, searches again.
 
     The walls through the base are searched for once.  The first call for
-    (L, spec) records None if some wall may not reflect integrally, and
-    otherwise, from a wall-free base, certifies its chamber from the facets
-    :func:`facet_walls` finds below ``DEFAULT_SEARCH_BOUND``; if that fails,
-    Fincke-Pohst keeps answering.  The word and image do not depend on
-    which backend answers the searches.
+    (L, spec) from a wall-free base of a :attr:`WallSpec.reflective` spec
+    hands :func:`learn_chamber` the facets :func:`facet_walls` finds below
+    ``DEFAULT_SEARCH_BOUND``; if they fail, Fincke-Pohst keeps answering.
+    The word and image do not depend on which backend answers the searches.
     """
     base_p = primitive_integral(base)
-    free = not _walls_through(L, base_p, spec)
-    if (L, spec) not in _chambers:
-        if not (spec.require_reflective or set(spec.squares) <= {-1, -2}):
-            learn_chamber(L, spec, base_p, ())
-        elif free:
-            res = facet_walls(L, Chamber(spec=spec, witness=base_p, crossing_set=()), DEFAULT_SEARCH_BOUND)
-            learn_chamber(L, spec, base_p, [f.supporting_wall for f in res.faces])
+    if not _walls_through(L, base_p, spec) and (L, spec) not in _chambers and spec.reflective:
+        res = facet_walls(L, Chamber(spec=spec, witness=base_p, crossing_set=()), DEFAULT_SEARCH_BOUND)
+        learn_chamber(L, spec, base_p, [f.supporting_wall for f in res.faces])
     cur = tuple(v)
     word: list[Wall] = []
     sep = separating_walls(L, base_p, cur, spec)

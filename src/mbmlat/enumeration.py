@@ -33,27 +33,27 @@ basis, only the order in which they are found: the public searches sort
 or set-normalize their output, and ``has_other_separating_wall`` only
 asks whether one exists.
 
-When every wall of the spec reflects integrally (squares -1 and -2, or
-``require_reflective``), the chambers are the translates of one Coxeter
-chamber C under the group W the reflections generate.  A list of facets
-t_i of C (oriented inward) is certified complete when every t_i is
+When the spec is :attr:`WallSpec.reflective`, every wall reflects
+integrally and the chambers are the translates of one Coxeter chamber C
+under the group W the reflections generate.  That is the one precondition
+of the certificate, which :func:`learn_chamber` checks first: a list of
+facets t_i of C (oriented inward) is complete when every t_i is
 reflective, q(t_i, t_j) >= 0 for i != j, the cone K = {x : q(t_i, x) >= 0}
-is pointed and its extreme rays lie in the closed positive component of
-C.  Proof: a missing facet u would have q(u, t_i) >= 0 for all i, so u
-would lie in K, inside the closed positive cone, against q(u, u) < 0.
-``chambers.reduce_to_base`` learns C (:func:`learn_chamber`) once per
-(L, spec), from the facets of its first wall-free base.  Then
-``separating_walls(a, b)`` descends b into the closure of C; the roots
-beta_j = r_{i_1} ... r_{i_{j-1}} t_{i_j} met on the way are exactly the
-positive roots with q(beta, b) < 0 (Humphreys, *Reflection Groups and
-Coxeter Groups*, 5.6), and those with q(beta, a) > 0 separate; so do the
-negatives of the roots of a's descent with q(beta, b) > 0.  A descent
-runs on the pairings c = (q(x, t_i)), taken once: r_j maps them to
-c - m q(t_j, .), m = 2 c_j / q(t_j, t_j), an integer, as t_j reflects
-integrally.  A root is built once, by reflecting its t_{i_j} back through
-the word with the facets' integer rows (:func:`core.reflect_by_row`).
-Without a certified chamber, Fincke-Pohst answers; it is also the tests'
-reference.
+is pointed and its extreme rays lie in the closed positive component of C.
+Proof: a missing facet u would have q(u, t_i) >= 0 for all i, so u would
+lie in K, inside the closed positive cone, against q(u, u) < 0.
+``chambers.reduce_to_base`` learns C once per (L, spec), from the facets
+of its first wall-free base.  Then ``separating_walls(a, b)`` descends b
+into the closure of C; the roots beta_j = r_{i_1} ... r_{i_{j-1}} t_{i_j}
+met on the way are exactly the positive roots with q(beta, b) < 0
+(Humphreys, *Reflection Groups and Coxeter Groups*, 5.6), and those with
+q(beta, a) > 0 separate; so do the negatives of the roots of a's descent
+with q(beta, b) > 0.  A descent runs on the pairings c = (q(x, t_i)),
+taken once: r_j maps them to c - m q(t_j, .), m = 2 c_j / q(t_j, t_j), an
+integer, as t_j reflects integrally.  A root is built once, by reflecting
+its t_{i_j} back through the word with the facets' integer rows
+(:func:`core.reflect_by_row`).  Without a certified chamber, Fincke-Pohst
+answers; it is also the tests' reference.
 
 All functions are pure apart from that record of certified chambers;
 per-basepoint data is memoized on immutable keys.
@@ -124,6 +124,11 @@ class WallSpec(_WallSpecFields):
         if not squares:
             raise ValidationError("WallSpec needs a non-empty set of squares")
         return super().__new__(cls, squares, require_reflective)
+
+    @property
+    def reflective(self) -> bool:
+        """True iff every wall reflects integrally on every lattice: ``require_reflective`` or all squares -1, -2."""
+        return self.require_reflective or set(self.squares) <= {-1, -2}
 
 
 wall_spec = WallSpec  # the functional spelling: WallSpec sorts, de-duplicates and checks its squares
@@ -531,7 +536,7 @@ class _Chamber:
             word.append(j)
 
 
-# (L, spec) -> its certified _Chamber, or None after a failed attempt;
+# (L, spec) -> its certified _Chamber or None, written by learn_chamber alone;
 # bounded, oldest first out.  Tests that pin Fincke-Pohst clear it.
 _chambers: dict = {}
 _chambers_lock = Lock()
@@ -580,13 +585,13 @@ def extreme_rays(covectors, n: int) -> list[Vector] | None:
 
 
 def learn_chamber(L: Lattice, spec: WallSpec, base: Vector, facets) -> None:
-    """Record for (L, spec) the chamber of the wall-free integral ``base``
-    if ``facets``, the facets a bounded search found, pass the certificate
-    of the module docstring, and None otherwise.  Every extreme ray r of K
-    (:func:`extreme_rays`) must have q(r, r) >= 0 and q(r, base) > 0."""
+    """Record for (L, spec) the chamber of the wall-free integral ``base`` if
+    ``spec.reflective`` holds and ``facets``, a bounded search's finds, pass
+    the certificate of the module docstring, else None.  Every extreme ray r
+    of K (:func:`extreme_rays`) must have q(r, r) >= 0 and q(r, base) > 0."""
     chamber = None
     c = _Chamber(tuple(facets), tuple(gram_apply(L, t.vector) for t in facets), gram_apply(L, base))
-    if (None not in c.rows
+    if (spec.reflective and None not in c.rows
             and all(h > 0 for h in c.heights)
             and all(row[j] >= 0 for i, row in enumerate(c.gram) for j in range(i))
             and (rays := extreme_rays(c.grams, L.rank)) is not None

@@ -288,7 +288,23 @@ class TestChamberCertificate:
         spec = wall_spec([-2, -4])
         monkeypatch.setattr(chambers, "facet_walls", None)
         _reduces_as_by_search(UAA, (5, 8, -2, -1), spec, random.Random(71))
+        assert (UAA, spec) not in enumeration._chambers
+
+    def test_a_non_reflective_spec_is_never_certified(self, UAA, fincke_pohst):
+        # the five -2 facets of (3, 4, 1, 1) pass every conjunct on the facets,
+        # but a -4 wall need not reflect integrally, so the chamber is no
+        # Coxeter chamber: descent from it would miss the ten -4 walls
+        spec, base, v = wall_spec([-2, -4]), BASE["U+A1m2+A1m2"], (20, 3, 4, -5)
+        facets = [Wall(square=-2, vector=t) for t in UAA_FACETS]
+        searched = separating_walls(UAA, base, v, spec)
+        assert (len(searched), sum(w.square == -4 for w in searched)) == (17, 10)
+        learn_chamber(UAA, spec, base, facets)
         assert enumeration._chambers[UAA, spec] is None
+        assert separating_walls(UAA, base, v, spec) == searched
+        with pytest.raises(ReductionInvariantError):
+            reduce_to_base(UAA, v, base, spec)
+        learn_chamber(UAA, SPEC2, base, facets)
+        assert enumeration._chambers[UAA, SPEC2] is not None
 
     def test_base_on_a_wall_is_not_used(self, UAA, fincke_pohst):
         base = (1, 1, 0, 0)
@@ -319,9 +335,12 @@ class TestChamberCertificate:
     ], ids=["reflective", "heights", "acute"])
     def test_each_conjunct_is_needed(self, summands, base, facets, failing, fincke_pohst):
         # each facet list fails that one conjunct of the certificate and
-        # passes the others, by the oracle; learn_chamber records None
+        # passes the others, by the oracle; learn_chamber records None.  The
+        # spec requires reflective walls, so it passes the spec conjunct and
+        # the "reflective" case fails on the facets' own reflection rows
         L = make_lattice(core.direct_sum(core.U_GRAM, *summands))
         d = square(L, facets[0])
+        spec = wall_spec([d], require_reflective=True)
         units = [tuple(int(i == j) for i in range(L.rank)) for j in range(L.rank)]
         rays = extreme_rays(L.gram, facets)
         held = {
@@ -332,8 +351,8 @@ class TestChamberCertificate:
         }
         assert {square(L, t) for t in facets} == {d}
         assert [k for k, ok in held.items() if not ok] == [failing]
-        learn_chamber(L, wall_spec([d]), base, [Wall(square=d, vector=t) for t in facets])
-        assert enumeration._chambers[L, wall_spec([d])] is None
+        learn_chamber(L, spec, base, [Wall(square=d, vector=t) for t in facets])
+        assert enumeration._chambers[L, spec] is None
 
     def test_a_single_wall_is_not_pointed(self, P22, fincke_pohst):
         _reduces_as_by_search(P22, BASE["A1p2+A1m2"], SPEC2, random.Random(79))

@@ -502,6 +502,12 @@ class TestWallSpec:
         assert is_reflective(UA, (0, 0, 1))
         L = make_lattice([[-4, 1], [1, 0]])
         assert not is_reflective(L, (1, 0))
+        # a spec is reflective iff each of its walls reflects on every lattice
+        specs = [WallSpec([-2]), WallSpec([-1, -2]), WallSpec([-4], require_reflective=True),
+                 WallSpec([-4]), WallSpec([-2, -4])]
+        assert [spec.reflective for spec in specs] == [True, True, True, False, False]
+        with pytest.raises(AttributeError):
+            specs[0].reflective = False
 
 
 # ---------------------------------------------------------------------------

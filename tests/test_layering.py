@@ -8,9 +8,11 @@ or a ``float(...)`` call: every decision is exact; nor do the modules
 that compute in ints call ``int(...)``.  No ``except``
 swallows an error to learn a yes/no answer, integer arguments above
 ``core`` are checked by its one helper, and every ``Wall(...)`` names its
-two fields, which a positional call could swap unseen.  The names the
-benchmark's tracer binds must also resolve, or its metrics read 0 without
-an error.
+two fields, which a positional call could swap unseen.  Only
+``enumeration.learn_chamber`` writes the record of certified chambers, and
+only ``WallSpec.reflective`` spells the squares that always reflect.  The
+names the benchmark's tracer binds must also resolve, or its metrics read
+0 without an error.
 Importing the package must not load ``dataclasses``, nor, without
 ``site``, ``importlib.resources``, ``pathlib`` or ``tempfile``.
 """
@@ -132,6 +134,60 @@ def test_fractions_stay_at_the_boundary():
                  if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
                  or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))}
     assert importers <= {"core", "cli"}, f"{sorted(importers - {'core', 'cli'})} import fractions; only core and cli may"
+
+
+def _scoped(tree: ast.Module):
+    """(dotted name of the innermost enclosing def or class, "" at module
+    level, node) for every node of the tree."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            yield inner, child
+            yield from walk(child, inner)
+    return walk(tree, "")
+
+
+_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+
+
+def test_the_chamber_record_has_one_writer():
+    """``learn_chamber`` is the one writer of ``_chambers``: it tests
+    ``WallSpec.reflective`` before its certificate, so a store elsewhere
+    could record a chamber for a spec whose chambers are no Coxeter
+    chambers.  Reads (``in``, ``.get``) are free, and so is the binding that
+    defines the record."""
+    writes = []
+    for module in LAYERS:
+        for scope, node in _scoped(_tree(module)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+                target = node.func.value
+            elif isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+                target = node.value if isinstance(node, ast.Subscript) else node
+            else:
+                continue
+            named = getattr(target, "id", getattr(target, "attr", None)) == "_chambers"
+            defines = isinstance(node, ast.Name) and (module, scope) == ("enumeration", "")
+            if named and not defines and (module, scope) != ("enumeration", "learn_chamber"):
+                writes.append(f"{module}.py:{node.lineno}")
+    assert writes == [], f"_chambers is written outside enumeration.learn_chamber at {writes}"
+
+
+def test_the_reflective_squares_have_one_spelling():
+    """The set of squares whose walls always reflect, {-1, -2}, is written
+    once, in ``WallSpec.reflective``; every other test of a spec reads it."""
+    spelled = [f"{module}.{scope}" for module in LAYERS for scope, node in _scoped(_tree(module))
+               if isinstance(node, ast.Set) and _literal(node) == {-1, -2}]
+    assert spelled == ["enumeration.WallSpec.reflective"], f"the set {{-1, -2}} is spelled out in {spelled}"
+
+
+def _literal(node):
+    """The value of a literal expression, or None for any other."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
 
 
 def _bench_constant(name: str):
