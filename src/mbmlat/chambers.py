@@ -132,8 +132,8 @@ def _ensure_wall_free(L: Lattice, v, spec: WallSpec) -> None:
 
 
 def same_chamber(L: Lattice, v, w, spec: WallSpec) -> bool:
-    """True iff no spec wall strictly separates v from w; stops at the
-    first separating wall found."""
+    """True iff no spec wall strictly separates v from w; Fincke-Pohst stops
+    at the first separating wall found, root descent takes both inversion sets."""
     return next(iter_separating_walls(L, v, w, spec), None) is None
 
 

@@ -43,17 +43,18 @@ is pointed and its extreme rays lie in the closed positive component of C.
 Proof: a missing facet u would have q(u, t_i) >= 0 for all i, so u would
 lie in K, inside the closed positive cone, against q(u, u) < 0.
 ``chambers.reduce_to_base`` learns C once per (L, spec), from the facets
-of its first wall-free base.  Then ``separating_walls(a, b)`` descends b
-into the closure of C; the roots beta_j = r_{i_1} ... r_{i_{j-1}} t_{i_j}
-met on the way are exactly the positive roots with q(beta, b) < 0
-(Humphreys, *Reflection Groups and Coxeter Groups*, 5.6), and those with
-q(beta, a) > 0 separate; so do the negatives of the roots of a's descent
-with q(beta, b) > 0.  A descent runs on the pairings c = (q(x, t_i)),
-taken once: r_j maps them to c - m q(t_j, .), m = 2 c_j / q(t_j, t_j), an
-integer, as t_j reflects integrally.  A root is built once, by reflecting
-its t_{i_j} back through the word with the facets' integer rows
-(:func:`core.reflect_by_row`).  Without a certified chamber, Fincke-Pohst
-answers; it is also the tests' reference.
+of its first wall-free base.  A point x of C's component descends into
+the closure of C, and the roots beta_j = r_{i_1} ... r_{i_{j-1}} t_{i_j}
+met on the way are its inversion set N(x), the positive roots with
+q(beta, x) < 0 (Humphreys, *Reflection Groups and Coxeter Groups*, 5.6),
+cached per (chamber, x) (:func:`_inversion_set`).  The walls separating a
+from b are the roots of N(b) - N(a) and the negatives of those of
+N(a) - N(b), less the roots through the other point.  A descent runs on
+the pairings c = (q(x, t_i)): r_j maps them to c - m q(t_j, .), m =
+2 c_j / q(t_j, t_j), an integer, as t_j reflects integrally; a root is
+built by reflecting its t_{i_j} back through the word with the facets'
+integer rows (:func:`core.reflect_by_row`).  Without a certified chamber,
+Fincke-Pohst answers; it is also the tests' reference.
 
 All functions are pure apart from that record of certified chambers;
 per-basepoint data is memoized on immutable keys.
@@ -448,7 +449,7 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
     """Generator behind :func:`separating_walls`; order not guaranteed.
     Root descent answers when (L, spec) has a certified chamber; otherwise
     only the far-side cap q(s, v1) < 0 of each t-ellipsoid is enumerated."""
-    v0p, N, _ = _positive(L, v0)
+    v0p, N, gv0 = _positive(L, v0)
     V1, q1, gv1 = _positive(L, v1)
     mu = sum(map(mul, v0p, gv1))
     if mu <= 0:
@@ -459,13 +460,15 @@ def iter_separating_walls(L: Lattice, v0, v1, spec: WallSpec):
     chamber = _chambers.get((L, spec))
     if chamber is not None:
         # -1 maps the walls onto themselves and swaps the two components, so
-        # with a, b = sign (v0, v1) in the base's component, a wall s with
-        # q(s, a) > 0 > q(s, b) is a positive root or the negative of one
+        # with a, b = sign (v0, v1) in the base's component, the walls s with
+        # q(s, a) > 0 > q(s, b) are the roots of N(b) - N(a) and the negatives
+        # of those of N(a) - N(b), less the roots through the other point
         sign = 1 if sum(map(mul, v0p, chamber.gbase)) > 0 else -1
-        (ha, ca), (hb, cb) = chamber.pairings(v0p, sign), chamber.pairings(V1, sign)
-        for t, cx, hx, cy in ((sign, cb, hb, ca), (-sign, ca, ha, cb)):
-            for beta, d in chamber.inversions(cx, hx, cy):
-                yield Wall(vector=beta if t > 0 else tuple([-c for c in beta]), square=d)
+        na, nb = (_inversion_set(chamber, tuple([sign * c for c in x])) for x in (v0p, V1))
+        for t, roots, gy in ((sign, nb - na, gv0), (-sign, na - nb, gv1)):
+            for w in roots:
+                if sum(map(mul, w.vector, gy)):
+                    yield w if t > 0 else Wall(vector=tuple([-c for c in w.vector]), square=w.square)
         return
     # the largest t with t^2 q1 < |d| gap, per square
     ranges = [(d, 1, isqrt((-d * gap - 1) // q1)) for d in spec.squares]
@@ -485,7 +488,7 @@ class _Chamber:
     x to x - m t_j, m = 2 q(x, t_j) / q(t_j, t_j), so it maps x's pairings c
     and height to c - m q(t_j, .) and height - m q(t_j, base).  A plain
     class with ``__slots__``, not a record, since it derives its fields in
-    ``__init__``."""
+    ``__init__``; it hashes by identity, the key of :func:`_inversion_set`."""
 
     __slots__ = ("facets", "grams", "gbase", "gram", "heights", "rows")
 
@@ -495,45 +498,40 @@ class _Chamber:
         self.heights = tuple(sum(map(mul, t.vector, gbase)) for t in facets)
         self.rows = tuple(reflection_row(t.vector, g) for t, g in zip(facets, grams))
 
-    def pairings(self, x, sign: int) -> tuple[int, list[int]]:
-        """The height q(sign x, base) and the pairings (q(sign x, t_i)) of
-        the integral x."""
-        return sign * sum(map(mul, x, self.gbase)), [sign * sum(map(mul, x, g)) for g in self.grams]
 
-    def inversions(self, cx: list[int], height: int, cy: list[int]):
-        """(beta, square) for the positive roots with q(beta, x) < 0 < q(beta, y),
-        from the pairings cx, cy and the height q(x, base) of integral x, y
-        in the base's component.  x descends into the closed chamber, each
-        time by the first t_j with q(t_j, x) < 0; a step must lower the
-        height and keep it positive, which bounds the steps, or
-        ReductionInvariantError.  The roots are the beta_k = r_{j_1} ...
-        r_{j_{k-1}} t_{j_k} of the descent with q(beta_k, y) =
-        q(t_{j_k}, r_{j_{k-1}} ... r_{j_1} y) > 0."""
-        gram, heights, rows, facets = self.gram, self.heights, self.rows, self.facets
-        word = []
-        while True:
-            for j, c in enumerate(cx):
-                if c < 0:
-                    break
-            else:
-                return
-            row = gram[j]
-            m = 2 * c // row[j]
-            lower = height - m * heights[j]
-            if not 0 < lower < height:
-                raise ReductionInvariantError(
-                    f"reflection in the facet {facets[j].vector} took q(x, base) from {height} to {lower}"
-                )
-            height = lower
-            cx = [a - m * b for a, b in zip(cx, row)]
-            if cy[j] > 0:
-                beta = facets[j].vector
-                for i in reversed(word):
-                    beta = reflect_by_row(beta, facets[i].vector, rows[i])
-                yield beta, facets[j].square
-            m = 2 * cy[j] // row[j]
-            cy = [a - m * b for a, b in zip(cy, row)]
-            word.append(j)
+@lru_cache(maxsize=1024)
+def _inversion_set(chamber: _Chamber, x: Vector) -> frozenset:
+    """N(x), the positive roots beta with q(beta, x) < 0, as Walls, for the
+    integral x in the base's component; keyed by the chamber object, so a
+    chamber learned again starts afresh.  x descends into the closed
+    chamber, each time by the first t_j with q(t_j, x) < 0; a step must
+    lower the height q(x, base) and keep it positive, which bounds the
+    steps, or ReductionInvariantError.  N(x) is the roots beta_k = r_{j_1}
+    ... r_{j_{k-1}} t_{j_k} of the word, with q(beta_k, x) < 0."""
+    gram, heights, rows, facets = chamber.gram, chamber.heights, chamber.rows, chamber.facets
+    height = sum(map(mul, x, chamber.gbase))
+    cx = [sum(map(mul, x, g)) for g in chamber.grams]
+    word, roots = [], []
+    while True:
+        for j, c in enumerate(cx):
+            if c < 0:
+                break
+        else:
+            return frozenset(roots)
+        row = gram[j]
+        m = 2 * c // row[j]
+        lower = height - m * heights[j]
+        if not 0 < lower < height:
+            raise ReductionInvariantError(
+                f"reflection in the facet {facets[j].vector} took q(x, base) from {height} to {lower}"
+            )
+        height = lower
+        cx = [a - m * b for a, b in zip(cx, row)]
+        beta = facets[j].vector
+        for i in reversed(word):
+            beta = reflect_by_row(beta, facets[i].vector, rows[i])
+        roots.append(Wall(vector=beta, square=facets[j].square))
+        word.append(j)
 
 
 # (L, spec) -> its certified _Chamber or None, written by learn_chamber alone;

@@ -366,9 +366,8 @@ class TestChamberCertificate:
         t, g = ch.facets[0], ch.grams[0]
         bad = type(ch)((Wall(vector=tuple(-c for c in t.vector), square=t.square),) + ch.facets[1:],
                        (tuple(-c for c in g),) + ch.grams[1:], ch.gbase)
-        height, pairings = bad.pairings(base, 1)
         with pytest.raises(ReductionInvariantError):
-            list(bad.inversions(pairings, height, pairings))
+            enumeration._inversion_set(bad, base)
 
 
 class TestReflectionProperties:

@@ -352,6 +352,40 @@ class TestDescent:
         assert len(enumeration._chambers[L, SPEC2].facets) == facets
         check()
 
+    def test_a_point_on_a_wall_is_not_separated_by_it(self, UA, fincke_pohst):
+        # a lies on the positive root (-1, 1, 0) of b's inversion set: the
+        # root is in N(b) - N(a), yet it separates nothing
+        a, b, base = (1, 1, 0), (3, 4, -1), DESCENT_CASES["UA"][0]
+        root = (-1, 1, 0)
+        assert (square(UA, root), pairing(UA, root, a), pairing(UA, root, b), pairing(UA, root, base)) == (-2, 0, -1, 2)
+        assert separating_walls(UA, a, b, SPEC2) == separating_walls(UA, b, a, SPEC2) == []
+        reduce_to_base(UA, base, base, SPEC2)
+        assert Wall(square=-2, vector=root) in enumeration._inversion_set(enumeration._chambers[UA, SPEC2], b)
+        assert separating_walls(UA, a, b, SPEC2) == separating_walls(UA, b, a, SPEC2) == []
+
+    def test_inversion_sets_are_keyed_by_the_chamber(self, UA, fincke_pohst):
+        # each certification is a new chamber object, whose first lookups miss;
+        # sep(-a, -b) = -sep(a, b) reads the entries of a and b again
+        base = DESCENT_CASES["UA"][0]
+        rng = random.Random(97)
+        pairs = [random_positive_pair(UA, rng, 4) for _ in range(6)]
+        searched = [separating_walls(UA, a, b, SPEC2) for a, b in pairs]
+        assert sum(map(len, searched)) > len(pairs)
+        info = enumeration._inversion_set.cache_info
+        for _ in range(2):
+            enumeration._chambers.clear()
+            reduce_to_base(UA, base, base, SPEC2)
+            a, b = pairs[0]
+            misses = info().misses
+            separating_walls(UA, a, b, SPEC2)
+            assert info().misses == misses + 2
+            for (a, b), walls in zip(pairs, searched):
+                assert separating_walls(UA, a, b, SPEC2) == walls
+                before = info()
+                negated = separating_walls(UA, tuple(-c for c in a), tuple(-c for c in b), SPEC2)
+                assert negated == sorted(Wall(square=w.square, vector=tuple(-c for c in w.vector)) for w in walls)
+                assert (info().hits, info().misses) == (before.hits + 2, before.misses)
+
     def test_the_chamber_record_drops_its_oldest_entry(self, UA, fincke_pohst):
         # an empty facet list certifies nothing, so each (L, spec) records None
         specs = [wall_spec([-k]) for k in range(1, enumeration._CHAMBERS_MAX + 2)]
